@@ -8,9 +8,10 @@ and set-up cost would otherwise vanish after the first run.  With
 ``--trace 0`` set-up is repeated in SETUP_REPEATS fresh processes and
 its median reported, times are speed-normalised (speed.py), and the
 last line of stdout is one JSON object with every end-to-end metric
-named in BENCHMARK.json.  With
-``--trace 1`` the worker times one untraced and one traced pass over
-the same items and the last line holds every per-layer metric instead.
+named in BENCHMARK.json.  With ``--trace 1`` the worker times one
+untraced and one traced pass over the same fixed number of items (set
+by ``--seconds`` alone, not by galcd's speed) and the last line holds
+every per-layer metric instead.
 The lines before it record the input mix, the environment, the sample
 counts and the digests.
 """
@@ -29,7 +30,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("catalog", "verify", "linear", "cli")
-SETUP_REPEATS = 3
+# fresh set-up processes per --trace 0 run; verify's set-up takes about 7 s, the others' under 0.5 s
+SETUP_REPEATS = {"catalog": 15, "verify": 3, "linear": 15, "cli": 15}
 WORKLOAD_TIMEOUT_S = 170   # every worker of one workload, so a run ends within 180 s
 
 
@@ -74,9 +76,9 @@ def run_workload(spec: dict, workload: str, seed: int, seconds: int, trace: int)
     setups = []
     if not trace:
         setups = [worker(workload, seed, seconds, trace, deadline, setup_only=True)
-                  for _ in range(SETUP_REPEATS - 1)]
+                  for _ in range(SETUP_REPEATS[workload] - 1)]
     raw = worker(workload, seed, seconds, trace, deadline)
-    setups.append({k: raw[k] for k in ("setup_s", "setup_wall_s")})
+    setups.append({k: raw[k] for k in ("setup_s", "setup_wall_s", "import_wall_s")})
     raw["setup_s"] = statistics.median(s["setup_s"] for s in setups)
     metrics = metrics_for(spec, raw, trace)
 
@@ -87,9 +89,13 @@ def run_workload(spec: dict, workload: str, seed: int, seconds: int, trace: int)
     unit = "wall s" if trace else "normalised s"
     print(f"# ops {raw['ops']} in {raw['timed_s']:.3f} {unit} ({raw['timed_wall_s']:.3f} wall s); "
           f"latency samples {raw['latency_samples']}; "
-          f"op_ms_p90 {raw['op_ms_p90'] if raw['op_ms_p90'] is not None else 'n/a (< 100 samples)'}")
+          f"op_ms_p90 {raw['op_ms_p90'] if raw['op_ms_p90'] is not None else 'n/a (< 100 samples)'}; "
+          f"wall ms per item p50 {raw['wall_ms_p50']:.3f}")
+    if trace:
+        print(f"# spans recorded {raw['spans']}")
     print(f"# set-up samples {[round(s['setup_s'], 4) for s in setups]} {unit}, "
-          f"{[round(s['setup_wall_s'], 4) for s in setups]} wall s")
+          f"{[round(s['setup_wall_s'], 4) for s in setups]} wall s; "
+          f"import galcd {[round(s['import_wall_s'], 4) for s in setups]} wall s (in no metric)")
     print(f"# ops_failed_frac {raw['failed'] / raw['attempted']:.6f} ({raw['failed']} of {raw['attempted']})")
     print(f"# digest {raw['digest']}; seed-0 digest {raw['seed0_digest']}")
     for name, m in metrics.items():

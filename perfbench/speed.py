@@ -15,6 +15,15 @@ duration.  ``Clock.scaled(a, b)`` turns the wall interval [a, b] into
 reference seconds (the seconds it would have taken at the speed where
 the loop takes REFERENCE_S), leaving out the time of the samples
 themselves.  A process with a Clock must not use SIGALRM otherwise.
+
+Importing galcd (with numpy) is left out of every end-to-end time: the
+worker and each CLI process start timing after it.  An import is mostly
+memory allocation and page faults, and on the VM its time swung by
+1.3-1.5x between episodes lasting ten minutes or more, in wall time and
+normalised alike (by the loop, or by a probe that unmarshals a compiled
+module), so sets of ten runs read 25-50% apart, beyond any bound the
+benchmark may set.  The import's wall time is printed on the ``#``
+lines and is ``cli.import_s`` in traced cli runs.
 """
 
 from __future__ import annotations

@@ -131,20 +131,27 @@ def test_cli_checker_flags_corrupted_stdout():
         assert _checked(wl, bad, i, reference) == 1
 
 
-def test_golden_digest_matches_and_detects_corruption():
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_golden_digest_is_checked_whatever_the_seed(name):
+    # a run with another seed re-runs seed 0's golden items after timing
+    assert golden_digest(ready(name, 1), []) == DIGESTS[name]["seed0"]
+
+
+def test_golden_digest_detects_corruption():
     for name in ("linear", "verify"):
         wl = ready(name, 0)
-        outs = [_run(wl, i) for i in range(wl.golden_prefix)]
+        outs = [_run(wl, i) for i in range(max(wl.golden_items) + 1)]
         assert golden_digest(wl, outs) == DIGESTS[name]["seed0"]
         outs[3] = workloads.Outcome(outs[3].record.replace("true", "false", 1) + " ", 1)
         assert golden_digest(wl, outs) != DIGESTS[name]["seed0"]
 
 
-def _bench(*args):
+def _bench(*args, stdout=False):
     proc = subprocess.run([sys.executable, os.path.join(HERE, "run.py"), *args],
                           cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    return (res, proc.stdout) if stdout else res
 
 
 def test_end_to_end_metrics_match_the_spec():
@@ -157,7 +164,9 @@ def test_end_to_end_metrics_match_the_spec():
 
 
 def test_traced_metrics_match_the_spec_and_add_up():
-    res = _bench("--workload", "linear", "--seed", "3", "--seconds", "1", "--trace", "1")
+    res, out = _bench("--workload", "linear", "--seed", "3", "--seconds", "1", "--trace", "1", stdout=True)
+    # the traced passes run a count of items fixed by --seconds, not by galcd's speed
+    assert re.search(r"^# ops (\d+) ", out, re.M).group(1) == str(workloads.Linear(3).trace_count(1))
     value = {k: v["value"] for k, v in res["metrics"].items()}
     assert {k: v["unit"] for k, v in res["metrics"].items()} == {m["name"]: m["unit"] for m in SPEC["per_layer"]}
     setup_layers = {"fields.make_field_s", "fields.ext_build_s", "fields.embedding_s",

@@ -10,21 +10,18 @@ set-up in fresh processes.  ``--record`` prints the seed-0 digests that
 digests.json stores instead of checking them.
 """
 
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import traceback
 from time import perf_counter
 
-PROCESS_START = perf_counter()
-
-from speed import Clock  # noqa: E402
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import traceback  # noqa: E402
+from speed import Clock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -51,11 +48,18 @@ class Phase:
         self.start = start
         self.wall = end - start
 
-    def normalise(self, clock) -> float:
-        """Speed-normalise every outcome's time; return the phase's normalised time."""
+    def normalise(self, clock, inside_only=False) -> float:
+        """Speed-normalise every outcome's time; return the phase's normalised time.
+
+        An outcome timed inside a child process keeps that time.  With
+        ``inside_only`` the phase's time is the sum of the outcomes'
+        times, leaving out the harness's time between them.
+        """
         raw = sum(o.seconds for o in self.outcomes)
         for o in self.outcomes:
-            o.seconds = o.seconds * o.speed if o.speed else clock.scaled(o.start, o.start + o.seconds)
+            o.seconds = o.inner_s if o.inner_s is not None else clock.scaled(o.start, o.start + o.seconds)
+        if inside_only:
+            return sum(o.seconds for o in self.outcomes)
         gaps = (self.wall - raw) * clock.factor(self.start, self.start + self.wall)
         return sum(o.seconds for o in self.outcomes) + gaps
 
@@ -105,18 +109,21 @@ def post_check(wl, outcomes, reference):
 
 
 def golden_digest(wl, outcomes):
-    """The digest of seed 0's first round (or first ``golden_prefix`` items)."""
+    """The digest of seed 0's ``golden_items``.
+
+    A seed-0 run that reached them digests its own outcomes; any other
+    run sets up a seed-0 workload after timing and runs those items, so
+    the byte-identical gate is checked whatever the seed.
+    """
     from spans import OFF
     from workloads import digest
 
-    size = wl.golden_prefix or wl.round_len
-    if wl.seed != 0 or len(outcomes) < size:
-        if wl.golden_prefix is None:
-            return None   # re-running a whole seed-0 round costs too much; see check()
+    items = wl.golden_items
+    if wl.seed != 0 or len(outcomes) <= max(items):
         ref = type(wl)(0)
         ref.setup(OFF)
-        outcomes = [run_item(ref, ref.item(i), OFF) for i in range(size)]
-    return digest(o.record for o in outcomes[:size])
+        outcomes = {i: run_item(ref, ref.item(i), OFF) for i in items}
+    return digest(outcomes[i].record for i in items)
 
 
 def environment():
@@ -161,19 +168,23 @@ def main(argv=None):
     ap.add_argument("--record", action="store_true")
     args = ap.parse_args(argv)
 
+    import_start = perf_counter()
     import_galcd()
+    import workloads  # noqa: F401  (imports galcd's modules)
+
+    import_s = perf_counter() - import_start   # printed, but in no metric: see speed.py
     # traced runs report raw seconds, so that self times add up to wall time
     clock = None if args.trace else Clock()
     if clock:
         clock.start()
     try:
-        return measure(args, clock)
+        return measure(args, clock, import_s)
     finally:
         if clock:
             clock.stop()
 
 
-def measure(args, clock) -> int:
+def measure(args, clock, import_s) -> int:
     from spans import OFF, Spans
     from workloads import WORKLOADS, digest
 
@@ -183,24 +194,27 @@ def measure(args, clock) -> int:
     setup_start = perf_counter()
     wl.setup(sp)
     setup_end = perf_counter()
-    result = {"setup_s": clock.scaled(PROCESS_START, setup_end) if clock else setup_end - PROCESS_START,
-              "setup_wall_s": setup_end - PROCESS_START}
+    result = {"setup_s": clock.scaled(setup_start, setup_end) if clock else setup_end - setup_start,
+              "setup_wall_s": setup_end - setup_start, "import_wall_s": import_s}
     if args.setup_only:
         print(json.dumps(result))
         return 0
 
-    phase = timed_phase(wl, OFF, seconds=args.seconds)
-    if clock:
-        clock.stop()
-        timed_s = phase.normalise(clock)
-    else:
-        timed_s = phase.wall
     traced = None
     if args.trace:
-        traced = timed_phase(wl, sp, count=len(phase.outcomes))
+        # both passes run the same fixed items, so layer figures are costs of fixed work
+        count = wl.trace_count(args.seconds)
+        phase = timed_phase(wl, OFF, count=count)
+        traced = timed_phase(wl, sp, count=count)
         for a, b in zip(phase.outcomes, traced.outcomes):
             if a.record != b.record and not a.failed:
                 a.fail("traced and untraced outputs differ")
+    else:
+        phase = timed_phase(wl, OFF, seconds=args.seconds)
+    wall_ms = [1e3 * o.seconds for o in phase.outcomes]
+    if clock:
+        clock.stop()
+    timed_s = phase.normalise(clock, inside_only=wl.timed_inside) if clock else phase.wall
 
     with open(DIGESTS, encoding="utf-8") as fh:
         stored = json.load(fh).get(wl.name, {})
@@ -219,12 +233,11 @@ def measure(args, clock) -> int:
             record["reference"] = reference
         print(json.dumps({wl.name: record}, indent=1, sort_keys=True))
         return 0
-    if golden is not None:
-        attempted += 1
-        if golden != stored.get("seed0"):
-            failed += 1
-            print(f"perfbench: {wl.name} seed-0 digest {golden} != stored {stored.get('seed0')}",
-                  file=sys.stderr)
+    attempted += 1
+    if golden != stored.get("seed0"):
+        failed += 1
+        print(f"perfbench: {wl.name} seed-0 digest {golden} != stored {stored.get('seed0')}",
+              file=sys.stderr)
     notes = sorted({o.note for o in outcomes if o.note})
     for note in notes[:5]:
         print(f"perfbench: {wl.name} failure: {note}", file=sys.stderr)
@@ -237,12 +250,13 @@ def measure(args, clock) -> int:
         "ops": sum(o.ops for o in outcomes),
         "timed_s": timed_s,
         "timed_wall_s": phase.wall,
+        "wall_ms_p50": statistics.median(wall_ms),
         "ops_per_s": sum(o.ops for o in outcomes) / timed_s,
         "latency_samples": len(lat),
         "op_ms_p50": statistics.median(lat),
         "op_ms_p90": lat[int(0.9 * len(lat))] if len(lat) >= 100 else None,
         "peak_rss_mb": peak_rss_mb(),
-        "digest": digest(o.record for o in outcomes[:wl.golden_prefix or wl.round_len]),
+        "digest": digest(o.record for o in outcomes[:max(wl.round_len, len(wl.golden_items))]),
         "seed0_digest": golden,
         "mix": wl.mix(outcomes),
         "env": environment(),
@@ -261,8 +275,8 @@ def measure(args, clock) -> int:
             "timed_wall_s": traced.wall,
             "harness_s": harness,
             "overhead_s": traced.wall - phase.wall,
-            "spans": len(sp.records),
         }
+        result["spans"] = len(sp.records)
     print(json.dumps(result))
     return 0
 

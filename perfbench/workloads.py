@@ -73,7 +73,7 @@ class Outcome:
     seconds: float = 0.0          # speed-normalised when the run has a Clock
     note: str = ""
     data: object = None
-    speed: float | None = None    # measured in a child process (cli), relative to speed.REFERENCE_S
+    inner_s: float | None = None  # speed-normalised seconds of cli.main, measured in the child process
     start: float = 0.0            # perf_counter() when the item began
 
     def fail(self, note: str, count: int | None = None) -> None:
@@ -84,8 +84,10 @@ class Outcome:
 class Workload:
     name = ""
     round_len = 1          # the timed phase stops only on a round boundary
-    golden_prefix = None   # verify/linear: seed-0 ops re-run in every run for the digest gate
+    golden_items = ()      # seed-0 items whose digest is checked in every run, whatever its seed
+    trace_rate = 1.0       # items per --seconds second in each pass of a traced run; see trace_count
     clocked = False        # set by the worker when times are speed-normalised
+    timed_inside = False   # cli: ops_per_s and latencies use inner_s, the child-measured time
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -99,6 +101,16 @@ class Workload:
 
     def item_ops(self, item) -> int:
         return 1
+
+    def trace_count(self, seconds: float) -> int:
+        """Items in each pass of a traced run: whole rounds, fixed by ``seconds`` alone.
+
+        The count does not depend on how fast galcd is, so per-layer
+        times and counts are the cost of a fixed amount of work.
+        ``trace_rate`` makes the two passes take about ``seconds`` on
+        the 2-vCPU Xeon the benchmark was built on.
+        """
+        return self.round_len * max(1, round(seconds * self.trace_rate / self.round_len))
 
     def latencies_ms(self, outcomes) -> list[float]:
         return [1e3 * o.seconds for o in outcomes]
@@ -182,6 +194,8 @@ def _residues(blocks, mask) -> tuple[int, ...]:
 
 # (p, e, k, n, lambda); about 5 s per round on a 2-core Xeon.
 CATALOG_POOL = ((3, 2, 1, 16, 1), (3, 2, 1, 14, 1), (11, 2, 1, 10, 1), (5, 3, 1, 13, -1))
+# the cheapest context (about 0.3 s); seed 0 keeps the pool's order and the default moduli
+CATALOG_GOLDEN = CATALOG_POOL.index((11, 2, 1, 10, 1))
 
 
 def _moduli(p: int, e: int) -> list[tuple[int, ...]]:
@@ -212,6 +226,8 @@ class Catalog(Workload):
     """
 
     name = "catalog"
+    golden_items = (CATALOG_GOLDEN,)
+    trace_rate = 0.4
 
     def setup(self, sp):
         order = list(CATALOG_POOL)
@@ -324,7 +340,8 @@ class Verify(Workload):
     """
 
     name = "verify"
-    golden_prefix = 100
+    golden_items = tuple(range(100))
+    trace_rate = 200.0
 
     def setup(self, sp):
         self.contexts = _criterion6_contexts(sp, self)
@@ -401,14 +418,15 @@ class Linear(Workload):
     """One operation: build [I | A], its exact distance, every Gram verdict, a dual and an extension."""
 
     name = "linear"
-    golden_prefix = 40
+    golden_items = tuple(range(40))
     round_len = len(LINEAR_SHAPES)
+    trace_rate = 77.0
 
     def setup(self, sp):
         fields = [self.field(sp, p, e) for p, e, _, _ in LINEAR_SHAPES]
         self.items = [self._make(s, fields[s], self.rng) for s in
                       (i % len(LINEAR_SHAPES) for i in range(LINEAR_ITEMS))]
-        warm = random.Random(f"linear-warm:{self.seed}")
+        warm = random.Random("linear-warm")   # the same warm-up codes for every seed
         for s, field in enumerate(fields):   # lazy tables and square roots, before timing
             self.run(self._make(s, field, warm), OFF)
 
@@ -486,12 +504,21 @@ class Cli(Workload):
     """One operation is one cold CLI process (cli_child.py, which runs galcd.cli.main).
 
     A round is reproduce-all, one small classify and four single-code
-    queries on seeded contexts whose splitting field is at most GF(p^4).
-    The child samples its own core's speed, since the parent only waits.
+    queries on contexts whose splitting field is at most GF(p^4), with
+    seeded defining sets.
+    An operation's time is that of ``cli.main`` in the child, which
+    starts with galcd's caches empty, speed-normalised by the child's
+    own clock.  Process spawn, interpreter start-up, ``import galcd.cli``
+    and exit are left out (see speed.py); the median wall time per
+    process is printed on the ``#`` lines, and ``cli.import_s`` is a
+    per-layer metric.
     """
 
     name = "cli"
     round_len = 6
+    golden_items = (1, 2, 3, 4, 5)   # the first round's five single-query processes
+    trace_rate = 1.2
+    timed_inside = True
 
     def setup(self, sp):
         self.env = cli_env()
@@ -502,12 +529,16 @@ class Cli(Workload):
                 small.append((field, n, lam, k))
                 if len(tau_cycles(CosetContext(p=field.p, e=field.e, k=k, n=n, r=r))) <= 4:
                     tiny.append((field, n, lam, k))
-        for _ in range(CLI_ROUNDS):
+        for contexts in (small, tiny):   # one fixed mixed order for every seed
+            random.Random("cli-contexts").shuffle(contexts)
+        # the contexts cycle in a fixed order and the seed picks the defining sets: a
+        # cli.main call takes 2-15 ms depending on its context, and a 10 s run holds
+        # only about 20 queries, so seeded contexts moved the median by a quarter
+        for r in range(CLI_ROUNDS):
             self.items.append({"kind": "reproduce", "argv": ["reproduce", "all", "--format", "json"]})
-            self.items.append(self._query("classify", self.rng.choice(tiny)))
-            self.items.append(self._query("cosets", self.rng.choice(small)))
-            for kind in ("genpoly", "lcd-check", "mindist"):
-                self.items.append(self._query(kind, self.rng.choice(small)))
+            self.items.append(self._query("classify", tiny[r % len(tiny)]))
+            for t, kind in enumerate(("cosets", "genpoly", "lcd-check", "mindist")):
+                self.items.append(self._query(kind, small[(4 * r + t) % len(small)]))
 
     def _query(self, kind, ctx):
         field, n, lam, k = ctx
@@ -524,10 +555,10 @@ class Cli(Workload):
     def run(self, item, sp) -> Outcome:
         mode = "spans" if sp is not OFF else "speed" if self.clocked else "plain"
         cmd = [sys.executable, os.path.join(HERE, "cli_child.py"), mode] + item["argv"]
-        proc, speed = sp.call("cli.process", self._spawn, cmd, sp)
+        proc, inner_s = sp.call("cli.process", self._spawn, cmd, sp)
         out = Outcome(canon([item["argv"], proc.returncode,
                              hashlib.sha256(proc.stdout.encode()).hexdigest()]), 1,
-                      data=proc.stdout, speed=speed)
+                      data=proc.stdout, inner_s=inner_s)
         if proc.returncode != 0:
             out.fail(f"exit code {proc.returncode}: {proc.stderr.strip()[-200:]}")
         return out
@@ -540,7 +571,7 @@ class Cli(Workload):
         report = json.loads(tail)
         for name, start, end in report["spans"]:
             sp.add(name, start, end)
-        return proc, report["speed"]
+        return proc, report["seconds"]
 
     def check(self, outcome, item, reference) -> None:
         text, kind = outcome.data, item["kind"]
