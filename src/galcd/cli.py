@@ -35,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_ints(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -55,15 +62,9 @@ def _lambda_from_args(field: Field, text: str) -> Element:
 
 
 def _matrix_from_json(field: Field, payload) -> LinearCode:
-    rows = []
-    for row in payload:
-        elems = []
-        for entry in row:
-            if isinstance(entry, list):
-                elems.append(field.from_coeffs(entry))
-            else:
-                elems.append(field.from_int(int(entry)))
-        rows.append(elems)
+    # Plain integers go to LinearCode as they are, which rejects any outside [0, p).
+    rows = [[field.from_coeffs(entry) if isinstance(entry, list) else int(entry)
+             for entry in row] for row in payload]
     return LinearCode(field, rows)
 
 
@@ -319,10 +320,10 @@ def _add_field_args(sp, with_k=True, with_n=True, with_lambda=True):
 
 
 def _add_budget_args(sp):
-    sp.add_argument("--budget-messages", type=int, default=linear.DEFAULT_MESSAGE_BUDGET,
-                    help="codeword-enumeration budget")
-    sp.add_argument("--budget-supports", type=int, default=linear.DEFAULT_SUPPORT_BUDGET,
-                    help="support rank-test budget")
+    sp.add_argument("--budget-messages", type=_nonnegative_int,
+                    default=linear.DEFAULT_MESSAGE_BUDGET, help="codeword-enumeration budget")
+    sp.add_argument("--budget-supports", type=_nonnegative_int,
+                    default=linear.DEFAULT_SUPPORT_BUDGET, help="support rank-test budget")
 
 
 def build_parser() -> _Parser:
@@ -387,6 +388,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "k" in args and not 0 <= args.k < args.e:
+            raise _UsageError(f"-k must satisfy 0 <= k < e = {args.e}, got {args.k}")
         return args.func(args)
     except _UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)

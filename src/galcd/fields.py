@@ -14,9 +14,16 @@ read from leading to constant term as base-p digits, encodes the
 smallest integer.  For GF(8) that rule picks x^3 + x + 1, under which
 the generator a satisfies a^3 = 1 + a.
 
-Fields and elements are immutable; internal lookup tables are built at
-construction and never mutated afterwards, so values can be shared
-freely between threads.
+Fields and elements are immutable.  The exp/log tables (q <= 2^16) and
+the flat addition table (q <= 600) are built at construction and never
+mutated afterwards.  Three pieces of state are still filled lazily on
+first use: ``_qm1_factors`` (the factorization of q - 1), ``_primitive``
+when q > 2^16 (smaller fields set it while building their tables), and
+``_cache`` (memoized embeddings).  Sharing a field between threads is
+still safe: each lazy value is deterministic, so threads that race
+compute equal values, and each write is one attribute or dict-item
+assignment, so no thread can see a partial value.  A race only repeats
+work.
 """
 
 from __future__ import annotations
@@ -289,29 +296,23 @@ class Field:
         return self._encode(_pmod(_pmul(pa, pb, self.p), self.modulus, self.p))
 
     def _build_log_tables(self) -> None:
+        # One walk over the powers of the generator.  Extension fields
+        # multiply on the coefficient list, so no step decodes again.
         q, p = self.q, self.p
-        if q == 2:
-            self._exp, self._log = [1], [0, 0]
-            self._primitive = 1
-            return
-        for g in range(2, q):
-            exp = [1] * (q - 1)
-            val = 1
-            ok = True
+        g = self.primitive_element.code
+        exp = [1] * (q - 1)
+        if self.e == 1:
             for i in range(1, q - 1):
-                val = self._raw_mul(val, g)
-                if val == 1:  # order of g is i < q-1
-                    ok = False
-                    break
-                exp[i] = val
-            if ok and self._raw_mul(val, g) == 1:
-                log = [0] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp, self._log = exp, log
-                self._primitive = g
-                return
-        raise AssertionError("no multiplicative generator found")  # unreachable
+                exp[i] = exp[i - 1] * g % p
+        else:
+            g_coeffs, cur = self._decode(g), [1]
+            for i in range(1, q - 1):
+                cur = _pmod(_pmul(cur, g_coeffs, p), self.modulus, p)
+                exp[i] = self._encode(cur)
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log = exp, log
 
     def _decode(self, code: int) -> list[int]:
         p = self.p
@@ -381,14 +382,9 @@ class Field:
             return 0 if n else 1
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            n >>= 1
-        return result
+        if self.e == 1:
+            return pow(a, n, self.p)
+        return self._encode(_ppowmod(self._decode(a), n, self.modulus, self.p))
 
     def frob_code(self, a: int, j: int) -> int:
         """a^(p^j) on codes."""
@@ -455,10 +451,10 @@ class Field:
     def primitive_element(self) -> "Element":
         """Multiplicative generator with the smallest integer code."""
         if self._primitive is None:
-            for a in range(1, self.q):
-                if self._code_order(a) == self.q - 1:
-                    self._primitive = a
-                    break
+            # a generates iff a^((q-1)/l) != 1 for every prime l | q-1.
+            cofactors = [(self.q - 1) // ell for ell in self.qm1_factors]
+            self._primitive = next(a for a in range(1, self.q)
+                                   if all(self.pow_code(a, c) != 1 for c in cofactors))
         return Element(self, self._primitive)
 
     # -- identity ---------------------------------------------------------------

@@ -36,6 +36,36 @@ def trial_division_irreducible(coeffs, p: int) -> bool:
     return True
 
 
+def brute_log_tables(field: Field) -> tuple[int, list[int], list[int]]:
+    """Smallest generator with its exp and log tables, by plain walks.
+
+    The powers of each candidate code are walked with ``_raw_mul``
+    until they first return to 1; the first candidate whose walk takes
+    q - 1 steps generates the multiplicative group.
+    """
+    q = field.q
+    for g in range(1, q):
+        exp = [1]
+        val = field._raw_mul(1, g)
+        while val != 1:
+            exp.append(val)
+            val = field._raw_mul(val, g)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            return g, exp, log
+    raise AssertionError(f"no generator of {field!r}")
+
+
+def naive_pow(field: Field, a: int, n: int) -> int:
+    """a^n for n >= 0 as n plain ``_raw_mul`` products starting from 1."""
+    out = 1
+    for _ in range(n):
+        out = field._raw_mul(out, a)
+    return out
+
+
 def codewords(C: LinearCode):
     """All codewords as tuples of codes (pure Python, no numpy)."""
     field = C.field

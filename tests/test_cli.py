@@ -142,6 +142,28 @@ def test_reproduce_json_deterministic(capsys, tmp_path):
     assert payload[0]["example"] == "3.8" and payload[0]["ok"]
 
 
+def test_mindist_rejects_integer_entries_outside_the_prime_field(capsys):
+    code, out, err = run(capsys, "mindist", "-p", "2", "-e", "1", "-n", "2", "--gen", "[[1,2]]")
+    assert code == 1 and out == ""
+    assert "out of range" in err
+
+
+def test_k_outside_the_galois_range_is_rejected(capsys):
+    for k in ("7", "1", "-1"):
+        code, out, err = run(capsys, "extend", "-p", "5", "-e", "1", "-k", k,
+                             "--mode", "pmod4", "--gen", "[[1,1]]")
+        assert code == 1 and out == ""
+        assert "-k must satisfy 0 <= k < e" in err
+
+
+def test_negative_budgets_are_rejected(capsys):
+    for flag in ("--budget-messages", "--budget-supports"):
+        code, out, err = run(capsys, "mindist", "-p", "11", "-e", "2", "-k", "1", "-n", "10",
+                             "--lambda", "1", "--defining-set", "2,3,4,5,6,7,8", flag, "-1")
+        assert code == 1 and out == ""
+        assert flag in err and "must be >= 0" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "reproduce", "9.99")[0] == 1
     assert run(capsys, "cosets", "-p", "4", "-e", "1", "-k", "0", "-n", "3", "--lambda", "1")[0] == 1

@@ -1,16 +1,22 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galcd import fields
 from galcd.fields import (
     Element,
+    Field,
+    _ppowmod,
     default_modulus,
     element_from_json,
     embed,
     embedding,
+    factorize,
     make_field,
     mult_order,
     frobenius_pow,
@@ -18,7 +24,7 @@ from galcd.fields import (
     primitive_rn_root,
     sqrt_minus_one,
 )
-from oracles import trial_division_irreducible
+from oracles import brute_log_tables, naive_pow, trial_division_irreducible
 
 
 def test_prime_field_default_modulus_is_x():
@@ -236,3 +242,84 @@ def test_serialization_round_trips():
     blob = json.dumps(f8.to_json())
     from galcd.fields import Field
     assert Field.from_json(json.loads(blob)) is f8
+
+
+def test_log_tables_match_the_brute_force_walks_for_every_small_field():
+    for q in range(2, 2049):
+        factors = factorize(q)
+        if len(factors) != 1:
+            continue
+        (p, e), = factors.items()
+        f = Field(p, e, default_modulus(p, e))
+        g, exp, log = brute_log_tables(f)
+        assert (f.primitive_element.code, f._exp, f._log) == (g, exp, log), (p, e)
+
+
+def test_gf3_10_generator_and_sampled_exp_entries():
+    f = make_field(3, 10)
+    assert f.primitive_element.code == 34
+    g = f._decode(34)
+    rng = random.Random(310)
+    for i in rng.sample(range(f.q - 1), 100):
+        assert f._exp[i] == f._encode(_ppowmod(g, i, f.modulus, f.p)), i
+        assert f._log[f._exp[i]] == i
+
+
+@pytest.mark.parametrize("p,e", [(3, 12), (2, 20), (5, 8), (65537, 1)])
+def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
+    f = make_field(p, e)
+    assert f._exp is None
+    rng = random.Random(1000 * p + e)
+    for _ in range(10):
+        a = rng.randrange(1, f.q)
+        for n in (0, 1, rng.randrange(2, 300)):
+            assert f.pow_code(a, n) == naive_pow(f, a, n), (a, n)
+        # q - 1 repeated products are only affordable in the prime field;
+        # elsewhere a^(q-1) = 1 and a * a^-1 = 1 stand in for the walk.
+        big = naive_pow(f, a, f.q - 1) if e == 1 else 1
+        assert f.pow_code(a, f.q - 1) == big == 1
+        assert f._raw_mul(a, f.pow_code(a, -1)) == 1
+        n1, n2 = rng.randrange(f.q, 10 * f.q), rng.randrange(f.q, 10 * f.q)
+        assert f.pow_code(a, n1 + n2) == f._raw_mul(f.pow_code(a, n1), f.pow_code(a, n2))
+    assert f.pow_code(0, 0) == 1 and f.pow_code(0, 7) == 0
+
+
+def test_field_set_up_multiplies_about_q_times(monkeypatch):
+    mod = default_modulus(3, 10)
+    real = fields._pmul
+    calls = 0
+
+    def counting(a, b, p):
+        nonlocal calls
+        calls += 1
+        return real(a, b, p)
+
+    monkeypatch.setattr(fields, "_pmul", counting)
+    f = Field(3, 10, mod)
+    assert f.primitive_element.code == 34
+    assert calls <= f.q + 10**4
+
+
+def test_two_threads_share_a_fresh_untabled_field():
+    f = Field(2, 20, default_modulus(2, 20))
+    x = f.from_code(12345)
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def work(slot):
+        start.wait(timeout=30)
+        results[slot] = (f.primitive_element, mult_order(x))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results[0] is not None and results[0] == results[1]
+    assert mult_order(results[0][0]) == f.q - 1
