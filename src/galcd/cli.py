@@ -61,11 +61,18 @@ def _lambda_from_args(field: Field, text: str) -> Element:
     return field.from_coeffs(toks)
 
 
+def _entry_from_json(field: Field, entry):
+    # Checked here: from_coeffs would reduce coefficients mod p, and JSON numbers
+    # may be floats or booleans.
+    is_vector = isinstance(entry, list)
+    for c in entry if is_vector else [entry]:
+        if type(c) is not int or not 0 <= c < field.p:
+            raise ValueError(f"--gen value {c!r} out of range: need an integer in [0, {field.p})")
+    return field.from_coeffs(entry) if is_vector else entry
+
+
 def _matrix_from_json(field: Field, payload) -> LinearCode:
-    # Plain integers go to LinearCode as they are, which rejects any outside [0, p).
-    rows = [[field.from_coeffs(entry) if isinstance(entry, list) else int(entry)
-             for entry in row] for row in payload]
-    return LinearCode(field, rows)
+    return LinearCode(field, [[_entry_from_json(field, entry) for entry in row] for row in payload])
 
 
 def _load_matrix_arg(field: Field, text: str) -> LinearCode:
@@ -196,8 +203,7 @@ def cmd_lcd_check(args) -> int:
     C = _code_from_args(args)
     coset_verdict = constacyclic.is_lcd(C)
     print(f"code: n={C.n} dim={C.dim} lambda={C.lam} k={C.k} P={{{', '.join(map(str, C.P.residues))}}}")
-    gate = C.lam ** (1 + C.field.p ** (C.field.e - C.k))
-    if gate != C.field.one:
+    if not cosets.frame_preserved(C.P.ctx):
         print("lambda^(1+p^(e-k)) != 1: automatically LCD")
     else:
         print(f"-p^k stability: {cosets.is_lcd_defining_set(C.P)}")

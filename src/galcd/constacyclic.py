@@ -6,8 +6,8 @@ is the canonical primitive rn-th root with theta^n = lambda chosen by
 the deterministic rule in galcd.fields.  The generator polynomial is
 always recomputed from P as the product of the coset minimal
 polynomials; an explicit generator can be supplied only through
-from_generator_polynomial, which validates it and recovers P by root
-testing.
+from_generator_polynomial, which validates it and recovers P by
+dividing by the coset minimal polynomials.
 
 Defining-set labels are theta-relative.  Parameters and LCD verdicts
 do not depend on the choice of theta, but the labels do, so catalogs
@@ -25,11 +25,12 @@ from galcd.cosets import (
     bch_lower_bound,
     dual_defining_set,
     enumerate_stable_sets,
+    frame_preserved,
     is_lcd_defining_set,
     tau_cycles,
     unique_order2_unit,
 )
-from galcd.fields import Element, Field, embed, embedding, make_field, mult_order, multiplicative_order
+from galcd.fields import Element, Field, embed, make_field, mult_order, multiplicative_order
 from galcd.linear import (
     DEFAULT_MESSAGE_BUDGET,
     DEFAULT_SUPPORT_BUDGET,
@@ -57,7 +58,6 @@ class _Family:
     base_ctx: CosetContext           # k = 0; cosets do not depend on k
     cosets: tuple[tuple[int, ...], ...]
     minpolys: dict[int, Poly]        # smallest coset member -> M_Q
-    theta_powers: dict[int, Element]
 
 
 def build_family(field: Field, n: int, lam: Element, theta: Element | None = None) -> _Family:
@@ -79,13 +79,12 @@ def build_family(field: Field, n: int, lam: Element, theta: Element | None = Non
 
     cosets = cyclotomic_cosets(ctx)
     minpolys = {c[0]: minimal_poly(c, theta, field) for c in cosets}
-    powers = {i: theta**i for i in ctx.exponent_set()}
     prod = Poly(field, (1,))
     for mq in minpolys.values():
         prod = prod * mq
     if prod != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
-    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys, powers)
+    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys)
 
 
 _FAMILY_CACHE: dict = {}
@@ -176,12 +175,18 @@ def from_generator_polynomial(
     if not g.divides(xn_minus_lambda(field, n, lam)):
         raise ValueError("generator does not divide x^n - lambda")
     fam = _family(field, n, lam)
-    emb = embedding(field, fam.ext)
-    g_ext = Poly.make(fam.ext, [emb.fwd[c] for c in g.codes])
-    roots = tuple(i for i, th in sorted(fam.theta_powers.items()) if not g_ext(th))
+    roots: list[int] = []
+    rest = g
+    for coset in fam.cosets:
+        if rest.degree == 0:
+            break
+        quo, rem = divmod(rest, fam.minpolys[coset[0]])
+        if rem.is_zero:
+            roots.extend(coset)
+            rest = quo
     if len(roots) != g.degree:
         raise AssertionError("recovered root count disagrees with the generator degree")
-    P = DefiningSet(_ctx_with_k(fam, k), roots)
+    P = DefiningSet(_ctx_with_k(fam, k), tuple(roots))
     return ConstacyclicCode(field, n, lam, k, P, g, fam)
 
 
@@ -214,10 +219,7 @@ def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
 
 def is_lcd(C: ConstacyclicCode) -> bool:
     """Galois LCD test: automatic unless lambda^(1 + p^(e-k)) = 1, then by -p^k stability."""
-    gate = C.lam ** (1 + C.field.p ** (C.field.e - C.k))
-    if gate != C.field.one:
-        return True
-    return is_lcd_defining_set(C.P)
+    return not frame_preserved(C.P.ctx) or is_lcd_defining_set(C.P)
 
 
 def to_generator_matrix(C: ConstacyclicCode) -> LinearCode:
@@ -225,15 +227,8 @@ def to_generator_matrix(C: ConstacyclicCode) -> LinearCode:
     if C.dim == 0:
         raise ValueError("the zero code has no generator matrix")
     g = C.g.codes
-    rows = []
-    for i in range(C.dim):
-        row = [0] * i + list(g) + [0] * (C.n - i - len(g))
-        rows.append(tuple(row))
-    out = LinearCode.__new__(LinearCode)
-    out.field = C.field
-    out.n = C.n
-    out.rows = tuple(rows)
-    return out
+    rows = [(0,) * i + g + (0,) * (C.n - i - len(g)) for i in range(C.dim)]
+    return LinearCode._trusted(C.field, rows, C.n)
 
 
 def code_params(
@@ -343,13 +338,12 @@ def classify_all_lcd(
     the full exponent set (the zero code).
     """
     fam = _family(field, n, lam)
-    gate = lam ** (1 + field.p ** (field.e - k))
-    if gate != field.one:
+    ctx = _ctx_with_k(fam, k)
+    if not frame_preserved(ctx):
         raise ValueError(
             "lambda^(1 + p^(e-k)) != 1: every code in this family is Galois LCD "
             "and the stability enumeration does not apply"
         )
-    ctx = _ctx_with_k(fam, k)
     cycles = tau_cycles(ctx)
     if 2 ** len(cycles) > max_stable_sets:
         raise BudgetExceeded(

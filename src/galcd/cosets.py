@@ -155,7 +155,7 @@ def dual_defining_set(P: DefiningSet) -> DefiningSet:
     1 + r*Z_rn.
     """
     ctx = P.ctx
-    if (1 + ctx.p ** (ctx.e - ctx.k)) % ctx.r != 0:
+    if not frame_preserved(ctx):
         raise ValueError(
             f"dual exponents leave 1 + r*Z_rn: r = {ctx.r} does not divide 1 + p^(e-k)"
         )
@@ -211,7 +211,13 @@ class OrbitCensus:
 
 
 def frame_preserved(ctx: CosetContext) -> bool:
-    """Whether -p^k maps 1 + r*Z_rn to itself (always true for r = 1)."""
+    """Whether -p^k maps 1 + r*Z_rn to itself (always true for r = 1).
+
+    This is also the gate lambda^(1 + p^(e-k)) = 1 of the Galois LCD
+    criterion, for lambda of order r: r divides q - 1, so
+    p^k (1 + p^(e-k)) = p^k + q = 1 + p^k (mod r), and p^k is a unit
+    mod r.  When it fails every code in the family is Galois LCD.
+    """
     return ctx.rn == 1 or (1 + ctx.p**ctx.k) % ctx.r == 0
 
 
@@ -348,7 +354,7 @@ def hermitian_necessary_check(p: int, a: int, r: int, n: int) -> bool:
 
 def lcd_closure(ctx: CosetContext, residues: Iterable[int]) -> DefiningSet:
     """Smallest q-closed superset of the input that is fixed by -p^k."""
-    if (1 + ctx.p**ctx.k) % ctx.r != 0:
+    if not frame_preserved(ctx):
         raise ValueError(
             f"-p^k leaves 1 + r*Z_rn: r = {ctx.r} does not divide 1 + p^k"
         )

@@ -40,7 +40,7 @@ class LinearCode:
 
     __slots__ = ("field", "n", "rows")
 
-    def __init__(self, field: Field, rows, n: int | None = None, *, check: bool = True):
+    def __init__(self, field: Field, rows, n: int | None = None):
         packed = []
         for row in rows:
             prow = []
@@ -71,9 +71,17 @@ class LinearCode:
             self.n = n
         if self.n < 1:
             raise ValueError("code length must be positive")
-        if check and self.rows:
-            if linalg.rank(field, [list(r) for r in self.rows]) != len(self.rows):
-                raise ValueError("generator rows are linearly dependent")
+        if self.rows and linalg.rank(field, [list(r) for r in self.rows]) != len(self.rows):
+            raise ValueError("generator rows are linearly dependent")
+
+    @classmethod
+    def _trusted(cls, field: Field, rows, n: int) -> "LinearCode":
+        """A code from rows of field codes derived from a validated code; no checks."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.n = n
+        out.rows = tuple(tuple(r) for r in rows)
+        return out
 
     @property
     def dim(self) -> int:
@@ -158,11 +166,7 @@ def galois_inner_product(x: Sequence[Element], y: Sequence[Element], k: int) -> 
 def p_power_code(C: LinearCode, j: int) -> LinearCode:
     """The code generated by the entrywise p^j-th power of the generator."""
     rows = linalg.frobenius_matrix(C.field, C.codes_matrix(), j)
-    out = LinearCode.__new__(LinearCode)
-    out.field = C.field
-    out.n = C.n
-    out.rows = tuple(tuple(r) for r in rows)
-    return out
+    return LinearCode._trusted(C.field, rows, C.n)
 
 
 def galois_dual(C: LinearCode, k: int) -> LinearCode:
@@ -170,11 +174,7 @@ def galois_dual(C: LinearCode, k: int) -> LinearCode:
     field = C.field
     powered = linalg.frobenius_matrix(field, C.codes_matrix(), (field.e - k) % field.e)
     basis = linalg.nullspace(field, powered, width=C.n)
-    out = LinearCode.__new__(LinearCode)
-    out.field = field
-    out.n = C.n
-    out.rows = tuple(tuple(r) for r in basis)
-    return out
+    return LinearCode._trusted(field, basis, C.n)
 
 
 def euclidean_parity_check(C: LinearCode) -> linalg.Matrix:
@@ -233,11 +233,7 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
     else:
         raise ValueError(f"unknown extension mode {mode!r}")
     rows = [tuple(g[i]) + tuple(extra[i]) for i in range(l)]
-    out = LinearCode.__new__(LinearCode)
-    out.field = field
-    out.n = 2 * n - l
-    out.rows = tuple(rows)
-    return out
+    return LinearCode._trusted(field, rows, 2 * n - l)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from galcd.fields import Element, Field, embed, embedding, make_field, mult_order, multiplicative_order
+from galcd.fields import Element, Field, embedding, make_field, multiplicative_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,21 +239,10 @@ def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], 
     base = lam.field
     if math.gcd(n, base.p) != 1:
         raise ValueError(f"length {n} must be coprime to the characteristic {base.p}")
-    from galcd.cosets import CosetContext, cyclotomic_cosets
+    from galcd.constacyclic import _family
 
-    r = mult_order(lam)
-    ctx = CosetContext(p=base.p, e=base.e, k=0, n=n, r=r)
-    theta = constacyclic_root(base, n, lam)
-    cosets = cyclotomic_cosets(ctx)
-    out = []
-    for coset in cosets:
-        out.append((coset, minimal_poly(coset, theta, base)))
-    prod = Poly(base, (1,))
-    for _, mq in out:
-        prod = prod * mq
-    if prod != xn_minus_lambda(base, n, lam):
-        raise AssertionError("factor product does not reproduce x^n - lambda")
-    return out
+    fam = _family(base, n, lam)
+    return [(c, fam.minpolys[c[0]]) for c in fam.cosets]
 
 
 def splitting_field(base: Field, rn: int) -> Field:
@@ -266,10 +255,6 @@ def splitting_field(base: Field, rn: int) -> Field:
 
 def constacyclic_root(base: Field, n: int, lam: Element) -> Element:
     """The canonical primitive rn-th root theta with theta^n = lambda."""
-    from galcd.fields import primitive_rn_root
+    from galcd.constacyclic import _family
 
-    r = mult_order(lam)
-    rn = r * n
-    ext = splitting_field(base, rn)
-    lam_ext = embed(base, ext, lam)
-    return primitive_rn_root(ext, rn, n, lam_ext)
+    return _family(base, n, lam).theta

@@ -11,8 +11,9 @@ from __future__ import annotations
 from itertools import product
 
 from galcd import linalg
-from galcd.fields import Field
+from galcd.fields import Field, embedding
 from galcd.linear import LinearCode, galois_dual
+from galcd.polys import Poly
 
 
 def trial_division_irreducible(coeffs, p: int) -> bool:
@@ -64,6 +65,18 @@ def naive_pow(field: Field, a: int, n: int) -> int:
     for _ in range(n):
         out = field._raw_mul(out, a)
     return out
+
+
+def root_test_defining_set(fam, g: Poly) -> tuple[int, ...]:
+    """The exponents i with g(theta^i) = 0, by evaluation in the splitting field.
+
+    ``fam`` is a constacyclic family (``galcd.constacyclic._family``);
+    g is lifted into ``fam.ext`` and evaluated at theta^i for every i
+    in the exponent set 1 + r*Z_rn.
+    """
+    emb = embedding(fam.field, fam.ext)
+    g_ext = Poly.make(fam.ext, [emb.fwd[c] for c in g.codes])
+    return tuple(i for i in fam.base_ctx.exponent_set() if not g_ext(fam.theta**i))
 
 
 def codewords(C: LinearCode):

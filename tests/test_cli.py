@@ -148,6 +148,17 @@ def test_mindist_rejects_integer_entries_outside_the_prime_field(capsys):
     assert "out of range" in err
 
 
+def test_mindist_rejects_gen_values_that_are_not_prime_field_integers(capsys):
+    for gen, bad in [("[[[4,0],[1]]]", "4"), ("[[[1.0],[1]]]", "1.0"), ("[[1.7,1]]", "1.7"),
+                     ("[[true,1]]", "True")]:
+        code, out, err = run(capsys, "mindist", "-p", "3", "-e", "2", "-n", "2", "--gen", gen)
+        assert code == 1 and out == ""
+        assert f"--gen value {bad} out of range: need an integer in [0, 3)" in err
+    code, out, _ = run(capsys, "mindist", "-p", "3", "-e", "2", "-n", "2",
+                       "--gen", "[[[1,0],[1]]]")
+    assert code == 0 and "[2,1,2]" in out
+
+
 def test_k_outside_the_galois_range_is_rejected(capsys):
     for k in ("7", "1", "-1"):
         code, out, err = run(capsys, "extend", "-p", "5", "-e", "1", "-k", k,

@@ -6,6 +6,7 @@ from galcd import linalg
 from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
+    _family,
     build_family,
     classify_all_lcd,
     code_from_defining_set,
@@ -21,7 +22,7 @@ from galcd.cosets import bch_lower_bound, cyclotomic_cosets
 from galcd.fields import make_field, mult_order, embedding
 from galcd.linear import BudgetExceeded, galois_dual
 from galcd.polys import Poly, splitting_field, xn_minus_lambda
-from oracles import hull_dim
+from oracles import hull_dim, root_test_defining_set
 
 
 def test_full_space_code():
@@ -195,6 +196,32 @@ def test_from_generator_polynomial_round_trip():
         from_generator_polynomial(f125, 13, lam, Poly.from_ints(f125, [1, 2]), k=1)
     with pytest.raises(ValueError):
         from_generator_polynomial(f125, 13, lam, C.g.scale(f125.from_int(2)), k=1)
+
+
+@pytest.mark.parametrize("p, e, k, n, lam_int", [
+    (5, 3, 1, 13, -1),
+    (11, 2, 1, 10, 1),
+    (3, 3, 1, 7, 1),
+    (7, 2, 1, 19, -1),   # splitting field GF(7^6), no log tables
+    (5, 2, 1, 17, 1),    # splitting field GF(5^16), no log tables
+])
+def test_from_generator_polynomial_matches_root_testing(p, e, k, n, lam_int):
+    field = make_field(p, e)
+    lam = field.from_int(lam_int)
+    fam = _family(field, n, lam)
+    for mask in range(1 << len(fam.cosets)):
+        chosen = [c for i, c in enumerate(fam.cosets) if mask >> i & 1]
+        g = Poly(field, (1,))
+        for c in chosen:
+            g = g * fam.minpolys[c[0]]
+        C = from_generator_polynomial(field, n, lam, g, k)
+        assert C.P.residues == root_test_defining_set(fam, g)
+        assert C.P.residues == tuple(sorted(x for c in chosen for x in c))
+    g = fam.minpolys[fam.cosets[-1][0]]
+    with pytest.raises(ValueError):
+        from_generator_polynomial(field, n, lam, g.scale(field.from_int(2)), k)
+    with pytest.raises(ValueError):
+        from_generator_polynomial(field, n, lam, g * g, k)
 
 
 def test_code_params_recorded_values():

@@ -371,6 +371,28 @@ def test_census_rejects_frame_breaking_actions():
     stable_orbit_census(ctx_ok)
 
 
+def test_frame_preserved_is_the_lambda_gate():
+    """frame_preserved(ctx) holds iff lambda^(1 + p^(e-k)) = 1 for lambda of order r."""
+    from galcd.cosets import frame_preserved
+    from galcd.fields import make_field, mult_order
+
+    seen = {True: 0, False: 0}
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3):
+            field = make_field(p, e)
+            for lam in field.elements():
+                if not lam:
+                    continue
+                r = mult_order(lam)
+                for k in range(e):
+                    expected = lam ** (1 + p ** (e - k)) == field.one
+                    for n in range(1, 13):
+                        if math.gcd(n, p) == 1:
+                            assert frame_preserved(CosetContext(p, e, k, n, r)) == expected
+                            seen[expected] += 1
+    assert min(seen.values()) > 500, seen
+
+
 def test_census_undefined_for_three_cycled_cosets():
     # cyclic GF(27), n=7, k=1: -3 three-cycles the cosets {1,6},{3,4},{2,5}
     ctx = CosetContext(p=3, e=3, k=1, n=7, r=1)

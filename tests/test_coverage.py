@@ -51,7 +51,10 @@ TRACKED_OPS = [
 ]
 
 
-def test_reproduce_all_plus_cli_covers_every_operation(capsys):
+def test_reproduce_all_plus_cli_covers_every_operation(capsys, monkeypatch):
+    # an empty family cache, as in a fresh `galcd reproduce all` process, so
+    # families built by earlier tests do not hide the operations that build them
+    monkeypatch.setattr(constacyclic, "_FAMILY_CACHE", {})
     hit: set = set()
 
     def profiler(frame, event, arg):

@@ -295,3 +295,28 @@ def test_min_distance_messages_equals_brute_force(seed, n):
     f4 = make_field(2, 2)
     C = _random_code(rng, f4, 2, n)
     assert min_distance(C, "messages").d == brute_min_distance(C)
+
+
+def test_trusted_results_equal_validated_codes():
+    """Codes built without checks equal the same rows through LinearCode(...)."""
+    from galcd.constacyclic import code_from_defining_set, to_generator_matrix
+
+    def assert_valid(C):
+        assert LinearCode(C.field, C.generator(), C.n) == C
+
+    rng = random.Random(77)
+    for pe, mode in [((2, 2), "char2"), ((5, 2), "pmod4")]:
+        field = make_field(*pe)
+        for l, n in [(1, 3), (2, 5), (3, 3)]:
+            a_block = [[field.from_code(rng.randrange(field.q)) for _ in range(n - l)]
+                       for _ in range(l)]
+            C = LinearCode(field, [[field.one if i == j else field.zero for j in range(l)]
+                                   + a_block[i] for i in range(l)])
+            assert_valid(extend_lcd(C, 1, mode))
+            for j in range(field.e + 1):
+                assert_valid(p_power_code(C, j))
+            for k in range(field.e):
+                assert_valid(galois_dual(C, k))
+    f121 = make_field(11, 2)
+    for P in [(), (4, 5, 6), (1, 2, 3, 4, 5, 6, 7, 8, 9)]:
+        assert_valid(to_generator_matrix(code_from_defining_set(f121, 10, f121.one, P, k=1)))
