@@ -49,8 +49,16 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(";", ",").split(",")]
 
 
+def _coefficients(flag: str, toks: list[int], p: int) -> list[int]:
+    # Checked here: make_field and from_coeffs would reduce coefficients mod p.
+    for c in toks:
+        if not 0 <= c < p:
+            raise ValueError(f"{flag} coefficient {c} out of range: need an integer in [0, {p})")
+    return toks
+
+
 def _field_from_args(args) -> Field:
-    modulus = _parse_ints(args.modulus) if args.modulus else None
+    modulus = _coefficients("--modulus", _parse_ints(args.modulus), args.p) if args.modulus else None
     return make_field(args.p, args.e, modulus)
 
 
@@ -58,7 +66,7 @@ def _lambda_from_args(field: Field, text: str) -> Element:
     toks = _parse_ints(text)
     if len(toks) == 1:
         return field.from_int(toks[0])
-    return field.from_coeffs(toks)
+    return field.from_coeffs(_coefficients("--lambda", toks, field.p))
 
 
 def _entry_from_json(field: Field, entry):

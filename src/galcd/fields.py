@@ -14,13 +14,15 @@ read from leading to constant term as base-p digits, encodes the
 smallest integer.  For GF(8) that rule picks x^3 + x + 1, under which
 the generator a satisfies a^3 = 1 + a.
 
-Fields and elements are immutable.  The exp/log tables (q <= 2^16) and
-the flat addition table (q <= 600) are built at construction and never
-mutated afterwards.  Three pieces of state are still filled lazily on
-first use: ``_qm1_factors`` (the factorization of q - 1), ``_primitive``
-when q > 2^16 (smaller fields set it while building their tables), and
-``_cache`` (memoized embeddings).  Sharing a field between threads is
-still safe: each lazy value is deterministic, so threads that race
+Fields and elements are immutable.  Only this module reads the tables;
+other modules use the scalar calls and the row kernels ``axpy`` and
+``scale``.  Built at construction: ``_exp``/``_log`` (q <= 2^16), and
+for extension fields with q <= 600 ``_mul``/``_add``, the q*q tables as
+row lists (prime fields reduce mod p instead).  Filled lazily on first
+use: ``_qm1_factors`` (the factorization of q - 1), ``_primitive`` when
+q > 2^16, ``_tables`` (the q*q numpy tables of ``tables()``, q <= 2200)
+and ``_cache`` (memoized embeddings).  Sharing a field between threads
+is still safe: each lazy value is deterministic, so threads that race
 compute equal values, and each write is one attribute or dict-item
 assignment, so no thread can see a partial value.  A race only repeats
 work.
@@ -32,8 +34,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 _LOG_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field size
-_ADD_TABLE_LIMIT = 600      # build a flat q*q addition table up to this size
+TABLE_LIMIT = 2200          # tables() serves full q*q tables up to this field size
+_ROW_TABLE_LIMIT = 600      # extension fields keep them as row lists up to this size
 
 
 def is_prime(m: int) -> bool:
@@ -156,15 +161,6 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return _ptrim(r)
 
 
-def _ppow_xq(exponent_base: int, m: Sequence[int], p: int) -> list[int]:
-    """x^(p^exponent_base) mod m by repeated p-th powering."""
-    h = [0, 1]  # x
-    h = _pmod(h, m, p)
-    for _ in range(exponent_base):
-        h = _ppowmod(h, p, m, p)
-    return h
-
-
 def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
     result = [1]
     base = _pmod(a, m, p)
@@ -264,7 +260,7 @@ class Field:
 
     __slots__ = (
         "p", "e", "q", "modulus",
-        "_exp", "_log", "_add_flat",
+        "_exp", "_log", "_mul", "_add", "_tables",
         "_qm1_factors", "_primitive", "_cache",
     )
 
@@ -278,13 +274,11 @@ class Field:
         self._cache: dict = {}
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._add_flat: list[int] | None = None
+        self._mul = self._add = self._tables = None
         if self.q <= _LOG_TABLE_LIMIT:
             self._build_log_tables()
-        if self.q <= _ADD_TABLE_LIMIT:
-            q = self.q
-            add = self.add_codes
-            self._add_flat = [add(a, b) for a in range(q) for b in range(q)]
+        if self.e > 1 and self.q <= _ROW_TABLE_LIMIT:
+            self._mul, self._add = (t.tolist() for t in self.tables())
 
     # -- construction helpers ------------------------------------------------
 
@@ -292,7 +286,7 @@ class Field:
         if self.e == 1:
             return a * b % self.p
         pa = self._decode(a)
-        pb = self._decode(b)
+        pb = _ptrim(self._decode(b))  # _pmul skips zero digits of pa only
         return self._encode(_pmod(_pmul(pa, pb, self.p), self.modulus, self.p))
 
     def _build_log_tables(self) -> None:
@@ -305,7 +299,7 @@ class Field:
             for i in range(1, q - 1):
                 exp[i] = exp[i - 1] * g % p
         else:
-            g_coeffs, cur = self._decode(g), [1]
+            g_coeffs, cur = _ptrim(self._decode(g)), [1]
             for i in range(1, q - 1):
                 cur = _pmod(_pmul(cur, g_coeffs, p), self.modulus, p)
                 exp[i] = self._encode(cur)
@@ -315,12 +309,13 @@ class Field:
         self._exp, self._log = exp, log
 
     def _decode(self, code: int) -> list[int]:
+        """All e base-p digits of a code, constant term first (untrimmed)."""
         p = self.p
         out = []
         for _ in range(self.e):
             out.append(code % p)
             code //= p
-        return _ptrim(out)
+        return out
 
     def _encode(self, coeffs: Sequence[int]) -> int:
         code = 0
@@ -333,9 +328,8 @@ class Field:
     def add_codes(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        flat = self._add_flat
-        if flat is not None:
-            return flat[a * self.q + b]
+        if self._add is not None:
+            return self._add[a][b]
         p = self.p
         out = 0
         m = 1
@@ -391,6 +385,53 @@ class Field:
         if a == 0:
             return 0
         return self.pow_code(a, pow(self.p, j, self.q - 1) if self.q > 2 else 1)
+
+    # -- tables and row kernels -----------------------------------------------
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full q*q (mul, add) tables of codes as int64 arrays, q <= TABLE_LIMIT."""
+        if self._tables is None:
+            q, p = self.q, self.p
+            if q > TABLE_LIMIT:
+                raise ValueError(f"GF({q}) exceeds the table limit {TABLE_LIMIT}")
+            exp = np.array(self._exp, dtype=np.int64)
+            log = np.array(self._log, dtype=np.int64)
+            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            # (a0 + p*a') + (b0 + p*b') = (a0 + b0) % p + p*(a' + b'): each pass
+            # puts one more low digit under the table of the higher digits.
+            digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
+            add = np.zeros((1, 1), dtype=np.int64)
+            for _ in range(self.e):
+                m = len(add) * p
+                add = (add[:, None, :, None] * p + digit_sum[None, :, None, :]).reshape(m, m)
+            mul.setflags(write=False)  # shared by every caller
+            add.setflags(write=False)
+            self._tables = (mul, add)
+        return self._tables
+
+    def axpy(self, xs: Sequence[int], f: int, ys: Sequence[int]) -> list[int]:
+        """The row xs + f*ys on codes."""
+        if self.e == 1:
+            p = self.p
+            return [(x + f * y) % p for x, y in zip(xs, ys)]
+        if self._add is not None:
+            add, fmul = self._add, self._mul[f]
+            return [add[x][fmul[y]] for x, y in zip(xs, ys)]
+        add, mul = self.add_codes, self.mul_codes
+        return [add(x, mul(f, y)) if y else x for x, y in zip(xs, ys)]
+
+    def scale(self, f: int, xs: Sequence[int]) -> list[int]:
+        """The row f*xs on codes."""
+        if self.e == 1:
+            p = self.p
+            return [f * x % p for x in xs]
+        if self._mul is not None:
+            fmul = self._mul[f]
+            return [fmul[x] for x in xs]
+        mul = self.mul_codes
+        return [mul(f, x) if x else 0 for x in xs]
 
     # -- element constructors -------------------------------------------------
 
@@ -487,13 +528,7 @@ class Element:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        p = self.field.p
-        code = self.code
-        out = []
-        for _ in range(self.field.e):
-            out.append(code % p)
-            code //= p
-        return tuple(out)
+        return tuple(self.field._decode(self.code))
 
     def _compat(self, other: "Element") -> None:
         if self.field != other.field:
@@ -666,13 +701,8 @@ def _build_embedding(src: Field, dst: Field) -> Embedding:
     rho = Element(dst, min(roots))
     fwd = {}
     for code in range(src.q):
-        digits = []
-        c = code
-        for _ in range(src.e):
-            digits.append(c % src.p)
-            c //= src.p
         acc = dst.zero
-        for d in reversed(digits):
+        for d in reversed(src._decode(code)):
             acc = acc * rho + Element(dst, d)
         fwd[code] = acc.code
     return Embedding(src, dst, rho.code, fwd, {v: k for k, v in fwd.items()})

@@ -1,8 +1,8 @@
 """Dense exact linear algebra over a Field.
 
-Matrices are lists of rows of packed element codes.  Everything runs
-on the field's scalar code arithmetic, so results are exact; these
-kernels are small-matrix workhorses (n up to a few dozen), not BLAS.
+Matrices are lists of rows of packed element codes.  Row operations run
+on the field's row kernels (``axpy``, ``scale``), so results are exact;
+these are small-matrix workhorses (n up to a few dozen), not BLAS.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ def identity(n: int) -> Matrix:
 def matmul(field: Field, a, b) -> Matrix:
     if not a:
         return []
-    bt = transpose(b)
-    add, mul = field.add_codes, field.mul_codes
+    axpy = field.axpy
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
+        acc = [0] * len(b[0]) if b else []
+        for x, brow in zip(row, b):
+            if x:
+                acc = axpy(acc, x, brow)
+        out.append(acc)
     return out
 
 
@@ -53,7 +49,7 @@ def rref(field: Field, mat) -> tuple[Matrix, list[int]]:
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
-    add, mul, neg, inv = field.add_codes, field.mul_codes, field.neg_code, field.inv_code
+    axpy, neg, inv = field.axpy, field.neg_code, field.inv_code
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -64,12 +60,10 @@ def rref(field: Field, mat) -> tuple[Matrix, list[int]]:
         prow = m[r]
         scale = inv(prow[c])
         if scale != 1:
-            m[r] = prow = [mul(scale, x) for x in prow]
+            m[r] = prow = field.scale(scale, prow)
         for i in range(rows):
             if i != r and m[i][c]:
-                f = neg(m[i][c])
-                row = m[i]
-                m[i] = [add(x, mul(f, y)) if y else x for x, y in zip(row, prow)]
+                m[i] = axpy(m[i], neg(m[i][c]), prow)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -89,7 +83,7 @@ def det(field: Field, mat) -> int:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
-    add, mul, neg, inv = field.add_codes, field.mul_codes, field.neg_code, field.inv_code
+    mul, neg = field.mul_codes, field.neg_code
     det_code = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
@@ -100,13 +94,11 @@ def det(field: Field, mat) -> int:
             det_code = neg(det_code)
         pv = m[c][c]
         det_code = mul(det_code, pv)
-        pv_inv = inv(pv)
+        pv_inv = field.inv_code(pv)
         prow = m[c]
         for i in range(c + 1, n):
             if m[i][c]:
-                f = neg(mul(m[i][c], pv_inv))
-                row = m[i]
-                m[i] = [add(x, mul(f, y)) if y else x for x, y in zip(row, prow)]
+                m[i] = field.axpy(m[i], neg(mul(m[i][c], pv_inv)), prow)
     return det_code
 
 

@@ -17,12 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from galcd import linalg
-from galcd.fields import Element, Field, sqrt_minus_one
+from galcd.fields import TABLE_LIMIT, Element, Field, sqrt_minus_one
 
 DEFAULT_MESSAGE_BUDGET = 10**8
 DEFAULT_SUPPORT_BUDGET = 10**7
 
-_NP_TABLE_LIMIT = 2200
 _CHUNK = 1 << 16
 
 
@@ -228,8 +227,7 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
         if field.p % 4 != 1:
             raise ValueError("pmod4 mode requires p = 1 mod 4")
         eta = sqrt_minus_one(field)
-        mul = field.mul_codes
-        extra = [[mul(eta.code, x) for x in row] for row in a]
+        extra = [field.scale(eta.code, row) for row in a]
     else:
         raise ValueError(f"unknown extension mode {mode!r}")
     rows = [tuple(g[i]) + tuple(extra[i]) for i in range(l)]
@@ -240,42 +238,15 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
 # Minimum distance
 # ---------------------------------------------------------------------------
 
-def _np_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Flat q*q multiplication and addition tables as numpy arrays."""
-    cached = field._cache.get("np_tables")
-    if cached is not None:
-        return cached
-    q, p, e = field.q, field.p, field.e
-    if q > _NP_TABLE_LIMIT or field._exp is None:
-        raise BudgetExceeded(f"field GF({q}) too large for table-driven enumeration")
-    exp = np.array(field._exp, dtype=np.int64)
-    log = np.zeros(q, dtype=np.int64)
-    log[np.array(field._exp, dtype=np.int64)] = np.arange(q - 1, dtype=np.int64)
-    idx = np.arange(q, dtype=np.int64)
-    mul = exp[(log[:, None] + log[None, :]) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]], dtype=np.int64)
-    if q > 2:
-        mul[0, :] = 0
-        mul[:, 0] = 0
-    add = np.zeros((q, q), dtype=np.int64)
-    scale = 1
-    rest = idx.copy()
-    for _ in range(e):
-        digit = rest % p
-        add += ((digit[:, None] + digit[None, :]) % p) * scale
-        rest //= p
-        scale *= p
-    tables = (mul.reshape(-1), add.reshape(-1))
-    field._cache["np_tables"] = tables
-    return tables
-
-
 def _distance_messages(C: LinearCode, budget: int) -> int:
     field = C.field
     q, l, n = field.q, C.dim, C.n
     total = q**l
     if total > budget:
         raise BudgetExceeded(f"message enumeration needs {total} > budget {budget}")
-    mul_flat, add_flat = _np_tables(field)
+    if q > TABLE_LIMIT:
+        raise BudgetExceeded(f"field GF({q}) too large for table-driven enumeration")
+    mul_flat, add_flat = (t.reshape(-1) for t in field.tables())
     g = np.array(C.codes_matrix(), dtype=np.int64)
     best = n + 1
     powers = [q**i for i in range(l)]
@@ -308,7 +279,7 @@ def _distance_supports(C: LinearCode, budget: int) -> tuple[int | None, int]:
     if m == 0:
         return 1, 0
     cols = [tuple(row[j] for row in h) for j in range(n)]
-    add, mul, neg, inv = field.add_codes, field.mul_codes, field.neg_code, field.inv_code
+    axpy, neg, inv = field.axpy, field.neg_code, field.inv_code
     tests = 0
     for w in range(1, m + 2):
         for support in combinations(range(n), w):
@@ -323,15 +294,14 @@ def _distance_supports(C: LinearCode, budget: int) -> tuple[int | None, int]:
                 for lead, bvec in basis:
                     c = vec[lead]
                     if c:
-                        f = neg(c)
-                        vec = [add(x, mul(f, y)) if y else x for x, y in zip(vec, bvec)]
+                        vec = axpy(vec, neg(c), bvec)
                 lead = next((i for i, x in enumerate(vec) if x), None)
                 if lead is None:
                     dependent = True
                     break
                 scale = inv(vec[lead])
                 if scale != 1:
-                    vec = [mul(scale, x) for x in vec]
+                    vec = field.scale(scale, vec)
                 basis.append((lead, vec))
             if dependent:
                 return w, tests
@@ -361,7 +331,7 @@ def min_distance(
     q = C.field.q
     msg_cost = q**C.dim
     sup_cost = _support_cost(C.n, C.dim)
-    msg_ok = msg_cost <= budget_messages and q <= _NP_TABLE_LIMIT
+    msg_ok = msg_cost <= budget_messages and q <= TABLE_LIMIT
     sup_ok = sup_cost <= budget_supports
 
     if strategy == "messages":

@@ -85,39 +85,33 @@ class Poly:
         if not a or not b:
             return Poly(f, ())
         out = [0] * (len(a) + len(b) - 1)
-        add, mul = f.add_codes, f.mul_codes
+        nb = len(b)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
+                out[i:i + nb] = f.axpy(out[i:i + nb], ai, b)
         return Poly.make(f, out)
 
     def scale(self, c: Element) -> "Poly":
         if c.field != self.field:
             raise ValueError("scalar from a different field")
-        mul = self.field.mul_codes
-        return Poly.make(self.field, [mul(c.code, x) for x in self.codes])
+        return Poly.make(self.field, self.field.scale(c.code, self.codes))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         f = self._samefield(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        add, mul, neg = f.add_codes, f.mul_codes, f.neg_code
-        inv_lead = f.inv_code(other.codes[-1])
+        b = other.codes
+        inv_lead = f.inv_code(b[-1])
         r = list(self.codes)
         db = other.degree
         q = [0] * max(len(r) - db, 0)
         while len(r) - 1 >= db and r:
             lead = r[-1]
             if lead:
-                coef = mul(lead, inv_lead)
+                coef = f.mul_codes(lead, inv_lead)
                 shift = len(r) - 1 - db
                 q[shift] = coef
-                ncoef = neg(coef)
-                for i, bc in enumerate(other.codes):
-                    if bc:
-                        r[shift + i] = add(r[shift + i], mul(ncoef, bc))
+                r[shift:] = f.axpy(r[shift:], f.neg_code(coef), b)
             r.pop()
         return Poly.make(f, q), Poly.make(f, r)
 
@@ -134,8 +128,7 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         inv = self.field.inv_code(self.codes[-1])
-        mul = self.field.mul_codes
-        return Poly(self.field, tuple(mul(inv, c) for c in self.codes))
+        return Poly(self.field, tuple(self.field.scale(inv, self.codes)))
 
     def __call__(self, x: Element) -> Element:
         if x.field != self.field:
@@ -195,8 +188,7 @@ def reciprocal(f: Poly) -> Poly:
     if f.codes[0] == 0:
         raise ValueError("reciprocal requires a nonzero constant term")
     inv0 = f.field.inv_code(f.codes[0])
-    mul = f.field.mul_codes
-    return Poly(f.field, tuple(mul(inv0, c) for c in reversed(f.codes)))
+    return Poly(f.field, tuple(f.field.scale(inv0, f.codes[::-1])))
 
 
 def frobenius_poly(f: Poly, j: int) -> Poly:

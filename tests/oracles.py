@@ -67,6 +67,20 @@ def naive_pow(field: Field, a: int, n: int) -> int:
     return out
 
 
+def digitwise_add(field: Field, a: int, b: int) -> int:
+    """a + b on codes, adding the base-p digits mod p one place at a time."""
+    p, out, place = field.p, 0, 1
+    for _ in range(field.e):
+        out += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+def naive_axpy(field: Field, xs, f: int, ys) -> list[int]:
+    """The row xs + f*ys entry by entry through ``_raw_mul`` and ``digitwise_add``."""
+    return [digitwise_add(field, x, field._raw_mul(f, y)) for x, y in zip(xs, ys)]
+
+
 def root_test_defining_set(fam, g: Poly) -> tuple[int, ...]:
     """The exponents i with g(theta^i) = 0, by evaluation in the splitting field.
 

@@ -159,6 +159,22 @@ def test_mindist_rejects_gen_values_that_are_not_prime_field_integers(capsys):
     assert code == 0 and "[2,1,2]" in out
 
 
+def test_modulus_and_lambda_coefficients_outside_the_prime_field_are_rejected(capsys):
+    ctx = ["cosets", "-p", "3", "-e", "2", "-k", "1", "-n", "2"]
+    for extra, flag, bad in [(["--lambda", "5,3"], "--lambda", 5),
+                             (["--lambda", "2,-1"], "--lambda", -1),
+                             (["--modulus", "4,0,1"], "--modulus", 4),
+                             (["--modulus", "4,2,1"], "--modulus", 4)]:
+        code, out, err = run(capsys, *ctx, *extra)
+        assert code == 1 and out == ""
+        assert f"{flag} coefficient {bad} out of range: need an integer in [0, 3)" in err
+        assert "reducible" not in err
+    # in-range coefficients, and the single signed integer that is reduced on purpose
+    code, by_coeffs, _ = run(capsys, *ctx, "--lambda", "2,0", "--modulus", "2,2,1")
+    assert code == 0
+    assert run(capsys, *ctx, "--lambda", "-1", "--modulus", "2,2,1")[1:] == (by_coeffs, "")
+
+
 def test_k_outside_the_galois_range_is_rejected(capsys):
     for k in ("7", "1", "-1"):
         code, out, err = run(capsys, "extend", "-p", "5", "-e", "1", "-k", k,

@@ -1,5 +1,7 @@
 import json
+import pathlib
 import random
+import re
 import sys
 import threading
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from galcd import fields
 from galcd.fields import (
+    TABLE_LIMIT,
     Element,
     Field,
     _ppowmod,
@@ -24,7 +27,13 @@ from galcd.fields import (
     primitive_rn_root,
     sqrt_minus_one,
 )
-from oracles import brute_log_tables, naive_pow, trial_division_irreducible
+from oracles import (
+    brute_log_tables,
+    digitwise_add,
+    naive_axpy,
+    naive_pow,
+    trial_division_irreducible,
+)
 
 
 def test_prime_field_default_modulus_is_x():
@@ -282,6 +291,64 @@ def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
         n1, n2 = rng.randrange(f.q, 10 * f.q), rng.randrange(f.q, 10 * f.q)
         assert f.pow_code(a, n1 + n2) == f._raw_mul(f.pow_code(a, n1), f.pow_code(a, n2))
     assert f.pow_code(0, 0) == 1 and f.pow_code(0, 7) == 0
+
+
+def test_tables_match_raw_products_and_digitwise_sums_on_every_small_field():
+    for q in range(2, 65):
+        factors = factorize(q)
+        if len(factors) != 1:
+            continue
+        (p, e), = factors.items()
+        f = make_field(p, e)
+        mul, add = f.tables()
+        assert f.tables() is f.tables() and not (mul.flags.writeable or add.flags.writeable)
+        for a in range(q):
+            assert mul[a].tolist() == [f._raw_mul(a, b) for b in range(q)], (q, a)
+            assert add[a].tolist() == [digitwise_add(f, a, b) for b in range(q)], (q, a)
+        if e > 1:
+            assert (f._mul, f._add) == (mul.tolist(), add.tolist())
+        else:
+            assert f._mul is f._add is None
+
+
+@pytest.mark.parametrize("p,e", [(2, 9), (23, 2), (5, 4), (2, 11), (13, 3)])
+def test_tables_match_raw_products_and_digitwise_sums_on_sampled_pairs(p, e):
+    f = Field(p, e, default_modulus(p, e))  # not memoized: the large tables go with it
+    mul, add = f.tables()
+    assert mul.shape == add.shape == (f.q, f.q)
+    rng = random.Random(100 * p + e)
+    for _ in range(2000):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert mul[a, b] == f._raw_mul(a, b) and add[a, b] == digitwise_add(f, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,e,branch", [(7, 1, "prime"), (65537, 1, "prime"), (3, 2, "rows"),
+                                        (2, 9, "rows"), (5, 4, "scalar"), (2, 20, "scalar")])
+def test_row_kernels_match_entrywise_arithmetic(p, e, branch):
+    f = make_field(p, e)
+    assert branch == ("prime" if e == 1 else "rows" if f._add is not None else "scalar")
+    rng = random.Random(p * e)
+    for _ in range(20):
+        xs, ys = ([rng.choice((0, rng.randrange(f.q))) for _ in range(25)] for _ in range(2))
+        for c in (0, 1, rng.randrange(2, f.q)):
+            assert f.axpy(xs, c, ys) == naive_axpy(f, xs, c, ys), c
+            assert f.scale(c, ys) == naive_axpy(f, [0] * len(ys), c, ys), c
+
+
+def test_tables_are_refused_above_the_limit():
+    for p, e in [(2, 12), (65537, 1)]:
+        f = make_field(p, e)
+        assert f.q > TABLE_LIMIT
+        with pytest.raises(ValueError, match="table limit"):
+            f.tables()
+
+
+def test_only_the_fields_module_reads_the_tables():
+    src = pathlib.Path(fields.__file__).parent
+    private = re.compile(r"\._(exp|log|add|mul|tables)\b")
+    readers = [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "fields.py"
+               for i, line in enumerate(path.read_text().splitlines(), 1) if private.search(line)]
+    assert readers == []
 
 
 def test_field_set_up_multiplies_about_q_times(monkeypatch):

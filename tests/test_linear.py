@@ -247,7 +247,8 @@ def test_min_distance_strategies_agree_on_random_corpus():
     rng = random.Random(99)
     cases = [(make_field(2, 1), 3, 7), (make_field(3, 1), 2, 6),
              (make_field(2, 2), 2, 6), (make_field(5, 1), 2, 5),
-             (make_field(3, 2), 2, 5), (make_field(11, 1), 2, 4)]
+             (make_field(3, 2), 2, 5), (make_field(11, 1), 2, 4),
+             (make_field(5, 4), 1, 4)]  # scalar fallback of the row kernels
     for field, l, n in cases:
         for _ in range(3):
             C = _random_code(rng, field, l, n)
@@ -267,6 +268,13 @@ def test_min_distance_budget_refusal_and_interval():
     lo, hi = out.d
     assert 1 <= lo <= hi == C.n - C.dim + 1
     assert not out.mds
+    # GF(2^12) is above the table limit: messages are refused whatever the budget
+    f4096 = make_field(2, 12)
+    big = LinearCode(f4096, [[f4096.one, f4096.gen, f4096.one]])
+    with pytest.raises(BudgetExceeded, match="too large for table-driven enumeration"):
+        min_distance(big, "messages")
+    assert min_distance(big, "auto", budget_supports=0) == CodeParams(3, 1, (1, 3), False)
+    assert min_distance(big).d == 3
 
 
 def test_supports_partial_scan_reports_a_valid_lower_bound():
