@@ -125,11 +125,15 @@ def cmd_cosets(args) -> int:
               "lambda^(1+p^(e-k)) != 1, so every code here is Galois LCD)")
         print("all-LCD: yes (automatic)")
         return 0
-    census = cosets.stable_orbit_census(ctx)
-    inv = "involutive" if census.involutive else "not involutive"
-    print(f"census: t={census.t} h={census.h} ({inv})")
-    if census.pairs:
-        print("orbit pairs: " + "  ".join(f"Q{a}<->Q{b}" for a, b in census.pairs))
+    t, h, involutive = cosets.census_counts(cosets.tau_cycles(ctx))
+    if h is None:
+        print(f"census: t={t} h=n/a (non-fixed cosets do not pair)")
+    else:
+        census = cosets.stable_orbit_census(ctx)
+        inv = "involutive" if involutive else "not involutive"
+        print(f"census: t={t} h={h} ({inv})")
+        if census.pairs:
+            print("orbit pairs: " + "  ".join(f"Q{a}<->Q{b}" for a, b in census.pairs))
     j = cosets.all_lcd_exponent(ctx)
     q1 = cosets.q1_fixed_test(ctx)
     if (j is not None) != q1:

@@ -23,6 +23,8 @@ from galcd.cosets import (
     CosetContext,
     DefiningSet,
     bch_lower_bound,
+    census_counts,
+    cyclotomic_cosets,
     dual_defining_set,
     enumerate_stable_sets,
     frame_preserved,
@@ -30,7 +32,7 @@ from galcd.cosets import (
     tau_cycles,
     unique_order2_unit,
 )
-from galcd.fields import Element, Field, embed, make_field, mult_order, multiplicative_order
+from galcd.fields import Element, Field, embed, make_field, mult_order, multiplicative_order, primitive_rn_root
 from galcd.linear import (
     DEFAULT_MESSAGE_BUDGET,
     DEFAULT_SUPPORT_BUDGET,
@@ -40,8 +42,7 @@ from galcd.linear import (
     is_galois_lcd,
     min_distance,
 )
-from galcd.polys import Poly, minimal_poly, splitting_field, xn_minus_lambda
-from galcd.fields import primitive_rn_root
+from galcd.polys import Poly, frobenius_poly, minimal_poly, reciprocal, splitting_field, xn_minus_lambda
 
 
 @dataclass(eq=False)
@@ -75,8 +76,6 @@ def build_family(field: Field, n: int, lam: Element, theta: Element | None = Non
             raise ValueError("theta must live in the splitting field")
         if mult_order(theta) != rn or theta**n != embed(field, ext, lam):
             raise ValueError("theta is not a primitive rn-th root with theta^n = lambda")
-    from galcd.cosets import cyclotomic_cosets
-
     cosets = cyclotomic_cosets(ctx)
     minpolys = {c[0]: minimal_poly(c, theta, field) for c in cosets}
     prod = Poly(field, (1,))
@@ -172,8 +171,6 @@ def from_generator_polynomial(
         raise ValueError("generator polynomial over the wrong field")
     if not g.is_monic:
         raise ValueError("generator polynomial must be monic")
-    if not g.divides(xn_minus_lambda(field, n, lam)):
-        raise ValueError("generator does not divide x^n - lambda")
     fam = _family(field, n, lam)
     roots: list[int] = []
     rest = g
@@ -184,8 +181,9 @@ def from_generator_polynomial(
         if rem.is_zero:
             roots.extend(coset)
             rest = quo
-    if len(roots) != g.degree:
-        raise AssertionError("recovered root count disagrees with the generator degree")
+    # x^n - lambda is the product of the distinct M_Q: only a divisor ends at 1
+    if rest.degree != 0:
+        raise ValueError("generator does not divide x^n - lambda")
     P = DefiningSet(_ctx_with_k(fam, k), tuple(roots))
     return ConstacyclicCode(field, n, lam, k, P, g, fam)
 
@@ -199,8 +197,6 @@ def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
     is cross-checked against the defining-set route.  The returned
     code carries the matched Galois parameter (e - k) mod e.
     """
-    from galcd.polys import frobenius_poly, reciprocal
-
     field = C.field
     e, k = field.e, C.k
     h = C.check_poly
@@ -349,8 +345,7 @@ def classify_all_lcd(
         raise BudgetExceeded(
             f"2^{len(cycles)} stable sets exceed the enumeration budget {max_stable_sets}"
         )
-    fixed = sum(1 for c in cycles if len(c) == 1)
-    moved = sum(len(c) for c in cycles if len(c) > 1)
+    t, h, involutive = census_counts(cycles)
     records = []
     for P in enumerate_stable_sets(ctx):
         code = code_from_defining_set(field, n, lam, P.residues, k)
@@ -374,9 +369,9 @@ def classify_all_lcd(
         lam=lam,
         k=k,
         records=tuple(records),
-        t=fixed,
-        h=moved // 2 if moved % 2 == 0 else None,
-        involutive=all(len(c) <= 2 for c in cycles),
+        t=t,
+        h=h,
+        involutive=involutive,
     )
 
 

@@ -60,10 +60,10 @@ class CosetContext:
         return ((residue - 1) // self.r) % self.n
 
     def minus_pk(self) -> int:
-        return -(self.p**self.k) % self.rn if self.rn > 1 else 0
+        return -(self.p**self.k) % self.rn
 
     def minus_pek(self) -> int:
-        return -(self.p ** (self.e - self.k)) % self.rn if self.rn > 1 else 0
+        return -(self.p ** (self.e - self.k)) % self.rn
 
 
 def coset_of(ctx: CosetContext, s: int) -> tuple[int, ...]:
@@ -102,9 +102,9 @@ class DefiningSet:
         rn, q = self.ctx.rn, self.ctx.q
         res = tuple(sorted(set(x % rn for x in self.residues)))
         object.__setattr__(self, "residues", res)
-        marker = 1 % self.ctx.r if self.ctx.r > 1 else 0
+        marker = 1 % self.ctx.r
         for x in res:
-            if self.ctx.r > 1 and x % self.ctx.r != marker:
+            if x % self.ctx.r != marker:
                 raise ValueError(f"residue {x} is not 1 mod r = {self.ctx.r}")
         pool = set(res)
         for x in res:
@@ -176,8 +176,6 @@ def all_lcd_exponent(ctx: CosetContext) -> int | None:
     context is Galois LCD.
     """
     rn = ctx.rn
-    if rn == 1:
-        return 1
     target = rn - 1
     # exponents e*j - k repeat once j exceeds the order of p mod rn
     order = multiplicative_order(ctx.p % rn, rn)
@@ -189,8 +187,6 @@ def all_lcd_exponent(ctx: CosetContext) -> int | None:
 
 def q1_fixed_test(ctx: CosetContext) -> bool:
     """True iff -p^k lies in the q-cyclotomic coset of 1 modulo rn."""
-    if ctx.rn == 1:
-        return True
     return ctx.minus_pk() in coset_of(ctx, 1)
 
 
@@ -218,7 +214,7 @@ def frame_preserved(ctx: CosetContext) -> bool:
     p^k (1 + p^(e-k)) = p^k + q = 1 + p^k (mod r), and p^k is a unit
     mod r.  When it fails every code in the family is Galois LCD.
     """
-    return ctx.rn == 1 or (1 + ctx.p**ctx.k) % ctx.r == 0
+    return (1 + ctx.p**ctx.k) % ctx.r == 0
 
 
 def _coset_map(ctx: CosetContext) -> dict[int, tuple[int, ...]]:
@@ -235,7 +231,7 @@ def _tau(ctx: CosetContext) -> dict[int, int]:
     s = ctx.minus_pk()
     out = {}
     for key, coset in _coset_map(ctx).items():
-        out[key] = min(act_scale(coset, s, rn=ctx.rn)) if ctx.rn > 1 else key
+        out[key] = min(act_scale(coset, s, rn=ctx.rn))
     return out
 
 
@@ -258,6 +254,15 @@ def tau_cycles(ctx: CosetContext) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
+def census_counts(cycles) -> tuple[int, int | None, bool]:
+    """(t, h, involutive) of tau-cycles: fixed cosets, half the non-fixed ones
+    (None when they do not pair), and whether every cycle has length <= 2."""
+    t = sum(1 for c in cycles if len(c) == 1)
+    moved = sum(len(c) for c in cycles if len(c) > 1)
+    h = None if moved % 2 else moved // 2
+    return t, h, all(len(c) <= 2 for c in cycles)
+
+
 def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
     """Partition the cosets into fixed ones and halved non-fixed pairs.
 
@@ -268,24 +273,20 @@ def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
     raises.  Stable-set enumeration works regardless via tau_cycles.
     """
     cycles = tau_cycles(ctx)
-    fixed = tuple(c[0] for c in cycles if len(c) == 1)
-    nonfixed = [c for c in cycles if len(c) > 1]
-    moved = sum(len(c) for c in nonfixed)
-    if moved % 2:
+    t, h, involutive = census_counts(cycles)
+    if h is None:
         raise ValueError(
             "non-fixed cosets do not pair up evenly; the (t, h) census is "
             "undefined for this context"
         )
     pairs = []
-    for cyc in nonfixed:
+    for cyc in (c for c in cycles if len(c) > 1):
         for i in range(0, len(cyc) - 1, 2):
             pairs.append((cyc[i], cyc[i + 1]))
         if len(cyc) % 2:  # odd cycle > 1: close with the wrap pair
             pairs.append((cyc[-1], cyc[0]))
-    involutive = all(len(c) <= 2 for c in cycles)
-    return OrbitCensus(
-        t=len(fixed), h=moved // 2, fixed=fixed, pairs=tuple(pairs), involutive=involutive
-    )
+    fixed = tuple(c[0] for c in cycles if len(c) == 1)
+    return OrbitCensus(t=t, h=h, fixed=fixed, pairs=tuple(pairs), involutive=involutive)
 
 
 def enumerate_stable_sets(ctx: CosetContext):
@@ -361,7 +362,7 @@ def lcd_closure(ctx: CosetContext, residues: Iterable[int]) -> DefiningSet:
     current = set(DefiningSet(ctx, tuple(residues)).residues)
     s = ctx.minus_pk()
     while True:
-        scaled = set(act_scale(tuple(current), s, rn=ctx.rn)) if ctx.rn > 1 else set(current)
+        scaled = set(act_scale(tuple(current), s, rn=ctx.rn))
         if scaled <= current:
             return DefiningSet(ctx, tuple(sorted(current)))
         current |= scaled

@@ -3,6 +3,10 @@
 Matrices are lists of rows of packed element codes.  Row operations run
 on the field's row kernels (``axpy``, ``scale``), so results are exact;
 these are small-matrix workhorses (n up to a few dozen), not BLAS.
+
+Gaussian elimination is written once, in ``echelon`` and ``reduce``:
+``rank``, ``det``, ``rref`` (so ``nullspace`` and ``same_row_space``)
+and the support search of ``galcd.linear`` all run on them.
 """
 
 from __future__ import annotations
@@ -10,10 +14,6 @@ from __future__ import annotations
 from galcd.fields import Element, Field
 
 Matrix = list[list[int]]
-
-
-def copy_matrix(mat) -> Matrix:
-    return [list(row) for row in mat]
 
 
 def transpose(mat) -> Matrix:
@@ -43,63 +43,68 @@ def frobenius_matrix(field: Field, mat, j: int) -> Matrix:
     return [[frob(x, j) for x in row] for row in mat]
 
 
+def reduce(field: Field, basis, vec):
+    """vec minus its components along basis, a list of (lead, row) pairs
+    whose rows are 1 at their lead and 0 at every earlier pair's lead."""
+    axpy, neg = field.axpy, field.neg_code
+    for lead, row in basis:
+        c = vec[lead]
+        if c:
+            vec = axpy(vec, neg(c), row)
+    return vec
+
+
+def echelon(field: Field, rows):
+    """Insert rows one at a time, yielding (lead, pivot, row) per input row:
+    the first nonzero place of the row reduced against the earlier ones,
+    its entry there, and the row scaled to 1 at lead; (None, 0, None)
+    for a row dependent on the earlier ones."""
+    inv = field.inv_code
+    basis = []
+    for vec in rows:
+        vec = reduce(field, basis, vec)
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
+            yield None, 0, None
+            continue
+        pivot = vec[lead]
+        if pivot != 1:
+            vec = field.scale(inv(pivot), vec)
+        basis.append((lead, vec))
+        yield lead, pivot, vec
+
+
 def rref(field: Field, mat) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column list."""
-    m = copy_matrix(mat)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    axpy, neg, inv = field.axpy, field.neg_code, field.inv_code
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        scale = inv(prow[c])
-        if scale != 1:
-            m[r] = prow = field.scale(scale, prow)
-        for i in range(rows):
-            if i != r and m[i][c]:
-                m[i] = axpy(m[i], neg(m[i][c]), prow)
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    if not mat:
+        return [], []
+    basis = [(lead, row) for lead, _, row in echelon(field, mat) if lead is not None]
+    # an echelon row is already 0 at every earlier lead; clear the later ones
+    rows = sorted((lead, list(reduce(field, basis[i + 1:], row))) for i, (lead, row) in enumerate(basis))
+    zero_rows = [[0] * len(mat[0]) for _ in range(len(mat) - len(rows))]
+    return [row for _, row in rows] + zero_rows, [lead for lead, _ in rows]
 
 
 def rank(field: Field, mat) -> int:
-    return len(rref(field, mat)[1])
+    return sum(1 for lead, _, _ in echelon(field, mat) if lead is not None)
 
 
 def det(field: Field, mat) -> int:
-    """Determinant code by fraction-free-ish forward elimination."""
-    m = copy_matrix(mat)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Determinant code: the product of the echelon pivots, negated when the
+    leads in insertion order form an odd permutation."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    mul, neg = field.mul_codes, field.neg_code
+    mul = field.mul_codes
     det_code = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
+    leads: list[int] = []
+    for lead, pivot, _ in echelon(field, mat):
+        if lead is None:
             return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det_code = neg(det_code)
-        pv = m[c][c]
-        det_code = mul(det_code, pv)
-        pv_inv = field.inv_code(pv)
-        prow = m[c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                m[i] = field.axpy(m[i], neg(mul(m[i][c], pv_inv)), prow)
-    return det_code
+        det_code = mul(det_code, pivot)
+        leads.append(lead)
+    inversions = sum(1 for i, a in enumerate(leads) for b in leads[i + 1:] if a > b)
+    return field.neg_code(det_code) if inversions % 2 else det_code
 
 
 def nullspace(field: Field, mat, width: int | None = None) -> Matrix:

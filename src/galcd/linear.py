@@ -279,31 +279,21 @@ def _distance_supports(C: LinearCode, budget: int) -> tuple[int | None, int]:
     if m == 0:
         return 1, 0
     cols = [tuple(row[j] for row in h) for j in range(n)]
-    axpy, neg, inv = field.axpy, field.neg_code, field.inv_code
+    reduce, echelon = linalg.reduce, linalg.echelon
     tests = 0
     for w in range(1, m + 2):
+        # every smaller support tested independent, so only a support's last
+        # column can make it dependent; lex order keeps the w - 1 column
+        # prefix, and its basis, for runs of consecutive supports
+        prefix, basis = None, []
         for support in combinations(range(n), w):
             tests += 1
             if tests > budget:
                 return None, w - 1
-            # incremental elimination; earlier passes rule out smaller supports
-            basis: list[tuple[int, list[int]]] = []  # (leading index, reduced column)
-            dependent = False
-            for j in support:
-                vec = list(cols[j])
-                for lead, bvec in basis:
-                    c = vec[lead]
-                    if c:
-                        vec = axpy(vec, neg(c), bvec)
-                lead = next((i for i, x in enumerate(vec) if x), None)
-                if lead is None:
-                    dependent = True
-                    break
-                scale = inv(vec[lead])
-                if scale != 1:
-                    vec = field.scale(scale, vec)
-                basis.append((lead, vec))
-            if dependent:
+            if support[:-1] != prefix:
+                prefix = support[:-1]
+                basis = [(lead, row) for lead, _, row in echelon(field, [cols[j] for j in prefix])]
+            if not any(reduce(field, basis, cols[support[-1]])):
                 return w, tests
     raise AssertionError("no dependent support up to the Singleton weight")  # unreachable
 
@@ -335,8 +325,6 @@ def min_distance(
     sup_ok = sup_cost <= budget_supports
 
     if strategy == "messages":
-        if msg_cost > budget_messages:
-            raise BudgetExceeded(f"message enumeration needs {msg_cost} > budget {budget_messages}")
         return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages), True)
     if strategy == "supports":
         d, scanned = _distance_supports(C, budget_supports)

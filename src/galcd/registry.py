@@ -12,7 +12,6 @@ also flagged instead of failed on mismatch.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field as dc_field
 
 from galcd import constacyclic, cosets, linear
@@ -73,7 +72,6 @@ class ExampleReport:
     example_id: str
     inputs: dict
     claims: list[Claim] = dc_field(default_factory=list)
-    runtime_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -119,7 +117,6 @@ def run_2_4(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
         "generator": [[list(x.coeffs) for x in row] for row in G.generator()],
         "k": 1,
     })
-    t0 = time.monotonic()
 
     _claim(rep, "alpha-order", "multiplicative order of the generator a", 7, mult_order(a))
     _claim(rep, "alpha-cube", "a^3 = 1 + a under the pinned modulus", [1, 1, 0], list((a**3).coeffs))
@@ -155,7 +152,6 @@ def run_2_4(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     _claim(rep, "extension-char2", "[I A A] extension is LCD with d >= 3",
            True, bool(ext_chk.lcd and ext_params.exact and ext_params.d >= 3))
 
-    rep.runtime_s = time.monotonic() - t0
     return rep
 
 
@@ -167,7 +163,6 @@ def run_3_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
         "field": f.to_json(), "lambda": lam.to_json(), "n": 5, "k": 1,
         "defining_set": [3, 5, 7],
     })
-    t0 = time.monotonic()
 
     cs = cosets.cyclotomic_cosets(ctx)
     _claim(rep, "cosets", "q-cyclotomic cosets on 1 + 2Z_10",
@@ -199,7 +194,6 @@ def run_3_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     _claim(rep, "computed-params", "oracle parameters for n = 5", [5, 2, 4], _params_list(params))
     _claim(rep, "mds", "the computed code attains the Singleton bound", True, params.mds)
 
-    rep.runtime_s = time.monotonic() - t0
     return rep
 
 
@@ -210,7 +204,6 @@ def run_3_14(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     rep = ExampleReport("3.14", {
         "field": f.to_json(), "lambda": lam.to_json(), "n": 13, "k": 1,
     })
-    t0 = time.monotonic()
 
     cs = cosets.cyclotomic_cosets(ctx)
     _claim(rep, "cosets", "q-cyclotomic cosets on 1 + 2Z_26",
@@ -239,7 +232,6 @@ def run_3_14(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     _claim(rep, "parameter-types", "the five recorded parameter types all occur",
            recorded_types, [t for t in recorded_types if tuple(t) in types])
 
-    rep.runtime_s = time.monotonic() - t0
     return rep
 
 
@@ -250,7 +242,6 @@ def run_3_15(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     rep = ExampleReport("3.15", {
         "field": f.to_json(), "lambda": lam.to_json(), "n": 9, "k": 2,
     })
-    t0 = time.monotonic()
 
     cs = cosets.cyclotomic_cosets(ctx)
     _claim(rep, "cosets", "nine singleton cosets on 1 + 2Z_18",
@@ -296,7 +287,6 @@ def run_3_15(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
             _claim(rep, f"{name}-mds", f"{name} attains the Singleton bound", True, params.mds)
     _claim(rep, "dims", "dimensions of P1..P6", [3, 2, 1, 7, 6, 8], dims)
 
-    rep.runtime_s = time.monotonic() - t0
     return rep
 
 
@@ -307,7 +297,6 @@ def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     rep = ExampleReport("4.5", {
         "field": f.to_json(), "lambda": lam.to_json(), "n": 10, "k": 1,
     })
-    t0 = time.monotonic()
 
     cs = cosets.cyclotomic_cosets(ctx)
     _claim(rep, "cosets", "ten singleton cosets modulo 10",
@@ -345,7 +334,6 @@ def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
             _claim(rep, f"{name}-params", f"parameters of {name}", expected, _params_list(params))
         _claim(rep, f"{name}-mds", f"{name} attains the Singleton bound", True, params.mds)
 
-    rep.runtime_s = time.monotonic() - t0
     return rep
 
 
@@ -356,7 +344,6 @@ def run_4_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     rep = ExampleReport("4.8", {
         "field": f.to_json(), "lambda": lam.to_json(), "n": n, "a": a,
     })
-    t0 = time.monotonic()
 
     rn = 2 * n
     _claim(rep, "order", "9 has order 2 modulo 10", 2, multiplicative_order(p**a % rn, rn))
@@ -375,7 +362,6 @@ def run_4_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
                True, constacyclic.matrix_lcd_check(C).lcd)
     _claim(rep, "family-count", "number of codes produced", 9, len(produced))
 
-    rep.runtime_s = time.monotonic() - t0
     return rep
 
 

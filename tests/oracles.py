@@ -8,7 +8,7 @@ codebook in pure Python.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from galcd import linalg
 from galcd.fields import Field, embedding
@@ -118,6 +118,25 @@ def brute_min_distance(C: LinearCode) -> int:
         if 0 < w < best:
             best = w
     return best
+
+
+def support_scan(C: LinearCode) -> tuple[int, int]:
+    """(d, tests) of the support search, from the codewords alone.
+
+    Supports are walked by weight, each weight in lexicographic order,
+    counting every support looked at; the parity-check columns on a
+    support are dependent exactly when a nonzero codeword has its
+    support inside it.  Needs dim < n.
+    """
+    supports = {frozenset(j for j, x in enumerate(word) if x) for word in codewords(C)}
+    supports.discard(frozenset())
+    tests = 0
+    for w in range(1, C.n + 1):
+        for support in combinations(range(C.n), w):
+            tests += 1
+            if any(s <= set(support) for s in supports):
+                return w, tests
+    raise AssertionError("the code has no nonzero codeword")
 
 
 def intersection_dim(field: Field, A: LinearCode, B: LinearCode) -> int:

@@ -27,6 +27,14 @@ def test_cosets_recorded_contexts(capsys):
     assert "{0}" in out and "t=1 h=0" in out
 
 
+def test_cosets_reports_an_unpaired_census_and_goes_on(capsys):
+    # cyclic GF(27), n=7, k=1: -3 fixes {0} and three-cycles the other cosets
+    code, out, _ = run(capsys, "cosets", "-p", "3", "-e", "3", "-k", "1", "-n", "7")
+    assert code == 0
+    assert "census: t=1 h=n/a (non-fixed cosets do not pair)\nall-LCD: no\n" in out
+    assert "orbit pairs" not in out
+
+
 def test_cosets_prints_hermitian_gate_when_applicable(capsys):
     code, out, _ = run(capsys, "cosets", "-p", "3", "-e", "2", "-k", "1", "-n", "2", "--lambda", "-1")
     assert code == 0

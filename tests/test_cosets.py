@@ -27,6 +27,7 @@ CTX_314 = CosetContext(p=5, e=3, k=1, n=13, r=2)
 CTX_38 = CosetContext(p=11, e=3, k=1, n=5, r=2)
 CTX_315 = CosetContext(p=13, e=3, k=2, n=9, r=2)
 CTX_45 = CosetContext(p=11, e=2, k=1, n=10, r=1)
+CTX_RN1 = CosetContext(p=3, e=2, k=1, n=1, r=1)
 
 
 def _small_contexts():
@@ -232,7 +233,7 @@ def test_tau_cycles_315():
 
 
 def test_enumerate_stable_sets_matches_literal_filter():
-    for ctx in (CTX_38, CTX_314, CTX_315, CTX_45):
+    for ctx in (CTX_38, CTX_314, CTX_315, CTX_45, CTX_RN1):
         cs = cyclotomic_cosets(ctx)
         literal = set()
         for mask in range(1 << len(cs)):
@@ -295,7 +296,7 @@ def test_lcd_closure_examples():
 
 
 def test_lcd_closure_is_minimal_and_stable():
-    for ctx in (CTX_38, CTX_314, CTX_315, CTX_45):
+    for ctx in (CTX_38, CTX_314, CTX_315, CTX_45, CTX_RN1):
         for coset in cyclotomic_cosets(ctx):
             closed = lcd_closure(ctx, coset)
             assert is_lcd_defining_set(closed)

@@ -10,6 +10,7 @@ from galcd.linear import (
     BudgetExceeded,
     CodeParams,
     LinearCode,
+    _distance_supports,
     extend_lcd,
     galois_dual,
     galois_inner_product,
@@ -17,7 +18,7 @@ from galcd.linear import (
     min_distance,
     p_power_code,
 )
-from oracles import brute_min_distance, hull_dim, literal_intersection_dim
+from oracles import brute_min_distance, hull_dim, literal_intersection_dim, support_scan
 
 
 def _ex24_code():
@@ -285,6 +286,19 @@ def test_supports_partial_scan_reports_a_valid_lower_bound():
     assert not out.exact and out.d[0] >= 2
     exact = min_distance(rep, "supports")
     assert exact.d == 7 and exact.mds
+
+
+# GF(5^4) runs the row kernels' scalar fallback
+@pytest.mark.parametrize("pe, l, n", [((2, 1), 3, 8), ((3, 1), 3, 7), ((2, 2), 2, 7),
+                                      ((7, 1), 2, 6), ((5, 4), 1, 5)])
+def test_support_search_counts_match_codeword_oracle(pe, l, n):
+    field = make_field(*pe)
+    rng = random.Random(f"supports-{pe}")
+    for _ in range(4):
+        C = _random_code(rng, field, l, n)
+        d, tests = support_scan(C)
+        assert _distance_supports(C, 10**9) == (d, tests)
+        assert _distance_supports(C, tests - 1) == (None, d - 1)
 
 
 def test_code_params_validation():
