@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 from galcd import constacyclic, cosets, linear, registry
 from galcd.cosets import CosetContext
@@ -248,15 +249,15 @@ def cmd_genpoly(args) -> int:
 
 def cmd_mindist(args) -> int:
     if args.gen:
-        field = _field_from_args(args)
-        code = _load_matrix_arg(field, args.gen)
+        distance = partial(linear.min_distance, _load_matrix_arg(_field_from_args(args), args.gen))
+    elif args.defining_set or args.defining_set == "":
+        # code_params passes the BCH bound and the shift symmetry as hints
+        distance = partial(constacyclic.code_params, _code_from_args(args))
     else:
-        if not args.defining_set and args.defining_set != "":
-            raise _UsageError("provide --defining-set or --gen")
-        code = constacyclic.to_generator_matrix(_code_from_args(args))
+        raise _UsageError("provide --defining-set or --gen")
     try:
-        params = linear.min_distance(
-            code, args.strategy,
+        params = distance(
+            args.strategy,
             budget_messages=args.budget_messages,
             budget_supports=args.budget_supports,
         )

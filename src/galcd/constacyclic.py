@@ -234,13 +234,26 @@ def code_params(
     budget_messages: int = DEFAULT_MESSAGE_BUDGET,
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
 ) -> CodeParams:
+    """[n, k, d] by min_distance, hinted with the BCH bound and the constacyclic shift.
+
+    d is an interval, flagged inexact, when both engines exceed their budgets.
+    """
     if C.dim == 0:
         raise ValueError("the zero code has no parameters")
+    return _hinted_params(C, bch_lower_bound(C.P), strategy, budget_messages, budget_supports)
+
+
+def _hinted_params(
+    C: ConstacyclicCode, bch: int, strategy: str, budget_messages: int, budget_supports: int
+) -> CodeParams:
+    """min_distance of the rows x^i g(x); the shift x*c(x) mod x^n - lambda maps C onto C."""
     return min_distance(
         to_generator_matrix(C),
         strategy,
         budget_messages=budget_messages,
         budget_supports=budget_supports,
+        lower_bound=bch,
+        shift=True,
     )
 
 
@@ -352,16 +365,12 @@ def classify_all_lcd(
         if code.dim == 0:
             records.append(CatalogRecord(code, None, is_lcd(code), None))
             continue
+        bch = bch_lower_bound(code.P)
         if exact_distance:
-            params = code_params(
-                code,
-                budget_messages=budget_messages,
-                budget_supports=budget_supports,
-            )
+            params = _hinted_params(code, bch, "auto", budget_messages, budget_supports)
         else:
-            bch = bch_lower_bound(code.P)
             params = CodeParams(code.n, code.dim, (bch, code.n - code.dim + 1), False)
-        records.append(CatalogRecord(code, params, is_lcd(code), bch_lower_bound(code.P)))
+        records.append(CatalogRecord(code, params, is_lcd(code), bch))
     records.sort(key=lambda rec: (len(rec.code.P.residues), rec.code.P.residues))
     return Catalog(
         field=field,

@@ -666,14 +666,6 @@ class Embedding:
             raise ValueError("element not in the source field")
         return Element(self.dst, self.fwd[x.code])
 
-    def descend(self, y: Element) -> Element:
-        if y.field != self.dst:
-            raise ValueError("element not in the destination field")
-        try:
-            return Element(self.src, self.inv[y.code])
-        except KeyError:
-            raise ValueError(f"{y!r} is not in the image of {self.src!r}") from None
-
 
 def _build_embedding(src: Field, dst: Field) -> Embedding:
     if src == dst:

@@ -238,22 +238,33 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
 # Minimum distance
 # ---------------------------------------------------------------------------
 
-def _distance_messages(C: LinearCode, budget: int) -> int:
+def _distance_messages(C: LinearCode, budget: int, lower_bound: int, shift: bool) -> int:
     field = C.field
-    q, l, n = field.q, C.dim, C.n
+    q, n = field.q, C.n
+    if shift:
+        # digit 0 = 1 reaches a multiple of every word nonzero at
+        # coordinate 0 only if row 0 alone is nonzero in column 0
+        if not C.rows[0][0] or any(row[0] for row in C.rows[1:]):
+            raise ValueError("shift needs a generator whose column 0 is nonzero in row 0 only")
+        free, first = C.rows[1:], 0
+    else:
+        free, first = C.rows, 1
+    l = len(free)
     total = q**l
     if total > budget:
         raise BudgetExceeded(f"message enumeration needs {total} > budget {budget}")
     if q > TABLE_LIMIT:
         raise BudgetExceeded(f"field GF({q}) too large for table-driven enumeration")
     mul_flat, add_flat = (t.reshape(-1) for t in field.tables())
-    g = np.array(C.codes_matrix(), dtype=np.int64)
+    g = np.array(free, dtype=np.int64)
     best = n + 1
     powers = [q**i for i in range(l)]
-    for start in range(1, total, _CHUNK):
+    for start in range(first, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         cw = np.zeros((stop - start, n), dtype=np.int64)
+        if shift:
+            cw[:] = C.rows[0]  # message digit 0 fixed to 1
         for i in range(l):
             digit = (idx // powers[i]) % q
             term = mul_flat[digit[:, None] * q + g[i][None, :]]
@@ -261,16 +272,21 @@ def _distance_messages(C: LinearCode, budget: int) -> int:
         w = int((cw != 0).sum(axis=1).min())
         if w < best:
             best = w
-            if best == 1:
+            if best <= lower_bound:
                 break
     return best
 
 
-def _distance_supports(C: LinearCode, budget: int) -> tuple[int | None, int]:
+def _distance_supports(
+    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False
+) -> tuple[int | None, int]:
     """Least w with w dependent parity-check columns; returns (d, tests_run).
 
-    d is None when the budget ran out; the caller then knows d >= the
-    last fully scanned weight + 1.
+    The scan starts at w = lower_bound, which must not exceed d.  With
+    shift it tests only the supports that contain coordinate 0, which
+    finds d when some minimum-weight support contains 0.  d is None
+    when the budget ran out; the second value is then the last fully
+    scanned weight w - 1, and the caller knows d >= w.
     """
     field = C.field
     h = euclidean_parity_check(C)
@@ -281,12 +297,17 @@ def _distance_supports(C: LinearCode, budget: int) -> tuple[int | None, int]:
     cols = [tuple(row[j] for row in h) for j in range(n)]
     reduce, echelon = linalg.reduce, linalg.echelon
     tests = 0
-    for w in range(1, m + 2):
-        # every smaller support tested independent, so only a support's last
-        # column can make it dependent; lex order keeps the w - 1 column
-        # prefix, and its basis, for runs of consecutive supports
+    for w in range(lower_bound, m + 2):
+        # every smaller support is independent (tested, or below the
+        # bound), so only a support's last column can make it dependent;
+        # lex order keeps the w - 1 column prefix, and its basis, for runs
+        # of consecutive supports
+        if shift:
+            supports = ((0,) + s for s in combinations(range(1, n), w - 1))
+        else:
+            supports = combinations(range(n), w)
         prefix, basis = None, []
-        for support in combinations(range(n), w):
+        for support in supports:
             tests += 1
             if tests > budget:
                 return None, w - 1
@@ -298,8 +319,11 @@ def _distance_supports(C: LinearCode, budget: int) -> tuple[int | None, int]:
     raise AssertionError("no dependent support up to the Singleton weight")  # unreachable
 
 
-def _support_cost(n: int, dim: int) -> int:
-    return sum(comb(n, w) for w in range(1, n - dim + 2))
+def _support_cost(n: int, dim: int, lower_bound: int, shift: bool) -> int:
+    weights = range(lower_bound, n - dim + 2)
+    if shift:
+        return sum(comb(n - 1, w - 1) for w in weights)
+    return sum(comb(n, w) for w in weights)
 
 
 def min_distance(
@@ -308,38 +332,60 @@ def min_distance(
     *,
     budget_messages: int = DEFAULT_MESSAGE_BUDGET,
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
+    lower_bound: int = 1,
+    shift: bool = False,
 ) -> CodeParams:
     """Exact minimum distance by message enumeration or support search.
 
     "messages" walks all q^dim codewords; "supports" finds the least w
     such that w columns of a parity-check matrix are dependent.  "auto"
     picks the cheaper feasible one.  If no strategy fits its budget the
-    result is the interval [1, n - dim + 1] flagged inexact.
+    result is the interval [lower_bound, n - dim + 1] flagged inexact,
+    or [w, n - dim + 1] once support search has cleared every weight
+    below w.
+
+    Two hints cut the work for callers that know more about C; the
+    defaults assume nothing, and budgets count what the hints leave.
+
+    - lower_bound: a proven bound d >= lower_bound in [1, n - dim + 1]
+      (ValueError outside it).  Support search starts at that weight;
+      message enumeration stops at the first word of that weight.  A
+      bound above the true d gives a wrong d.
+    - shift: the caller asserts that a monomial automorphism of C moves
+      every support by +1 mod n, as the constacyclic shift does, so some
+      minimum-weight word is nonzero at coordinate 0.  Support search
+      then tests only the supports that contain 0.  Message enumeration
+      fixes message digit 0 to 1 (q^(dim-1) messages), which needs row 0
+      to be the only row nonzero in column 0, as in the rows x^i g(x) of
+      a constacyclic code; it raises ValueError on any other generator.
     """
     if C.dim == 0:
         raise ValueError("the zero code has no minimum distance")
+    top = C.n - C.dim + 1
+    if not 1 <= lower_bound <= top:
+        raise ValueError(f"lower_bound {lower_bound} outside [1, n - dim + 1 = {top}]")
     q = C.field.q
-    msg_cost = q**C.dim
-    sup_cost = _support_cost(C.n, C.dim)
+    msg_cost = q ** (C.dim - 1 if shift else C.dim)
+    sup_cost = _support_cost(C.n, C.dim, lower_bound, shift)
     msg_ok = msg_cost <= budget_messages and q <= TABLE_LIMIT
     sup_ok = sup_cost <= budget_supports
 
     if strategy == "messages":
-        return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages), True)
+        return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages, lower_bound, shift), True)
     if strategy == "supports":
-        d, scanned = _distance_supports(C, budget_supports)
+        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
         if d is None:
-            return CodeParams(C.n, C.dim, (scanned + 1, C.n - C.dim + 1), False)
+            return CodeParams(C.n, C.dim, (scanned + 1, top), False)
         return CodeParams(C.n, C.dim, d, True)
     if strategy != "auto":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    lo = 1
+    lo = lower_bound
     if sup_ok and (not msg_ok or sup_cost <= msg_cost):
-        d, scanned = _distance_supports(C, budget_supports)
+        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
         if d is not None:
             return CodeParams(C.n, C.dim, d, True)
         lo = scanned + 1
     if msg_ok:
-        return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages), True)
-    return CodeParams(C.n, C.dim, (lo, C.n - C.dim + 1), False)
+        return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages, lower_bound, shift), True)
+    return CodeParams(C.n, C.dim, (lo, top), False)

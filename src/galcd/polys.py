@@ -168,10 +168,6 @@ def poly_from_json(field: Field, arr: Sequence[Sequence[int]]) -> Poly:
     return Poly.make(field, [field.from_coeffs(a).code for a in arr])
 
 
-def x_poly(field: Field) -> Poly:
-    return Poly(field, (0, 1))
-
-
 def xn_minus_lambda(field: Field, n: int, lam: Element) -> Poly:
     if lam.field != field or not lam:
         raise ValueError("lambda must be a nonzero element of the field")

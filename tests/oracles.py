@@ -120,19 +120,22 @@ def brute_min_distance(C: LinearCode) -> int:
     return best
 
 
-def support_scan(C: LinearCode) -> tuple[int, int]:
+def support_scan(C: LinearCode, lower_bound: int = 1, shift: bool = False) -> tuple[int, int]:
     """(d, tests) of the support search, from the codewords alone.
 
-    Supports are walked by weight, each weight in lexicographic order,
-    counting every support looked at; the parity-check columns on a
-    support are dependent exactly when a nonzero codeword has its
-    support inside it.  Needs dim < n.
+    Supports are walked by weight from lower_bound, each weight in
+    lexicographic order, skipping those without coordinate 0 when shift
+    is set, and counting every support looked at; the parity-check
+    columns on a support are dependent exactly when a nonzero codeword
+    has its support inside it.  Needs dim < n.
     """
     supports = {frozenset(j for j, x in enumerate(word) if x) for word in codewords(C)}
     supports.discard(frozenset())
     tests = 0
-    for w in range(1, C.n + 1):
+    for w in range(lower_bound, C.n + 1):
         for support in combinations(range(C.n), w):
+            if shift and 0 not in support:
+                continue
             tests += 1
             if any(s <= set(support) for s in supports):
                 return w, tests

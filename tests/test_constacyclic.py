@@ -1,8 +1,11 @@
 import math
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galcd import linalg
+from galcd import linalg, linear
 from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
@@ -20,9 +23,9 @@ from galcd.constacyclic import (
 )
 from galcd.cosets import bch_lower_bound, cyclotomic_cosets
 from galcd.fields import make_field, mult_order, embedding
-from galcd.linear import BudgetExceeded, galois_dual
+from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
 from galcd.polys import Poly, splitting_field, xn_minus_lambda
-from oracles import hull_dim, root_test_defining_set
+from oracles import brute_min_distance, hull_dim, root_test_defining_set, support_scan
 
 
 def test_full_space_code():
@@ -230,6 +233,74 @@ def test_code_params_recorded_values():
     prm = code_params(C)
     assert (prm.n, prm.dim, prm.d, prm.mds) == (10, 7, 4, True)
     assert prm.d >= bch_lower_bound(C.P)
+
+
+@st.composite
+def small_constacyclic_codes(draw):
+    """A random union of cosets: p in {2, 3, 5, 7}, e <= 2, n <= 12 coprime to p, any lambda."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    field = make_field(p, draw(st.integers(1, 2)))
+    n = draw(st.integers(1, 12).filter(lambda n: math.gcd(n, p) == 1))
+    lam = field.from_code(draw(st.integers(1, field.q - 1)))
+    cosets_ = _family(field, n, lam).cosets
+    take = draw(st.lists(st.booleans(), min_size=len(cosets_), max_size=len(cosets_)))
+    residues = tuple(x for t, c in zip(take, cosets_) if t for x in c)
+    return code_from_defining_set(field, n, lam, residues)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_constacyclic_codes().filter(lambda C: C.dim > 0))
+def test_hinted_engines_agree_with_bare_engines_and_brute_force(C):
+    G = to_generator_matrix(C)
+    hints = {"lower_bound": bch_lower_bound(C.P), "shift": True}
+    d = min_distance(G, "supports").d
+    for strategy in ("supports", "auto"):
+        assert min_distance(G, strategy, **hints).d == d
+    assert code_params(C).d == d
+    # coordinate 0 fixed, no bound: the shift alone keeps d
+    assert _distance_supports(G, 10**9, 1, True)[0] == d
+    size = C.field.q ** C.dim
+    if size <= 10**5:
+        assert min_distance(G, "messages").d == min_distance(G, "messages", **hints).d == d
+    if size <= 2000:
+        assert brute_min_distance(G) == d
+
+
+# (p, e, n, lambda as an integer)
+SCAN_CONTEXTS = [(2, 1, 7, 1), (2, 1, 9, 1), (3, 1, 8, 1), (3, 1, 8, -1),
+                 (2, 2, 5, 1), (5, 1, 6, -1), (7, 1, 4, -1)]
+
+
+@pytest.mark.parametrize("p, e, n, lam", SCAN_CONTEXTS)
+def test_hinted_engines_match_codeword_oracle(p, e, n, lam, monkeypatch):
+    """Every code of the context with q^dim <= 1024: the hinted scan's (d, tests) step by step,
+    and message enumeration in chunks of 3, so that its stop at the bound is exercised."""
+    monkeypatch.setattr(linear, "_CHUNK", 3)
+    field = make_field(p, e)
+    lam = field.from_int(lam)
+    cosets_ = _family(field, n, lam).cosets
+    for take in product((False, True), repeat=len(cosets_)):
+        C = code_from_defining_set(field, n, lam, [x for t, c in zip(take, cosets_) if t for x in c])
+        if not 0 < C.dim < n or field.q**C.dim > 1024:
+            continue
+        G, bch = to_generator_matrix(C), bch_lower_bound(C.P)
+        d, tests = support_scan(G)
+        assert _distance_supports(G, 10**9) == (d, tests)
+        assert _distance_supports(G, 10**9, bch, True) == support_scan(G, bch, shift=True)
+        assert support_scan(G, 1, shift=True)[0] == d
+        assert min_distance(G, "messages", lower_bound=bch, shift=True).d == d
+
+
+def test_hinted_budget_interval_starts_at_the_bch_bound():
+    f125 = make_field(5, 3)
+    C = code_from_defining_set(f125, 13, f125.from_int(-1), (1, 5, 21, 25), k=1)
+    bch, d, top = bch_lower_bound(C.P), code_params(C).d, C.n - C.dim + 1
+    assert 1 < bch < d
+    out = code_params(C, "supports", budget_supports=1)
+    lo, hi = out.d
+    assert not out.exact and bch <= lo <= d and hi == top
+    # neither engine fits its budget: the bound is the interval's low end
+    assert code_params(C, budget_messages=1, budget_supports=1) == CodeParams(C.n, C.dim, (bch, top), False)
 
 
 def test_theta_labels_are_relative_but_verdicts_invariant():

@@ -301,6 +301,20 @@ def test_support_search_counts_match_codeword_oracle(pe, l, n):
         assert _distance_supports(C, tests - 1) == (None, d - 1)
 
 
+def test_min_distance_hints_are_validated():
+    f3 = make_field(3, 1)
+    C = LinearCode(f3, [[1, 0, 1, 0], [0, 1, 0, 1]])  # g, x*g for g = x^2 + 1 | x^4 - 1
+    assert min_distance(C, "messages", lower_bound=2, shift=True).d == 2
+    for bound in (0, -1, C.n - C.dim + 2):
+        for strategy in ("auto", "messages", "supports"):
+            with pytest.raises(ValueError, match="lower_bound"):
+                min_distance(C, strategy, lower_bound=bound)
+    # fixing message digit 0 needs row 0 to be the only row nonzero in column 0
+    for rows in ([[1, 2, 1, 0], [1, 1, 2, 1]], [[0, 1, 2, 1], [0, 0, 1, 2]]):
+        with pytest.raises(ValueError, match="column 0"):
+            min_distance(LinearCode(f3, rows), "messages", shift=True)
+
+
 def test_code_params_validation():
     with pytest.raises(ValueError):
         CodeParams(4, 2, 4, True)  # violates Singleton
