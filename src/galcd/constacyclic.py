@@ -29,6 +29,8 @@ from galcd.cosets import (
     enumerate_stable_sets,
     frame_preserved,
     is_lcd_defining_set,
+    multiplier_orbit_key,
+    multipliers,
     tau_cycles,
     unique_order2_unit,
 )
@@ -59,6 +61,7 @@ class _Family:
     base_ctx: CosetContext           # k = 0; cosets do not depend on k
     cosets: tuple[tuple[int, ...], ...]
     minpolys: dict[int, Poly]        # smallest coset member -> M_Q
+    ctxs: dict[int, CosetContext] = dc_field(default_factory=dict)  # k -> context, see _ctx_with_k
 
 
 def build_family(field: Field, n: int, lam: Element, theta: Element | None = None) -> _Family:
@@ -83,7 +86,7 @@ def build_family(field: Field, n: int, lam: Element, theta: Element | None = Non
         prod = prod * mq
     if prod != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
-    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys)
+    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys, {0: ctx})
 
 
 _FAMILY_CACHE: dict = {}
@@ -98,7 +101,7 @@ def _family(field: Field, n: int, lam: Element) -> _Family:
     return fam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstacyclicCode:
     """A lambda-constacyclic code of length n with Galois parameter k."""
 
@@ -144,7 +147,11 @@ class ConstacyclicCode:
 
 
 def _ctx_with_k(fam: _Family, k: int) -> CosetContext:
-    return CosetContext(p=fam.field.p, e=fam.field.e, k=k, n=fam.n, r=fam.r)
+    """The family's context for Galois parameter k, one per (family, k)."""
+    ctx = fam.ctxs.get(k)
+    if ctx is None:
+        ctx = fam.ctxs[k] = CosetContext(p=fam.field.p, e=fam.field.e, k=k, n=fam.n, r=fam.r)
+    return ctx
 
 
 def code_from_defining_set(
@@ -261,7 +268,7 @@ def _hinted_params(
 # Catalogs of LCD codes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogRecord:
     code: ConstacyclicCode
     params: CodeParams | None      # None for the zero code
@@ -345,6 +352,18 @@ def classify_all_lcd(
     Stable sets are unions of cycles of the -p^k action on cosets, so
     there are 2^(number of cycles) of them including the empty set and
     the full exponent set (the zero code).
+
+    d is computed once per multiplier orbit.  For a unit s of Z_rn with
+    s = 1 mod r (cosets.multipliers), lambda^s = lambda, so
+    c(x) -> c(x^s) mod x^n - lambda sends coordinate i to s*i mod n
+    times a power of lambda: a monomial bijection, since gcd(s, n) = 1,
+    that takes the roots theta^i, i in P, to theta^j, j in s^-1 P, and
+    commutes with -p^k (Chen-Dinh-Fan-Ling, "Polyadic constacyclic
+    codes", IEEE Trans. IT, 2015).  Weights are kept, so every member's
+    BCH bound bounds the orbit's shared d: the first member in
+    enumeration order is searched from the largest of them, and its
+    CodeParams goes to every member.  Each record keeps its own bch; with
+    exact_distance=False its interval starts there.
     """
     fam = _family(field, n, lam)
     ctx = _ctx_with_k(fam, k)
@@ -359,18 +378,24 @@ def classify_all_lcd(
             f"2^{len(cycles)} stable sets exceed the enumeration budget {max_stable_sets}"
         )
     t, h, involutive = census_counts(cycles)
+    mults = multipliers(ctx)
     records = []
+    orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int]]] = {}
     for P in enumerate_stable_sets(ctx):
         code = code_from_defining_set(field, n, lam, P.residues, k)
         if code.dim == 0:
             records.append(CatalogRecord(code, None, is_lcd(code), None))
-            continue
-        bch = bch_lower_bound(code.P)
-        if exact_distance:
-            params = _hinted_params(code, bch, "auto", budget_messages, budget_supports)
         else:
-            params = CodeParams(code.n, code.dim, (bch, code.n - code.dim + 1), False)
-        records.append(CatalogRecord(code, params, is_lcd(code), bch))
+            orbit = orbits.setdefault(multiplier_orbit_key(code.P, mults), [])
+            orbit.append((code, bch_lower_bound(code.P)))
+    for orbit in orbits.values():
+        if exact_distance:
+            best = max(bch for _, bch in orbit)
+            shared = _hinted_params(orbit[0][0], best, "auto", budget_messages, budget_supports)
+        for code, bch in orbit:
+            top = code.n - code.dim + 1
+            params = shared if exact_distance else CodeParams(code.n, code.dim, (bch, top), False)
+            records.append(CatalogRecord(code, params, is_lcd(code), bch))
     records.sort(key=lambda rec: (len(rec.code.P.residues), rec.code.P.residues))
     return Catalog(
         field=field,

@@ -2,7 +2,8 @@
 
 Everything here is integer combinatorics: q-cyclotomic cosets on the
 exponent set 1 + r*Z_rn, the scaling actions mu_s (in particular by
--p^k), defining-set duality, stability censuses and counting, and the
+-p^k, and by the multipliers whose orbits group equivalent codes),
+defining-set duality, stability censuses and counting, and the
 consecutive-run lower bound on minimum distance.  No field arithmetic
 is needed; contexts are plain parameter bundles.
 
@@ -144,6 +145,25 @@ def act_scale(P: "DefiningSet | Iterable[int]", s: int, *, rn: int | None = None
     if math.gcd(s, rn) != 1:
         raise ValueError(f"{s} is not a unit modulo {rn}")
     return tuple(sorted(s * x % rn for x in residues))
+
+
+def multipliers(ctx: CosetContext) -> tuple[int, ...]:
+    """The s in [1, rn] with gcd(s, rn) = 1 and s = 1 mod r.
+
+    Counting up to rn keeps s = 1 when rn = 1.  Each such s maps
+    1 + r*Z_rn onto itself, and x -> x^s maps the code with defining set
+    P monomially onto the one with s^-1 P (Chen-Dinh-Fan-Ling,
+    "Polyadic constacyclic codes", IEEE Trans. IT, 2015).  The condition
+    s = 1 mod r is kept for clarity: a unit u with u*P = P' for nonempty
+    P, P' inside 1 + r*Z_rn already satisfies it.
+    """
+    rn, one = ctx.rn, 1 % ctx.r
+    return tuple(s for s in range(1, rn + 1) if math.gcd(s, rn) == 1 and s % ctx.r == one)
+
+
+def multiplier_orbit_key(P: DefiningSet, mults: tuple[int, ...]) -> tuple[int, ...]:
+    """The smallest s*P over the multipliers s: equal keys, monomially equivalent codes."""
+    return min(act_scale(P, s) for s in mults)
 
 
 def dual_defining_set(P: DefiningSet) -> DefiningSet:

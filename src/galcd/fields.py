@@ -15,13 +15,13 @@ smallest integer.  For GF(8) that rule picks x^3 + x + 1, under which
 the generator a satisfies a^3 = 1 + a.
 
 Fields and elements are immutable.  Only this module reads the tables;
-other modules use the scalar calls and the row kernels ``axpy`` and
-``scale``.  Built at construction: ``_exp``/``_log`` (q <= 2^16), and
-for extension fields with q <= 600 ``_mul``/``_add``, the q*q tables as
-row lists (prime fields reduce mod p instead).  Filled lazily on first
-use: ``_qm1_factors`` (the factorization of q - 1), ``_primitive`` when
-q > 2^16, ``_tables`` (the q*q numpy tables of ``tables()``, q <= 2200)
-and ``_cache`` (memoized embeddings).  Sharing a field between threads
+other modules use the scalar calls and the row kernels ``axpy``,
+``axmy`` and ``scale``.  Built at construction: ``_exp``/``_log``
+(q <= 2^16), and for extension fields with q <= 600 ``_mul``/``_add``,
+the q*q tables as row lists (prime fields reduce mod p instead).  Filled
+lazily on first use: ``_qm1_factors`` (the factorization of q - 1),
+``_primitive`` when q > 2^16, ``_tables`` (the q*q numpy tables of
+``tables()``, q <= 2200) and ``_cache`` (memoized embeddings).  Sharing a field between threads
 is still safe: each lazy value is deterministic, so threads that race
 compute equal values, and each write is one attribute or dict-item
 assignment, so no thread can see a partial value.  A race only repeats
@@ -421,6 +421,17 @@ class Field:
             return [add[x][fmul[y]] for x, y in zip(xs, ys)]
         add, mul = self.add_codes, self.mul_codes
         return [add(x, mul(f, y)) if y else x for x, y in zip(xs, ys)]
+
+    def axmy(self, xs: Sequence[int], f: int, ys: Sequence[int]) -> list[int]:
+        """The row xs - f*ys on codes."""
+        if self.e == 1:
+            p = self.p
+            return [(x - f * y) % p for x, y in zip(xs, ys)]
+        if self._add is not None:
+            mul = self._mul
+            add, fmul = self._add, mul[mul[f][self.p - 1]]  # the row of -f; p - 1 codes -1
+            return [add[x][fmul[y]] for x, y in zip(xs, ys)]
+        return self.axpy(xs, self.neg_code(f), ys)
 
     def scale(self, f: int, xs: Sequence[int]) -> list[int]:
         """The row f*xs on codes."""

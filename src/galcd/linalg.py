@@ -1,8 +1,9 @@
 """Dense exact linear algebra over a Field.
 
 Matrices are lists of rows of packed element codes.  Row operations run
-on the field's row kernels (``axpy``, ``scale``), so results are exact;
-these are small-matrix workhorses (n up to a few dozen), not BLAS.
+on the field's row kernels (``axpy``, ``axmy``, ``scale``), so results
+are exact; these are small-matrix workhorses (n up to a few dozen), not
+BLAS.
 
 Gaussian elimination is written once, in ``echelon`` and ``reduce``:
 ``rank``, ``det``, ``rref`` (so ``nullspace`` and ``same_row_space``)
@@ -46,11 +47,11 @@ def frobenius_matrix(field: Field, mat, j: int) -> Matrix:
 def reduce(field: Field, basis, vec):
     """vec minus its components along basis, a list of (lead, row) pairs
     whose rows are 1 at their lead and 0 at every earlier pair's lead."""
-    axpy, neg = field.axpy, field.neg_code
+    axmy = field.axmy
     for lead, row in basis:
         c = vec[lead]
         if c:
-            vec = axpy(vec, neg(c), row)
+            vec = axmy(vec, c, row)
     return vec
 
 

@@ -111,7 +111,7 @@ class Poly:
                 coef = f.mul_codes(lead, inv_lead)
                 shift = len(r) - 1 - db
                 q[shift] = coef
-                r[shift:] = f.axpy(r[shift:], f.neg_code(coef), b)
+                r[shift:] = f.axmy(r[shift:], coef, b)
             r.pop()
         return Poly.make(f, q), Poly.make(f, r)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from galcd import linalg
-from galcd.fields import Field, embedding
+from galcd.constacyclic import CatalogRecord, code_from_defining_set, code_params, is_lcd
+from galcd.cosets import CosetContext, bch_lower_bound, enumerate_stable_sets
+from galcd.fields import Field, embedding, mult_order
 from galcd.linear import LinearCode, galois_dual
 from galcd.polys import Poly
 
@@ -140,6 +142,25 @@ def support_scan(C: LinearCode, lower_bound: int = 1, shift: bool = False) -> tu
             if any(s <= set(support) for s in supports):
                 return w, tests
     raise AssertionError("the code has no nonzero codeword")
+
+
+def catalog_per_record(field: Field, n: int, lam, k: int) -> list:
+    """classify_all_lcd's records with one exact distance per record.
+
+    Every nonzero code gets its own BCH bound and its own ``code_params``
+    call, with no sharing between codes; records are sorted as catalogs
+    sort them.
+    """
+    ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))
+    records = []
+    for P in enumerate_stable_sets(ctx):
+        C = code_from_defining_set(field, n, lam, P.residues, k)
+        if C.dim == 0:
+            records.append(CatalogRecord(C, None, is_lcd(C), None))
+        else:
+            records.append(CatalogRecord(C, code_params(C), is_lcd(C), bch_lower_bound(C.P)))
+    records.sort(key=lambda rec: (len(rec.code.P.residues), rec.code.P.residues))
+    return records
 
 
 def intersection_dim(field: Field, A: LinearCode, B: LinearCode) -> int:

@@ -21,11 +21,11 @@ from galcd.constacyclic import (
     matrix_lcd_check,
     to_generator_matrix,
 )
-from galcd.cosets import bch_lower_bound, cyclotomic_cosets
+from galcd.cosets import act_scale, bch_lower_bound, cyclotomic_cosets, multiplier_orbit_key, multipliers
 from galcd.fields import make_field, mult_order, embedding
 from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
 from galcd.polys import Poly, splitting_field, xn_minus_lambda
-from oracles import brute_min_distance, hull_dim, root_test_defining_set, support_scan
+from oracles import brute_min_distance, catalog_per_record, hull_dim, root_test_defining_set, support_scan
 
 
 def test_full_space_code():
@@ -266,6 +266,18 @@ def test_hinted_engines_agree_with_bare_engines_and_brute_force(C):
         assert brute_min_distance(G) == d
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_constacyclic_codes().filter(lambda C: C.dim > 0))
+def test_multiplier_orbit_shares_d(C):
+    """x -> x^s is a monomial map from the code of s*P onto the code of P."""
+    d = code_params(C).d
+    for s in multipliers(C.P.ctx):
+        image = code_from_defining_set(C.field, C.n, C.lam, act_scale(C.P, s), C.k)
+        assert code_params(image).d == d
+    if C.field.q**C.dim <= 2000:
+        assert brute_min_distance(to_generator_matrix(C)) == d
+
+
 # (p, e, n, lambda as an integer)
 SCAN_CONTEXTS = [(2, 1, 7, 1), (2, 1, 9, 1), (3, 1, 8, 1), (3, 1, 8, -1),
                  (2, 2, 5, 1), (5, 1, 6, -1), (7, 1, 4, -1)]
@@ -469,3 +481,52 @@ def test_classify_handles_unpairable_census():
     assert cat.h is None and cat.census_count is None
     assert not cat.involutive
     assert all(rec.lcd == is_lcd(rec.code) for rec in cat.records)
+
+
+def _sweep_contexts():
+    """(field, n, lambda, k): p in {2, 3, 5, 7}, e <= 2, n <= 10 coprime to p, one lambda
+    of each order r with r | 1 + p^k, so that the catalog is defined."""
+    out = []
+    for p in (2, 3, 5, 7):
+        for e in (1, 2):
+            field = make_field(p, e)
+            by_order = {}
+            for x in field.elements():
+                if x:
+                    by_order.setdefault(mult_order(x), x)
+            for k in range(e):
+                for r, lam in sorted(by_order.items()):
+                    if (1 + p**k) % r == 0:
+                        out.extend((field, n, lam, k) for n in range(1, 11) if math.gcd(n, p) == 1)
+    return out
+
+
+def test_classify_matches_one_distance_per_record():
+    """The orbit-shared catalog equals the per-record catalog, record JSON for record JSON."""
+    contexts = _sweep_contexts()
+    assert len(contexts) >= 100
+    assert any(mult_order(lam) > 1 for _, _, lam, _ in contexts)
+    assert any(k == 0 for *_, k in contexts)
+    assert any(n * mult_order(lam) == 1 for _, n, lam, _ in contexts)
+    for field, n, lam, k in contexts:
+        got = [rec.to_json() for rec in classify_all_lcd(field, n, lam, k).records]
+        want = [rec.to_json() for rec in catalog_per_record(field, n, lam, k)]
+        assert got == want, (field, n, lam, k)
+
+
+def test_budget_limited_catalog_shares_intervals_per_orbit():
+    f121 = make_field(11, 2)
+    cat = classify_all_lcd(f121, 10, f121.one, 1, budget_messages=1, budget_supports=1)
+    mults = multipliers(cat.records[0].code.P.ctx)
+    orbits = {}
+    for rec in cat.records:
+        if rec.params:
+            lo = rec.params.d if rec.params.exact else rec.params.d[0]
+            assert rec.bch <= lo
+            orbits.setdefault(multiplier_orbit_key(rec.code.P, mults), []).append(rec)
+    assert len(orbits) == 39
+    for orbit in orbits.values():
+        assert all(rec.params is orbit[0].params for rec in orbit)
+    # an orbit's interval starts at its best bound, above some members' own
+    assert any(not rec.params.exact and rec.bch < rec.params.d[0]
+               for rec in cat.records if rec.params)

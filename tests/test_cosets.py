@@ -17,6 +17,8 @@ from galcd.cosets import (
     hermitian_necessary_check,
     is_lcd_defining_set,
     lcd_closure,
+    multiplier_orbit_key,
+    multipliers,
     q1_fixed_test,
     stable_orbit_census,
     tau_cycles,
@@ -401,3 +403,40 @@ def test_census_undefined_for_three_cycled_cosets():
     assert sorted(len(c) for c in cycles) == [1, 3]
     with pytest.raises(ValueError):
         stable_orbit_census(ctx)
+
+
+def test_multipliers_examples():
+    assert multipliers(CTX_RN1) == (1,)  # rn = 1 keeps s = 1
+    assert multipliers(CosetContext(p=3, e=2, k=1, n=16, r=1)) == tuple(range(1, 16, 2))
+    assert multipliers(CTX_314) == (1, 3, 5, 7, 9, 11, 15, 17, 19, 21, 23, 25)
+    assert multipliers(CosetContext(p=5, e=2, k=0, n=3, r=4)) == (1, 5)
+    P = DefiningSet(CTX_314, (3, 11, 15, 23))
+    assert multiplier_orbit_key(P, multipliers(CTX_314)) == (1, 5, 21, 25)
+
+
+@st.composite
+def unions_of_cosets(draw):
+    """p in {2, 3, 5, 7}, e <= 2, n <= 12 coprime to p, any lambda order r, any k."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12).filter(lambda n: math.gcd(n, p) == 1))
+    r = draw(st.sampled_from([d for d in range(1, p**e) if (p**e - 1) % d == 0]))
+    ctx = CosetContext(p=p, e=e, k=draw(st.integers(0, e - 1)), n=n, r=r)
+    cosets_here = cyclotomic_cosets(ctx)
+    take = draw(st.lists(st.booleans(), min_size=len(cosets_here), max_size=len(cosets_here)))
+    return DefiningSet(ctx, tuple(x for t, c in zip(take, cosets_here) if t for x in c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unions_of_cosets())
+def test_multipliers_permute_unions_of_cosets_and_keep_stability(P):
+    ctx = P.ctx
+    mults = multipliers(ctx)
+    key = multiplier_orbit_key(P, mults)
+    cosets_here = [set(c) for c in cyclotomic_cosets(ctx)]
+    for s in mults:
+        image = DefiningSet(ctx, act_scale(P, s))  # q-closed inside 1 + r*Z_rn
+        members = set(image.residues)
+        assert all(c <= members or not c & members for c in cosets_here)
+        assert is_lcd_defining_set(image) == is_lcd_defining_set(P)
+        assert multiplier_orbit_key(image, mults) == key

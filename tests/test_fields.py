@@ -332,6 +332,7 @@ def test_row_kernels_match_entrywise_arithmetic(p, e, branch):
         xs, ys = ([rng.choice((0, rng.randrange(f.q))) for _ in range(25)] for _ in range(2))
         for c in (0, 1, rng.randrange(2, f.q)):
             assert f.axpy(xs, c, ys) == naive_axpy(f, xs, c, ys), c
+            assert naive_axpy(f, f.axmy(xs, c, ys), c, ys) == xs, c  # adding c*ys back
             assert f.scale(c, ys) == naive_axpy(f, [0] * len(ys), c, ys), c
 
 
