@@ -342,7 +342,7 @@ def _add_budget_args(sp):
     sp.add_argument("--budget-messages", type=_nonnegative_int,
                     default=linear.DEFAULT_MESSAGE_BUDGET, help="codeword-enumeration budget")
     sp.add_argument("--budget-supports", type=_nonnegative_int,
-                    default=linear.DEFAULT_SUPPORT_BUDGET, help="support rank-test budget")
+                    default=linear.DEFAULT_SUPPORT_BUDGET, help="budget of supports examined")
 
 
 def build_parser() -> _Parser:

@@ -6,8 +6,11 @@ are exact; these are small-matrix workhorses (n up to a few dozen), not
 BLAS.
 
 Gaussian elimination is written once, in ``echelon`` and ``reduce``:
-``rank``, ``det``, ``rref`` (so ``nullspace`` and ``same_row_space``)
-and the support search of ``galcd.linear`` all run on them.
+``rank``, ``det`` and ``rref`` (so ``nullspace`` and ``same_row_space``)
+run on them.  The support search of ``galcd.linear`` carries residual
+parity-check columns down its support tree and, at each child, clears
+the new column's pivot from every later residual with one ``reduce``
+against a one-pair basis.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ extension constructions, and two exact minimum-distance engines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -34,10 +33,12 @@ class LinearCode:
 
     Rows may be Elements or plain integers below p (read through the
     prime subfield).  A dimension-0 code is allowed as the degenerate
-    dual of the full space; pass rows=() with an explicit length.
+    dual of the full space; pass rows=() with an explicit length.  Over
+    fields of at most 256 elements the rows are kept as bytes; ``rows``
+    and ``codes_matrix`` unpack them.
     """
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "_rows")
 
     def __init__(self, field: Field, rows, n: int | None = None):
         packed = []
@@ -54,51 +55,57 @@ class LinearCode:
                             f"integer entry {x} out of range [0, {field.p}); pass an Element"
                         )
                     prow.append(int(x))
-            packed.append(tuple(prow))
-        self.field = field
-        self.rows = tuple(packed)
-        if self.rows:
-            widths = {len(r) for r in self.rows}
+            packed.append(prow)
+        if packed:
+            widths = {len(r) for r in packed}
             if len(widths) != 1:
                 raise ValueError("ragged generator matrix")
-            self.n = widths.pop()
-            if n is not None and n != self.n:
+            width = widths.pop()
+            if n is not None and n != width:
                 raise ValueError("explicit length disagrees with row width")
-        else:
-            if n is None:
-                raise ValueError("length n is required for a dimension-0 code")
-            self.n = n
-        if self.n < 1:
+            n = width
+        elif n is None:
+            raise ValueError("length n is required for a dimension-0 code")
+        if n < 1:
             raise ValueError("code length must be positive")
-        if self.rows and linalg.rank(field, [list(r) for r in self.rows]) != len(self.rows):
+        if packed and linalg.rank(field, packed) != len(packed):
             raise ValueError("generator rows are linearly dependent")
+        self._set(field, packed, n)
 
     @classmethod
     def _trusted(cls, field: Field, rows, n: int) -> "LinearCode":
         """A code from rows of field codes derived from a validated code; no checks."""
         out = cls.__new__(cls)
-        out.field = field
-        out.n = n
-        out.rows = tuple(tuple(r) for r in rows)
+        out._set(field, rows, n)
         return out
+
+    def _set(self, field: Field, rows, n: int) -> None:
+        self.field, self.n = field, n
+        # a row of codes below 256 is kept as bytes, an eighth of a tuple's size
+        self._rows = tuple(map(bytes if field.q <= 256 else tuple, rows))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The generator rows as tuples of field codes."""
+        return self._rows if self.field.q > 256 else tuple(map(tuple, self._rows))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def codes_matrix(self) -> linalg.Matrix:
-        return [list(r) for r in self.rows]
+        return [list(r) for r in self._rows]
 
     def generator(self) -> list[list[Element]]:
-        return linalg.to_elements(self.field, self.rows)
+        return linalg.to_elements(self.field, self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return (self.field, self.n, self.rows) == (other.field, other.n, other.rows)
+        return (self.field, self.n, self._rows) == (other.field, other.n, other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.rows))
+        return hash((self.field, self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.dim}] over {self.field!r})"
@@ -230,7 +237,7 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
         extra = [field.scale(eta.code, row) for row in a]
     else:
         raise ValueError(f"unknown extension mode {mode!r}")
-    rows = [tuple(g[i]) + tuple(extra[i]) for i in range(l)]
+    rows = [g[i] + extra[i] for i in range(l)]
     return LinearCode._trusted(field, rows, 2 * n - l)
 
 
@@ -239,41 +246,57 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def _distance_messages(C: LinearCode, budget: int, lower_bound: int, shift: bool) -> int:
-    field = C.field
+    field, rows = C.field, C.rows
     q, n = field.q, C.n
     if shift:
         # digit 0 = 1 reaches a multiple of every word nonzero at
         # coordinate 0 only if row 0 alone is nonzero in column 0
-        if not C.rows[0][0] or any(row[0] for row in C.rows[1:]):
+        if not rows[0][0] or any(row[0] for row in rows[1:]):
             raise ValueError("shift needs a generator whose column 0 is nonzero in row 0 only")
-        free, first = C.rows[1:], 0
+        free, first = rows[1:], 0
     else:
-        free, first = C.rows, 1
+        free, first = rows, 1
     l = len(free)
     total = q**l
     if total > budget:
         raise BudgetExceeded(f"message enumeration needs {total} > budget {budget}")
     if q > TABLE_LIMIT:
         raise BudgetExceeded(f"field GF({q}) too large for table-driven enumeration")
-    mul_flat, add_flat = (t.reshape(-1) for t in field.tables())
-    g = np.array(free, dtype=np.int64)
+    mul, add = field.tables()
+    add_flat = add.reshape(-1)
+    # row i's products digit * g_i, one (q, n) table per generator row
+    row_mul = [mul[:, list(row)] for row in free]
     best = n + 1
     powers = [q**i for i in range(l)]
+    # one set of buffers per call; a chunk of s messages works on their
+    # first s rows.  take runs in mode "clip" (every index is in range)
+    # because mode "raise" copies into a fresh array before writing out.
+    size = min(_CHUNK, total - first)
+    idx = np.arange(first, first + size, dtype=np.int64)
+    digit = np.empty(size, dtype=np.int64)
+    cw_buf = np.empty((size, n), dtype=np.int64)
+    term_buf = np.empty((size, n), dtype=np.int64)
     for start in range(first, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cw = np.zeros((stop - start, n), dtype=np.int64)
+        s = min(_CHUNK, total - start)
+        ix, dg, cw, term = idx[:s], digit[:s], cw_buf[:s], term_buf[:s]
         if shift:
-            cw[:] = C.rows[0]  # message digit 0 fixed to 1
+            cw[:] = rows[0]  # message digit 0 fixed to 1
+        else:
+            cw.fill(0)
         for i in range(l):
-            digit = (idx // powers[i]) % q
-            term = mul_flat[digit[:, None] * q + g[i][None, :]]
-            cw = add_flat[cw * q + term]
-        w = int((cw != 0).sum(axis=1).min())
+            np.floor_divide(ix, powers[i], out=dg)
+            np.remainder(dg, q, out=dg)
+            np.take(row_mul[i], dg, axis=0, out=term, mode="clip")
+            np.multiply(cw, q, out=cw)
+            np.add(cw, term, out=cw)
+            np.take(add_flat, cw, out=term, mode="clip")
+            cw, term = term, cw
+        w = int(np.count_nonzero(cw, axis=1).min())
         if w < best:
             best = w
             if best <= lower_bound:
                 break
+        idx += _CHUNK
     return best
 
 
@@ -284,39 +307,106 @@ def _distance_supports(
 
     The scan starts at w = lower_bound, which must not exceed d.  With
     shift it tests only the supports that contain coordinate 0, which
-    finds d when some minimum-weight support contains 0.  d is None
-    when the budget ran out; the second value is then the last fully
-    scanned weight w - 1, and the caller knows d >= w.
+    finds d when some minimum-weight support contains 0.  tests_run is
+    the lexicographic index of the first dependent support, counting
+    every support of the weights below it.  d is None when that index
+    passes the budget; the second value is then the last fully scanned
+    weight w - 1, and the caller knows d >= w.
+
+    Each weight is a depth-first walk over the support prefixes in lex
+    order (``_support_scan``).  A node carries the residuals of all later
+    columns modulo its prefix's span; a child adding column c scales c's
+    residual to 1 at its lead and clears that lead from every later
+    residual with ``linalg.reduce``.  At depth w - 2 every (w - 1)-subset
+    is independent (d >= w), so the residuals are nonzero and prefix +
+    {a, b} is dependent exactly when the residuals of a and b are
+    parallel: normalised to lead 1 and hashed, the lex-first colliding
+    pair is the node's first dependent support (``_parallel_pair``).
+    A last-level node with r residuals stands for r(r - 1)/2 supports,
+    so the walk counts the nodes before the hit by arithmetic: tests_run
+    is the same lex index that a support-by-support scan reports, and
+    the budget stops the walk at the same support.  With shift every
+    support starts with column 0, the walk's first branch, so column 0
+    is pivoted at the root.  A zero residual, which only a bound above d
+    or a false shift claim can produce, counts as dependent, so such a
+    call returns the lex-first dependent support at w = lower_bound.
     """
     field = C.field
     h = euclidean_parity_check(C)
-    n, l = C.n, C.dim
-    m = n - l
+    n, m = C.n, C.n - C.dim
     if m == 0:
         return 1, 0
-    cols = [tuple(row[j] for row in h) for j in range(n)]
-    reduce, echelon = linalg.reduce, linalg.echelon
+    cols = [[row[j] for row in h] for j in range(n)]
     tests = 0
     for w in range(lower_bound, m + 2):
-        # every smaller support is independent (tested, or below the
-        # bound), so only a support's last column can make it dependent;
-        # lex order keeps the w - 1 column prefix, and its basis, for runs
-        # of consecutive supports
         if shift:
-            supports = ((0,) + s for s in combinations(range(1, n), w - 1))
+            found, count = _support_branch(field, cols, 0, w, budget - tests)
         else:
-            supports = combinations(range(n), w)
-        prefix, basis = None, []
-        for support in supports:
-            tests += 1
-            if tests > budget:
-                return None, w - 1
-            if support[:-1] != prefix:
-                prefix = support[:-1]
-                basis = [(lead, row) for lead, _, row in echelon(field, [cols[j] for j in prefix])]
-            if not any(reduce(field, basis, cols[support[-1]])):
-                return w, tests
+            found, count = _support_scan(field, cols, w, budget - tests)
+        tests += count
+        if tests > budget:
+            return None, w - 1
+        if found:
+            return w, tests
     raise AssertionError("no dependent support up to the Singleton weight")  # unreachable
+
+
+def _support_scan(field: Field, vs, k: int, limit: int) -> tuple[bool, int]:
+    """The lex-first k-subset of the residual columns vs that is linearly
+    dependent: (True, its lex index), or (False, comb(len(vs), k)).
+    Stops with a count above limit once the count passes it."""
+    r = len(vs)
+    if k == 1:
+        zero = next((j for j, v in enumerate(vs) if not any(v)), None)
+        return (False, r) if zero is None else (True, zero + 1)
+    if k == 2:
+        return _parallel_pair(field, vs)
+    done = 0
+    for i in range(r - k + 1):
+        found, count = _support_branch(field, vs, i, k, limit - done)
+        done += count
+        if found or done > limit:
+            return found, done
+    return False, done
+
+
+def _support_branch(field: Field, vs, i: int, k: int, limit: int) -> tuple[bool, int]:
+    """``_support_scan`` over the k-subsets whose first member is vs[i]."""
+    head = vs[i]
+    c = next(filter(None, head), 0)
+    if not c:
+        return True, 1
+    if k == 1:
+        return False, 1
+    basis = [(head.index(c), field.scale(field.inv_code(c), head))]
+    rest = [linalg.reduce(field, basis, v) for v in vs[i + 1:]]
+    return _support_scan(field, rest, k - 1, limit)
+
+
+def _parallel_pair(field: Field, vs) -> tuple[bool, int]:
+    """The lex-first pair of vs whose residuals are parallel (or one is
+    zero): (True, its lex index), or (False, the number of pairs)."""
+    r = len(vs)
+    if r < 2:
+        return False, 0
+    inv, scale = field.inv_code, field.scale
+    first: dict[tuple, int] = {}
+    best = None
+    for j, v in enumerate(vs):
+        c = next(filter(None, v), 0)
+        if not c:
+            pair = (0, j) if j else (0, 1)
+        else:
+            i = first.setdefault(tuple(scale(inv(c), v) if c != 1 else v), j)
+            if i == j:
+                continue
+            pair = (i, j)
+        if best is None or pair < best:
+            best = pair
+    if best is None:
+        return False, r * (r - 1) // 2
+    i, j = best
+    return True, i * (r - 1) - i * (i - 1) // 2 + j - i
 
 
 def _support_cost(n: int, dim: int, lower_bound: int, shift: bool) -> int:

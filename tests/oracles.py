@@ -14,7 +14,7 @@ from galcd import linalg
 from galcd.constacyclic import CatalogRecord, code_from_defining_set, code_params, is_lcd
 from galcd.cosets import CosetContext, bch_lower_bound, enumerate_stable_sets
 from galcd.fields import Field, embedding, mult_order
-from galcd.linear import LinearCode, galois_dual
+from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
 from galcd.polys import Poly
 
 
@@ -142,6 +142,47 @@ def support_scan(C: LinearCode, lower_bound: int = 1, shift: bool = False) -> tu
             if any(s <= set(support) for s in supports):
                 return w, tests
     raise AssertionError("the code has no nonzero codeword")
+
+
+def support_scan_echelon(C: LinearCode, budget: int, lower_bound: int = 1,
+                         shift: bool = False) -> tuple[int | None, int]:
+    """(d, tests) of the support search, support by support.
+
+    The prefix-echelon scan that the depth-first walk of
+    ``linear._distance_supports`` replaced: supports in lex order, each
+    one tested by reducing its last column against an echelon basis of
+    its prefix, rebuilt whenever the prefix changes.  (None, w - 1) once
+    the budget runs out at weight w.
+    """
+    field = C.field
+    h = euclidean_parity_check(C)
+    n, l = C.n, C.dim
+    m = n - l
+    if m == 0:
+        return 1, 0
+    cols = [tuple(row[j] for row in h) for j in range(n)]
+    reduce, echelon = linalg.reduce, linalg.echelon
+    tests = 0
+    for w in range(lower_bound, m + 2):
+        # every smaller support is independent (tested, or below the
+        # bound), so only a support's last column can make it dependent;
+        # lex order keeps the w - 1 column prefix, and its basis, for runs
+        # of consecutive supports
+        if shift:
+            supports = ((0,) + s for s in combinations(range(1, n), w - 1))
+        else:
+            supports = combinations(range(n), w)
+        prefix, basis = None, []
+        for support in supports:
+            tests += 1
+            if tests > budget:
+                return None, w - 1
+            if support[:-1] != prefix:
+                prefix = support[:-1]
+                basis = [(lead, row) for lead, _, row in echelon(field, [cols[j] for j in prefix])]
+            if not any(reduce(field, basis, cols[support[-1]])):
+                return w, tests
+    raise AssertionError("no dependent support up to the Singleton weight")  # unreachable
 
 
 def catalog_per_record(field: Field, n: int, lam, k: int) -> list:

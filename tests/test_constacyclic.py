@@ -25,7 +25,14 @@ from galcd.cosets import act_scale, bch_lower_bound, cyclotomic_cosets, multipli
 from galcd.fields import make_field, mult_order, embedding
 from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
 from galcd.polys import Poly, splitting_field, xn_minus_lambda
-from oracles import brute_min_distance, catalog_per_record, hull_dim, root_test_defining_set, support_scan
+from oracles import (
+    brute_min_distance,
+    catalog_per_record,
+    hull_dim,
+    root_test_defining_set,
+    support_scan,
+    support_scan_echelon,
+)
 
 
 def test_full_space_code():
@@ -264,6 +271,22 @@ def test_hinted_engines_agree_with_bare_engines_and_brute_force(C):
         assert min_distance(G, "messages").d == min_distance(G, "messages", **hints).d == d
     if size <= 2000:
         assert brute_min_distance(G) == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_constacyclic_codes().filter(lambda C: 0 < C.dim < C.n <= 10), st.integers(0, 300))
+def test_shift_walk_matches_both_oracles(C, budget):
+    """With the shift: (d, tests) from every valid bound, the refusal one test short, any budget."""
+    G = to_generator_matrix(C)
+    d = support_scan_echelon(G, 10**9)[0]
+    for bound in range(1, d + 1):
+        found = support_scan_echelon(G, 10**9, bound, True)
+        assert found[0] == d and _distance_supports(G, 10**9, bound, True) == found
+        assert _distance_supports(G, found[1] - 1, bound, True) == (None, d - 1)
+    if C.field.q**C.dim <= 1024:
+        for bound in (1, *range(d + 1, C.n - C.dim + 2)):
+            assert _distance_supports(G, 10**9, bound, True) == support_scan(G, bound, shift=True)
+    assert _distance_supports(G, budget, 1, True) == support_scan_echelon(G, budget, 1, True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,13 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galcd import linalg
+from galcd import linalg, linear
+from galcd.constacyclic import _family, code_from_defining_set, to_generator_matrix
+from galcd.cosets import bch_lower_bound
 from galcd.fields import make_field, sqrt_minus_one
 from galcd.linear import (
     BudgetExceeded,
@@ -18,7 +21,13 @@ from galcd.linear import (
     min_distance,
     p_power_code,
 )
-from oracles import brute_min_distance, hull_dim, literal_intersection_dim, support_scan
+from oracles import (
+    brute_min_distance,
+    hull_dim,
+    literal_intersection_dim,
+    support_scan,
+    support_scan_echelon,
+)
 
 
 def _ex24_code():
@@ -49,6 +58,20 @@ def test_linear_code_construction_and_validation():
     assert zero.dim == 0 and zero.n == 4
     with pytest.raises(ValueError):
         LinearCode(f8, [[3, 1]])  # 3 is not below p = 2
+
+
+def test_generator_rows_kept_as_bytes_or_tuples():
+    """Rows over GF(q <= 256) are stored as bytes, larger fields keep tuples; both read back alike."""
+    for pe in [(2, 1), (2, 8), (3, 6)]:
+        field = make_field(*pe)
+        top, mid = field.from_code(field.q - 1), field.from_code(field.q // 2)
+        rows = [[field.one, field.zero, top, mid], [field.zero, field.one, mid, field.zero]]
+        C = LinearCode(field, rows)
+        assert C.generator() == rows and C.dim == 2
+        assert C.rows == ((1, 0, field.q - 1, field.q // 2), (0, 1, field.q // 2, 0))
+        assert C.codes_matrix() == [list(r) for r in C.rows]
+        assert LinearCode._trusted(field, C.codes_matrix(), 4) == C
+        assert hash(LinearCode.from_json(C.to_json())) == hash(C)
 
 
 def test_linear_code_json_round_trip():
@@ -299,6 +322,103 @@ def test_support_search_counts_match_codeword_oracle(pe, l, n):
         d, tests = support_scan(C)
         assert _distance_supports(C, 10**9) == (d, tests)
         assert _distance_supports(C, tests - 1) == (None, d - 1)
+
+
+@st.composite
+def standard_form_codes(draw):
+    """[I | A] with dim < n <= 10 over GF(2), GF(3), GF(4), GF(5) or GF(7), q^dim <= 1024."""
+    field = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])))
+    n = draw(st.integers(2, 10))
+    l = draw(st.integers(1, max(l for l in range(1, n) if l == 1 or field.q**l <= 1024)))
+    a = draw(st.lists(st.integers(0, field.q - 1), min_size=l * (n - l), max_size=l * (n - l)))
+    rows = [[int(i == j) for j in range(l)] + a[i * (n - l):(i + 1) * (n - l)] for i in range(l)]
+    return LinearCode._trusted(field, rows, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(standard_form_codes(), st.integers(0, 300))
+def test_support_walk_matches_both_oracles(C, budget):
+    """(d, tests) from every valid bound, the refusal one test short, and any budget."""
+    d, tests = support_scan(C)
+    assert _distance_supports(C, 10**9) == (d, tests) == support_scan_echelon(C, 10**9)
+    for bound in range(1, d + 1):
+        found = support_scan_echelon(C, 10**9, bound)
+        assert found[0] == d and _distance_supports(C, 10**9, bound) == found
+        assert _distance_supports(C, found[1] - 1, bound) == (None, d - 1)
+    assert _distance_supports(C, 10**9, d) == support_scan(C, d)
+    # a bound above d: the lex-first dependent support of that weight
+    for bound in range(d + 1, C.n - C.dim + 2):
+        assert _distance_supports(C, 10**9, bound) == support_scan(C, bound)
+    assert _distance_supports(C, budget) == support_scan_echelon(C, budget)
+
+
+def test_support_walk_edge_cases():
+    f3, f5 = make_field(3, 1), make_field(5, 1)
+    # e_2 is a codeword: parity-check column 2 is zero
+    zero_col = LinearCode(f3, [[0, 0, 1, 0], [1, 1, 0, 2]])
+    assert _distance_supports(zero_col, 10**9) == (1, 3) == support_scan(zero_col)
+    # the word (0, 1, 4, 0, 0): columns 1 and 2 are parallel, not equal
+    parallel = LinearCode(f5, [[1, 0, 0, 2, 3], [0, 1, 4, 0, 0]])
+    assert _distance_supports(parallel, 10**9) == support_scan(parallel) == support_scan_echelon(parallel, 10**9)
+    assert _distance_supports(parallel, 10**9)[0] == 2
+    assert _distance_supports(parallel, 10**9, 2) == support_scan(parallel, 2)
+    # dim = n: no parity checks, every coordinate is a word
+    full = LinearCode(f5, linalg.identity(3))
+    assert _distance_supports(full, 10**9) == (1, 0) == support_scan_echelon(full, 10**9)
+    # the shift at w = 2: supports (0, b) only, column 0 pivoted at the root
+    g = LinearCode(f3, [[1, 0, 1, 0], [0, 1, 0, 1]])  # g, x*g for g = x^2 + 1 | x^4 - 1
+    assert _distance_supports(g, 10**9, 2, True) == (2, 2) == support_scan(g, 2, shift=True)
+    assert _distance_supports(g, 10**9, 1, True) == (2, 3) == support_scan(g, 1, shift=True)
+    assert _distance_supports(g, 2, 1, True) == (None, 1)
+
+
+def test_support_walk_stops_at_its_budget(monkeypatch):
+    """A refused walk leaves the later nodes of its weight unvisited."""
+    f2 = make_field(2, 1)
+    rep = LinearCode(f2, [[1] * 40])  # [40, 1, 40]: 40 + 780 supports below weight 3
+    calls = []
+    reduce = linalg.reduce
+
+    def counting_reduce(field, basis, vec):
+        calls.append(1)
+        return reduce(field, basis, vec)
+
+    monkeypatch.setattr(linalg, "reduce", counting_reduce)
+    # the weight-3 branch of column 0 covers 741 supports, more than the 10 left:
+    # its 39 reductions and the parity check's, not the 779 of the whole weight
+    assert _distance_supports(rep, 830) == (None, 2)
+    assert len(calls) < 2 * rep.n
+
+
+# (p, e, n, lambda as an integer): every code with 1 < q^dim <= 729
+CHUNK_CONTEXTS = [(2, 1, 7, 1), (3, 1, 8, -1), (2, 2, 5, 1), (5, 1, 6, -1)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_message_buffers_across_chunk_boundaries(chunk, monkeypatch):
+    """Each chunk reuses the same buffers: partial last chunks and stops at the bound
+    must see no words of an earlier chunk."""
+    monkeypatch.setattr(linear, "_CHUNK", chunk)
+    rng = random.Random(f"chunks-{chunk}")
+    for pe, l, n in [((2, 1), 3, 7), ((3, 1), 2, 5), ((2, 2), 2, 6), ((5, 1), 3, 5)]:
+        field = make_field(*pe)
+        for _ in range(3):
+            C = _random_code(rng, field, l, n)
+            d = brute_min_distance(C)
+            assert min_distance(C, "messages").d == d
+            assert min_distance(C, "messages", lower_bound=d).d == d
+    for p, e, n, lam in CHUNK_CONTEXTS:
+        field = make_field(p, e)
+        lam = field.from_int(lam)
+        cosets_ = _family(field, n, lam).cosets
+        for take in product((False, True), repeat=len(cosets_)):
+            C = code_from_defining_set(field, n, lam, [x for t, c in zip(take, cosets_) if t for x in c])
+            if not 1 < field.q**C.dim <= 729:
+                continue
+            G = to_generator_matrix(C)
+            d = brute_min_distance(G)
+            for bound in (1, bch_lower_bound(C.P), d):
+                assert min_distance(G, "messages", lower_bound=bound, shift=True).d == d
 
 
 def test_min_distance_hints_are_validated():
