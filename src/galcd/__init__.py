@@ -7,6 +7,7 @@ from galcd.constacyclic import (
     classify_all_lcd,
     code_from_defining_set,
     code_params,
+    factor_xn_minus_lambda,
     from_generator_polynomial,
     galois_dual_code,
     hermitian_mds_family,
@@ -52,7 +53,6 @@ from galcd.linear import (
 )
 from galcd.polys import (
     Poly,
-    factor_xn_minus_lambda,
     frobenius_poly,
     minimal_poly,
     reciprocal,

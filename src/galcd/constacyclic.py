@@ -17,6 +17,7 @@ record theta next to every defining set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 from typing import Iterable
 
 from galcd.cosets import (
@@ -99,6 +100,25 @@ def _family(field: Field, n: int, lam: Element) -> _Family:
         fam = build_family(field, n, lam)
         _FAMILY_CACHE[key] = fam
     return fam
+
+
+def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], Poly]]:
+    """Irreducible factors of x^n - lambda, one per q-cyclotomic coset.
+
+    Returns (coset, factor) pairs sorted by the smallest coset member,
+    where cosets live on the exponent set {1 + r t mod rn} of a fixed
+    primitive rn-th root theta with theta^n = lambda.
+    """
+    base = lam.field
+    if gcd(n, base.p) != 1:
+        raise ValueError(f"length {n} must be coprime to the characteristic {base.p}")
+    fam = _family(base, n, lam)
+    return [(c, fam.minpolys[c[0]]) for c in fam.cosets]
+
+
+def constacyclic_root(base: Field, n: int, lam: Element) -> Element:
+    """The canonical primitive rn-th root theta with theta^n = lambda."""
+    return _family(base, n, lam).theta
 
 
 @dataclass(frozen=True, slots=True)

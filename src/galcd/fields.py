@@ -21,7 +21,8 @@ other modules use the scalar calls and the row kernels ``axpy``,
 the q*q tables as row lists (prime fields reduce mod p instead).  Filled
 lazily on first use: ``_qm1_factors`` (the factorization of q - 1),
 ``_primitive`` when q > 2^16, ``_tables`` (the q*q numpy tables of
-``tables()``, q <= 2200) and ``_cache`` (memoized embeddings).  Sharing a field between threads
+``tables()``, q <= 2200, which only message enumeration reads) and
+``_cache`` (memoized embeddings).  Sharing a field between threads
 is still safe: each lazy value is deterministic, so threads that race
 compute equal values, and each write is one attribute or dict-item
 assignment, so no thread can see a partial value.  A race only repeats
@@ -279,6 +280,7 @@ class Field:
             self._build_log_tables()
         if self.e > 1 and self.q <= _ROW_TABLE_LIMIT:
             self._mul, self._add = (t.tolist() for t in self.tables())
+            self._tables = None  # only message enumeration reads the arrays; tables() rebuilds them
 
     # -- construction helpers ------------------------------------------------
 

@@ -6,7 +6,7 @@ are exact; these are small-matrix workhorses (n up to a few dozen), not
 BLAS.
 
 Gaussian elimination is written once, in ``echelon`` and ``reduce``:
-``rank``, ``det`` and ``rref`` (so ``nullspace`` and ``same_row_space``)
+``rank``, ``det``, ``rref`` (so ``nullspace``) and ``same_row_space``
 run on them.  The support search of ``galcd.linear`` carries residual
 parity-check columns down its support tree and, at each child, clears
 the new column's pivot from every later residual with one ``reduce``
@@ -133,13 +133,9 @@ def nullspace(field: Field, mat, width: int | None = None) -> Matrix:
 
 
 def same_row_space(field: Field, a, b) -> bool:
-    if not a and not b:
-        return True
-    ra = rref(field, a)[0] if a else []
-    rb = rref(field, b)[0] if b else []
-    ra = [row for row in ra if any(row)]
-    rb = [row for row in rb if any(row)]
-    return ra == rb
+    """Equal row spaces: b has a's rank and reduces to zero against a's basis."""
+    basis = [(lead, row) for lead, _, row in echelon(field, a) if lead is not None]
+    return rank(field, b) == len(basis) and not any(any(reduce(field, basis, row)) for row in b)
 
 
 def to_elements(field: Field, mat) -> list[list[Element]]:

@@ -245,23 +245,13 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
 # Minimum distance
 # ---------------------------------------------------------------------------
 
-def _distance_messages(C: LinearCode, budget: int, lower_bound: int, shift: bool) -> int:
+def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
     field, rows = C.field, C.rows
     q, n = field.q, C.n
-    if shift:
-        # digit 0 = 1 reaches a multiple of every word nonzero at
-        # coordinate 0 only if row 0 alone is nonzero in column 0
-        if not rows[0][0] or any(row[0] for row in rows[1:]):
-            raise ValueError("shift needs a generator whose column 0 is nonzero in row 0 only")
-        free, first = rows[1:], 0
-    else:
-        free, first = rows, 1
+    # with shift, message digit 0 is fixed to 1 (min_distance checked the shape)
+    free, first = (rows[1:], 0) if shift else (rows, 1)
     l = len(free)
     total = q**l
-    if total > budget:
-        raise BudgetExceeded(f"message enumeration needs {total} > budget {budget}")
-    if q > TABLE_LIMIT:
-        raise BudgetExceeded(f"field GF({q}) too large for table-driven enumeration")
     mul, add = field.tables()
     add_flat = add.reshape(-1)
     # row i's products digit * g_i, one (q, n) table per generator row
@@ -429,9 +419,12 @@ def min_distance(
 
     "messages" walks all q^dim codewords; "supports" finds the least w
     such that w columns of a parity-check matrix are dependent.  "auto"
-    picks the cheaper feasible one.  If no strategy fits its budget the
-    result is the interval [lower_bound, n - dim + 1] flagged inexact,
-    or [w, n - dim + 1] once support search has cleared every weight
+    picks the cheaper engine that fits its budget, or returns
+    [lower_bound, n - dim + 1] flagged inexact when neither fits; support
+    search fits only if every support it could test does, so "auto"
+    never returns a partially scanned interval.  Explicit "messages" that
+    does not fit raises BudgetExceeded; explicit "supports" over its
+    budget returns [w, n - dim + 1] once it has cleared every weight
     below w.
 
     Two hints cut the work for callers that know more about C; the
@@ -445,37 +438,41 @@ def min_distance(
       every support by +1 mod n, as the constacyclic shift does, so some
       minimum-weight word is nonzero at coordinate 0.  Support search
       then tests only the supports that contain 0.  Message enumeration
-      fixes message digit 0 to 1 (q^(dim-1) messages), which needs row 0
-      to be the only row nonzero in column 0, as in the rows x^i g(x) of
-      a constacyclic code; it raises ValueError on any other generator.
+      fixes message digit 0 to 1 (q^(dim-1) messages).  Every strategy
+      needs row 0 to be the only row nonzero in column 0, as in the rows
+      x^i g(x) of a constacyclic code, and raises ValueError on any
+      other generator.
     """
     if C.dim == 0:
         raise ValueError("the zero code has no minimum distance")
     top = C.n - C.dim + 1
     if not 1 <= lower_bound <= top:
         raise ValueError(f"lower_bound {lower_bound} outside [1, n - dim + 1 = {top}]")
+    if strategy not in ("auto", "messages", "supports"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rows = C._rows
+    # digit 0 = 1 reaches a multiple of every word nonzero at
+    # coordinate 0 only if row 0 alone is nonzero in column 0
+    if shift and (not rows[0][0] or any(row[0] for row in rows[1:])):
+        raise ValueError("shift needs a generator whose column 0 is nonzero in row 0 only")
     q = C.field.q
     msg_cost = q ** (C.dim - 1 if shift else C.dim)
-    sup_cost = _support_cost(C.n, C.dim, lower_bound, shift)
-    msg_ok = msg_cost <= budget_messages and q <= TABLE_LIMIT
-    sup_ok = sup_cost <= budget_supports
-
-    if strategy == "messages":
-        return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages, lower_bound, shift), True)
+    if strategy == "auto":
+        msg_ok = msg_cost <= budget_messages and q <= TABLE_LIMIT
+        sup_cost = _support_cost(C.n, C.dim, lower_bound, shift)
+        if sup_cost <= budget_supports and (not msg_ok or sup_cost <= msg_cost):
+            strategy = "supports"
+        elif msg_ok:
+            strategy = "messages"
+        else:
+            return CodeParams(C.n, C.dim, (lower_bound, top), False)
     if strategy == "supports":
         d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
         if d is None:
             return CodeParams(C.n, C.dim, (scanned + 1, top), False)
         return CodeParams(C.n, C.dim, d, True)
-    if strategy != "auto":
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    lo = lower_bound
-    if sup_ok and (not msg_ok or sup_cost <= msg_cost):
-        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
-        if d is not None:
-            return CodeParams(C.n, C.dim, d, True)
-        lo = scanned + 1
-    if msg_ok:
-        return CodeParams(C.n, C.dim, _distance_messages(C, budget_messages, lower_bound, shift), True)
-    return CodeParams(C.n, C.dim, (lo, top), False)
+    if msg_cost > budget_messages:
+        raise BudgetExceeded(f"message enumeration needs {msg_cost} > budget {budget_messages}")
+    if q > TABLE_LIMIT:
+        raise BudgetExceeded(f"field GF({q}) too large for table-driven enumeration")
+    return CodeParams(C.n, C.dim, _distance_messages(C, lower_bound, shift), True)

@@ -7,7 +7,6 @@ arithmetic is exact, so polynomial equality is coefficient equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -217,32 +216,9 @@ def minimal_poly(coset: Iterable[int], theta: Element, base: Field) -> Poly:
     return Poly(base, tuple(codes))
 
 
-def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], Poly]]:
-    """Irreducible factors of x^n - lambda, one per q-cyclotomic coset.
-
-    Returns (coset, factor) pairs sorted by the smallest coset member,
-    where cosets live on the exponent set {1 + r t mod rn} of a fixed
-    primitive rn-th root theta with theta^n = lambda.
-    """
-    base = lam.field
-    if math.gcd(n, base.p) != 1:
-        raise ValueError(f"length {n} must be coprime to the characteristic {base.p}")
-    from galcd.constacyclic import _family
-
-    fam = _family(base, n, lam)
-    return [(c, fam.minpolys[c[0]]) for c in fam.cosets]
-
-
 def splitting_field(base: Field, rn: int) -> Field:
     """GF(q^m) for the least m with rn | q^m - 1."""
     m = 1 if rn == 1 else multiplicative_order(base.q % rn, rn)
     if m == 1:
         return base
     return make_field(base.p, base.e * m)
-
-
-def constacyclic_root(base: Field, n: int, lam: Element) -> Element:
-    """The canonical primitive rn-th root theta with theta^n = lambda."""
-    from galcd.constacyclic import _family
-
-    return _family(base, n, lam).theta

@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from galcd import constacyclic, cosets, linear
+from galcd.constacyclic import factor_xn_minus_lambda
 from galcd.cosets import CosetContext, DefiningSet
 from galcd.fields import make_field, mult_order, multiplicative_order, frobenius_pow
 from galcd.linalg import rank
 from galcd.linear import LinearCode, galois_inner_product
-from galcd.polys import factor_xn_minus_lambda
 
 EXAMPLE_IDS = ("2.4", "3.8", "3.14", "3.15", "4.5", "4.8")
 

@@ -210,6 +210,13 @@ def intersection_dim(field: Field, A: LinearCode, B: LinearCode) -> int:
     return A.dim + B.dim - linalg.rank(field, stacked)
 
 
+def rref_same_row_space(field: Field, a, b) -> bool:
+    """Row-space equality as the nonzero rows of the two reduced echelon forms."""
+    ra = [row for row in linalg.rref(field, a)[0] if any(row)]
+    rb = [row for row in linalg.rref(field, b)[0] if any(row)]
+    return ra == rb
+
+
 def hull_dim(C: LinearCode, k: int) -> int:
     return intersection_dim(C.field, C, galois_dual(C, k))
 

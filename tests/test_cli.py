@@ -116,6 +116,34 @@ def test_mindist_paths(capsys):
     assert code == 2 and "refused" in err
 
 
+def test_mindist_reads_the_generator_from_a_file(capsys, tmp_path):
+    gen = tmp_path / "gen.json"
+    gen.write_text("[[1,2,1,0,0,0,0,0],[1,1,2,1,0,0,0,0],[0,0,1,2,1,0,0,0]]")
+    code, out, err = run(capsys, "mindist", "-p", "3", "-e", "1", "-n", "8", "--gen", f"@{gen}")
+    assert (code, err) == (0, "")
+    assert out == 'params: [8,3,2]\n{"d":2,"dim":3,"exact":true,"mds":false,"n":8}\n'
+
+
+def test_budget_refusals_print_what_was_found_and_exit_2(capsys):
+    # a partial support scan still prints its interval before refusing
+    code, out, err = run(
+        capsys, "mindist", "-p", "5", "-e", "3", "-k", "1", "-n", "13", "--lambda", "-1",
+        "--defining-set", "1,5,21,25", "--strategy", "supports", "--budget-supports", "1")
+    assert code == 2
+    assert out == 'params: [13,9,3..5]\n{"d":[3,5],"dim":9,"exact":false,"mds":false,"n":13}\n'
+    assert err == "refused: exact distance exceeds the enumeration budgets\n"
+
+    code, out, err = run(capsys, "reproduce", "2.4", "--budget-messages", "1")
+    assert (code, out) == (2, "")
+    assert err == "refused: message enumeration needs 64 > budget 1\n"
+
+
+def test_cosets_rejects_a_zero_lambda(capsys):
+    code, out, err = run(capsys, "cosets", "-p", "3", "-e", "2", "-n", "4", "--lambda", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: lambda must be nonzero\n"
+
+
 def test_extend_command(capsys):
     code, out, _ = run(
         capsys, "extend", "-p", "5", "-e", "1", "-k", "0", "--mode", "pmod4",

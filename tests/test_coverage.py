@@ -20,7 +20,7 @@ TRACKED_OPS = [
     polys.reciprocal,
     polys.frobenius_poly,
     polys.minimal_poly,
-    polys.factor_xn_minus_lambda,
+    constacyclic.factor_xn_minus_lambda,
     cosets.cyclotomic_cosets,
     cosets.act_scale,
     cosets.dual_defining_set,

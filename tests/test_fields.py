@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import random
@@ -311,6 +312,19 @@ def test_tables_match_raw_products_and_digitwise_sums_on_every_small_field():
             assert f._mul is f._add is None
 
 
+@pytest.mark.parametrize("p,e", [(5, 3), (23, 2), (7, 1)])
+def test_numpy_tables_are_built_on_first_use_from_the_same_rule(p, e):
+    f = Field(p, e, default_modulus(p, e))  # not memoized: a fresh field
+    assert f._tables is None
+    mul, add = f.tables()
+    assert f._tables is not None
+    if e > 1:
+        assert (mul.tolist(), add.tolist()) == (f._mul, f._add)
+    else:
+        assert mul.tolist() == [[a * b % p for b in range(p)] for a in range(p)]
+        assert add.tolist() == [[(a + b) % p for b in range(p)] for a in range(p)]
+
+
 @pytest.mark.parametrize("p,e", [(2, 9), (23, 2), (5, 4), (2, 11), (13, 3)])
 def test_tables_match_raw_products_and_digitwise_sums_on_sampled_pairs(p, e):
     f = Field(p, e, default_modulus(p, e))  # not memoized: the large tables go with it
@@ -350,6 +364,34 @@ def test_only_the_fields_module_reads_the_tables():
     readers = [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "fields.py"
                for i, line in enumerate(path.read_text().splitlines(), 1) if private.search(line)]
     assert readers == []
+
+
+def test_galcd_imports_only_at_module_level_and_without_cycles():
+    src = pathlib.Path(fields.__file__).parent
+    graph, nested = {}, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+        targets = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "galcd":
+                targets |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("galcd."):
+                targets.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                targets |= {a.name.split(".")[1] for a in node.names if a.name.startswith("galcd.")}
+        graph[path.stem] = targets - {path.stem}
+    assert nested == []
+    del graph["__init__"]  # the package re-exports every module; no module imports it back
+    assert not any("__init__" in targets for targets in graph.values())
+    order = []  # peel off modules whose galcd imports are all placed
+    while len(order) < len(graph):
+        ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))
+        assert ready, f"import cycle among {sorted(set(graph) - set(order))}"
+        order += ready
 
 
 def test_field_set_up_multiplies_about_q_times(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from galcd import linalg
 from galcd.fields import make_field
+from oracles import rref_same_row_space
 
 
 def _random_matrix(rng, field, m, n):
@@ -121,6 +122,31 @@ def test_same_row_space():
     assert linalg.same_row_space(field, a, scaled)
     assert not linalg.same_row_space(field, a, b)
     assert linalg.same_row_space(field, [], [])
+    zero = [[0, 0, 0]]
+    assert linalg.same_row_space(field, zero, [])
+    assert linalg.same_row_space(field, [], zero + zero)
+    assert linalg.same_row_space(field, a + zero, scaled)
+    assert not linalg.same_row_space(field, a, [])
+    assert not linalg.same_row_space(field, [], a)
+    assert not linalg.same_row_space(field, zero, a)
+    # a strict subspace either way round, and a same-rank space that differs
+    assert not linalg.same_row_space(field, a, a[:1])
+    assert not linalg.same_row_space(field, a[:1], a)
+    assert not linalg.same_row_space(field, a[:1], [[0, 1, 4]])
+    # seeded pairs against the comparison of the two reduced echelon forms
+    rng = random.Random(23)
+    for pe in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
+        field = make_field(*pe)
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            a = _random_matrix(rng, field, rng.randrange(0, 5), n)
+            # b: random combinations of a's rows (its space or a subspace), or unrelated rows
+            if a and rng.random() < 0.7:
+                b = linalg.matmul(field, _random_matrix(rng, field, rng.randrange(1, 6), len(a)), a)
+            else:
+                b = _random_matrix(rng, field, rng.randrange(0, 5), n)
+            for x, y in ((a, b), (b, a), (a, a), (b, b)):
+                assert linalg.same_row_space(field, x, y) == rref_same_row_space(field, x, y), (pe, x, y)
 
 
 def test_det_multiplicative():

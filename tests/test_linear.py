@@ -1,8 +1,9 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galcd import linalg, linear
@@ -429,10 +430,70 @@ def test_min_distance_hints_are_validated():
         for strategy in ("auto", "messages", "supports"):
             with pytest.raises(ValueError, match="lower_bound"):
                 min_distance(C, strategy, lower_bound=bound)
-    # fixing message digit 0 needs row 0 to be the only row nonzero in column 0
-    for rows in ([[1, 2, 1, 0], [1, 1, 2, 1]], [[0, 1, 2, 1], [0, 0, 1, 2]]):
-        with pytest.raises(ValueError, match="column 0"):
-            min_distance(LinearCode(f3, rows), "messages", shift=True)
+    # the shift needs row 0 to be the only row nonzero in column 0, whatever the engine
+    eight = [[1, 2, 1, 0, 0, 0, 0, 0], [1, 1, 2, 1, 0, 0, 0, 0], [0, 0, 1, 2, 1, 0, 0, 0]]
+    for rows in ([[1, 2, 1, 0], [1, 1, 2, 1]], [[0, 1, 2, 1], [0, 0, 1, 2]], eight):
+        for strategy in ("messages", "supports", "auto"):
+            with pytest.raises(ValueError, match="column 0"):
+                min_distance(LinearCode(f3, rows), strategy, shift=True)
+    assert str(min_distance(LinearCode(f3, eight), "supports")) == "[8,3,2]"
+
+
+@st.composite
+def _distance_cases(draw):
+    """A small code over GF(2), GF(3), GF(4) or GF(5) and its hints: a bare
+    random code, or a constacyclic code with its BCH bound and the shift."""
+    field = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        dim = draw(st.integers(1, n).filter(lambda l: field.q**l <= 4096))
+        return _random_code(random.Random(draw(st.integers(0, 10**6))), field, dim, n), {}
+    n = draw(st.integers(1, 10).filter(lambda n: n % field.p))
+    lam = field.from_code(draw(st.integers(1, field.q - 1)))
+    cosets_ = _family(field, n, lam).cosets
+    take = draw(st.lists(st.booleans(), min_size=len(cosets_), max_size=len(cosets_)))
+    C = code_from_defining_set(field, n, lam, [x for t, c in zip(take, cosets_) if t for x in c])
+    assume(C.dim > 0 and field.q**C.dim <= 4096)
+    return to_generator_matrix(C), {"lower_bound": bch_lower_bound(C.P), "shift": True}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distance_cases(), st.integers(2, 60))
+def test_min_distance_decision_table(case, small):
+    """Every strategy under budgets 0, 1, small and default: exact and equal to
+    brute force whenever the chosen engine fits, BudgetExceeded only from
+    explicit "messages", and every interval from "auto" is the whole
+    [lower_bound, n - dim + 1]."""
+    C, hints = case
+    d = brute_min_distance(C)
+    lb, shift = hints.get("lower_bound", 1), hints.get("shift", False)
+    top = C.n - C.dim + 1
+    msg_cost = C.field.q ** (C.dim - shift)
+    sup_cost = sum(comb(C.n - 1, w - 1) if shift else comb(C.n, w) for w in range(lb, top + 1))
+    budgets = (0, 1, small, None)
+    for strategy, bm, bs in product(("auto", "messages", "supports"), budgets, budgets):
+        kw = dict(hints)
+        if bm is not None:
+            kw["budget_messages"] = bm
+        if bs is not None:
+            kw["budget_supports"] = bs
+        msg_fits = msg_cost <= kw.get("budget_messages", linear.DEFAULT_MESSAGE_BUDGET)
+        sup_fits = sup_cost <= kw.get("budget_supports", linear.DEFAULT_SUPPORT_BUDGET)
+        fits = {"messages": msg_fits, "supports": sup_fits, "auto": msg_fits or sup_fits}[strategy]
+        try:
+            prm = min_distance(C, strategy, **kw)
+        except BudgetExceeded:
+            assert strategy == "messages" and not msg_fits
+            continue
+        assert (prm.n, prm.dim) == (C.n, C.dim)
+        # a partial scan of explicit "supports" may still end on d
+        assert prm.exact == fits or (strategy == "supports" and not fits)
+        if prm.exact:
+            assert prm.d == d
+        elif strategy == "auto":
+            assert prm.d == (lb, top)
+        else:
+            assert strategy == "supports" and lb <= prm.d[0] <= d and prm.d[1] == top
 
 
 def test_code_params_validation():

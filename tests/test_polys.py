@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galcd.constacyclic import constacyclic_root, factor_xn_minus_lambda
 from galcd.fields import make_field, embedding
 from galcd.polys import (
     Poly,
-    constacyclic_root,
-    factor_xn_minus_lambda,
     frobenius_poly,
     minimal_poly,
     poly_from_json,
