@@ -17,6 +17,7 @@ record theta next to every defining set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from math import gcd
 from typing import Iterable
 
@@ -62,7 +63,6 @@ class _Family:
     base_ctx: CosetContext           # k = 0; cosets do not depend on k
     cosets: tuple[tuple[int, ...], ...]
     minpolys: dict[int, Poly]        # smallest coset member -> M_Q
-    ctxs: dict[int, CosetContext] = dc_field(default_factory=dict)  # k -> context, see _ctx_with_k
 
 
 def build_family(field: Field, n: int, lam: Element, theta: Element | None = None) -> _Family:
@@ -87,19 +87,13 @@ def build_family(field: Field, n: int, lam: Element, theta: Element | None = Non
         prod = prod * mq
     if prod != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
-    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys, {0: ctx})
+    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys)
 
 
-_FAMILY_CACHE: dict = {}
-
-
+@cache
 def _family(field: Field, n: int, lam: Element) -> _Family:
-    key = (field, n, lam.code)
-    fam = _FAMILY_CACHE.get(key)
-    if fam is None:
-        fam = build_family(field, n, lam)
-        _FAMILY_CACHE[key] = fam
-    return fam
+    """The one family per (field, n, lambda)."""
+    return build_family(field, n, lam)
 
 
 def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], Poly]]:
@@ -166,12 +160,10 @@ class ConstacyclicCode:
         )
 
 
+@cache
 def _ctx_with_k(fam: _Family, k: int) -> CosetContext:
-    """The family's context for Galois parameter k, one per (family, k)."""
-    ctx = fam.ctxs.get(k)
-    if ctx is None:
-        ctx = fam.ctxs[k] = CosetContext(p=fam.field.p, e=fam.field.e, k=k, n=fam.n, r=fam.r)
-    return ctx
+    """The family's context for Galois parameter k, one per (family, k); families hash by identity."""
+    return CosetContext(p=fam.field.p, e=fam.field.e, k=k, n=fam.n, r=fam.r)
 
 
 def code_from_defining_set(

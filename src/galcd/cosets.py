@@ -241,7 +241,7 @@ def _coset_map(ctx: CosetContext) -> dict[int, tuple[int, ...]]:
     return {c[0]: c for c in cyclotomic_cosets(ctx)}
 
 
-def _tau(ctx: CosetContext) -> dict[int, int]:
+def tau(ctx: CosetContext) -> dict[int, int]:
     """The permutation induced by -p^k on cosets, keyed by smallest members."""
     if not frame_preserved(ctx):
         raise ValueError(
@@ -257,19 +257,19 @@ def _tau(ctx: CosetContext) -> dict[int, int]:
 
 def tau_cycles(ctx: CosetContext) -> tuple[tuple[int, ...], ...]:
     """Cycles of the -p^k action on cosets, each a tuple of coset keys."""
-    tau = _tau(ctx)
+    perm = tau(ctx)
     seen: set[int] = set()
     cycles = []
-    for key in sorted(tau):
+    for key in sorted(perm):
         if key in seen:
             continue
         cyc = [key]
         seen.add(key)
-        x = tau[key]
+        x = perm[key]
         while x != key:
             cyc.append(x)
             seen.add(x)
-            x = tau[x]
+            x = perm[x]
         cycles.append(tuple(cyc))
     return tuple(cycles)
 

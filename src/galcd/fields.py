@@ -18,13 +18,13 @@ Fields and elements are immutable.  Only this module reads the tables;
 other modules use the scalar calls and the row kernels ``axpy``,
 ``axmy`` and ``scale``.  Built at construction: ``_exp``/``_log``
 (q <= 2^16), and for extension fields with q <= 600 ``_mul``/``_add``,
-the q*q tables as row lists (prime fields reduce mod p instead).  Filled
-lazily on first use: ``_qm1_factors`` (the factorization of q - 1),
-``_primitive`` when q > 2^16, ``_tables`` (the q*q numpy tables of
-``tables()``, q <= 2200, which only message enumeration reads) and
-``_cache`` (memoized embeddings).  Sharing a field between threads
-is still safe: each lazy value is deterministic, so threads that race
-compute equal values, and each write is one attribute or dict-item
+the q*q tables as row lists that share one int object per code (prime
+fields reduce mod p instead).  Filled lazily on first use:
+``_qm1_factors`` (the factorization of q - 1), ``_primitive`` when
+q > 2^16 and ``_tables`` (the q*q numpy tables of ``tables()``,
+q <= 2200, which only message enumeration reads).  Sharing a field
+between threads is still safe: each lazy value is deterministic, so
+threads that race compute equal values, and each write is one attribute
 assignment, so no thread can see a partial value.  A race only repeats
 work.
 """
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -262,7 +263,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_mul", "_add", "_tables",
-        "_qm1_factors", "_primitive", "_cache",
+        "_qm1_factors", "_primitive",
     )
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -272,14 +273,14 @@ class Field:
         self.modulus = modulus
         self._qm1_factors: dict[int, int] | None = None
         self._primitive: int | None = None
-        self._cache: dict = {}
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._mul = self._add = self._tables = None
         if self.q <= _LOG_TABLE_LIMIT:
             self._build_log_tables()
         if self.e > 1 and self.q <= _ROW_TABLE_LIMIT:
-            self._mul, self._add = (t.tolist() for t in self.tables())
+            codes = np.array(range(self.q), dtype=object)  # one int object per code
+            self._mul, self._add = (codes[t].tolist() for t in self.tables())
             self._tables = None  # only message enumeration reads the arrays; tables() rebuilds them
 
     # -- construction helpers ------------------------------------------------
@@ -384,9 +385,9 @@ class Field:
 
     def frob_code(self, a: int, j: int) -> int:
         """a^(p^j) on codes."""
-        if a == 0:
-            return 0
-        return self.pow_code(a, pow(self.p, j, self.q - 1) if self.q > 2 else 1)
+        if a == 0 or j % self.e == 0:
+            return a
+        return self.pow_code(a, pow(self.p, j, self.q - 1))
 
     # -- tables and row kernels -----------------------------------------------
 
@@ -591,39 +592,37 @@ def element_from_json(field: Field, arr: Sequence[int]) -> Element:
     return field.from_coeffs(arr)
 
 
-_FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], Field] = {}
-
-
 def make_field(p: int, e: int, modulus: Sequence[int] | None = None) -> Field:
     """Construct (or fetch the memoized) GF(p^e).
 
     The modulus, when given, is a coefficient vector constant term
     first; it must be monic of degree e and irreducible over GF(p).
+    Two functools.cache memos share the work: ``_make_field`` per
+    spelling of the arguments, ``_field`` per canonical (p, e, modulus).
     """
+    return _make_field(p, e, None if modulus is None else tuple(int(c) for c in modulus))
+
+
+@cache
+def _make_field(p: int, e: int, modulus: tuple[int, ...] | None) -> Field:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    key_mod = tuple(int(c) for c in modulus) if modulus is not None else None
-    key = (p, e, key_mod)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if key_mod is None:
-        mod = default_modulus(p, e)
-    else:
-        mod = tuple(c % p for c in key_mod)
-        if len(mod) != e + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree e (constant term first)")
-        if not poly_is_irreducible(mod, p):
-            raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
-    canon = (p, e, mod)
-    field = _FIELD_CACHE.get(canon)
-    if field is None:
-        field = Field(p, e, mod)
-        _FIELD_CACHE[canon] = field
-    _FIELD_CACHE[key] = field
-    return field
+    if modulus is None:
+        return _field(p, e, default_modulus(p, e))
+    mod = tuple(c % p for c in modulus)
+    if len(mod) != e + 1 or mod[-1] != 1:
+        raise ValueError("modulus must be monic of degree e (constant term first)")
+    if not poly_is_irreducible(mod, p):
+        raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
+    return _field(p, e, mod)
+
+
+@cache
+def _field(p: int, e: int, mod: tuple[int, ...]) -> Field:
+    """The one Field per canonical (p, e, modulus)."""
+    return Field(p, e, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -713,18 +712,14 @@ def _build_embedding(src: Field, dst: Field) -> Embedding:
     return Embedding(src, dst, rho.code, fwd, {v: k for k, v in fwd.items()})
 
 
+@cache
 def embedding(src: Field, dst: Field) -> Embedding:
     """Memoized canonical embedding; requires src.p == dst.p and src.e | dst.e."""
     if src.p != dst.p:
         raise ValueError(f"incompatible characteristics {src.p} and {dst.p}")
     if dst.e % src.e != 0:
         raise ValueError(f"GF({src.p}^{src.e}) does not embed in GF({dst.p}^{dst.e})")
-    key = ("embed", src.e, src.modulus, dst.e, dst.modulus)
-    emb = dst._cache.get(key)
-    if emb is None:
-        emb = _build_embedding(src, dst)
-        dst._cache[key] = emb
-    return emb
+    return _build_embedding(src, dst)
 
 
 def embed(src: Field, dst: Field, x: Element) -> Element:

@@ -168,8 +168,7 @@ def run_3_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     _claim(rep, "cosets", "q-cyclotomic cosets on 1 + 2Z_10",
            [[1], [3], [5], [7], [9]], [list(c) for c in cs])
 
-    s = ctx.minus_pk()
-    relations = {c[0]: min(cosets.act_scale(c, s, rn=ctx.rn)) for c in cs}
+    relations = cosets.tau(ctx)
     _claim(rep, "relations", "-11 action on the cosets",
            {"1": 9, "3": 7, "5": 5, "7": 3, "9": 1},
            {str(k): v for k, v in relations.items()})
@@ -247,8 +246,7 @@ def run_3_15(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     _claim(rep, "cosets", "nine singleton cosets on 1 + 2Z_18",
            [[1], [3], [5], [7], [9], [11], [13], [15], [17]], [list(c) for c in cs])
 
-    s = ctx.minus_pk()
-    relations = {c[0]: min(cosets.act_scale(c, s, rn=ctx.rn)) for c in cs}
+    relations = cosets.tau(ctx)
     _claim(rep, "relations", "-13^2 action on the cosets",
            {"1": 11, "11": 13, "13": 17, "17": 7, "7": 5, "5": 1, "3": 15, "15": 3, "9": 9},
            {str(k): v for k, v in relations.items()})
@@ -302,8 +300,7 @@ def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     _claim(rep, "cosets", "ten singleton cosets modulo 10",
            [[i] for i in range(10)], [list(c) for c in cs])
 
-    s = ctx.minus_pk()
-    relations = {c[0]: min(cosets.act_scale(c, s, rn=ctx.rn)) for c in cs}
+    relations = cosets.tau(ctx)
     _claim(rep, "relation-Q1", "-11 Q1 (recorded as Q1)", 1, relations[1])
     for src, dst in ((2, 8), (3, 7), (4, 6), (5, 5)):
         _claim(rep, f"relation-Q{src}", f"-11 Q{src} = Q{dst}", dst, relations[src])

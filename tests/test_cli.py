@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from galcd.cli import main
@@ -166,6 +167,20 @@ def test_reproduce_single_and_all(capsys):
     assert "[3.8] params: FLAGGED" in out
     assert "[4.5] relation-Q1: FLAGGED" in out
     assert "MISMATCH" not in out
+
+
+def test_pinned_outputs_keep_their_bytes(capsys):
+    pinned = {
+        ("reproduce", "all", "--format", "json"):
+            "2f4ca3ae22a7eb295e5d8f064df219b90b262881f54d74e3218b97d45eb3097b",
+        ("reproduce", "all"):
+            "1feb466b11e25def65cebaf95b97c2906553a50c980ee63aed1a87308cb236ef",
+        ("classify", "-p", "11", "-e", "2", "-k", "1", "-n", "10", "--lambda", "1", "--format", "json"):
+            "9786eba2c3a39314a50f8c3555b6cd4419a1417d19958f6bd12875530d9f3f49",
+    }
+    for argv, digest in pinned.items():
+        _, out, _ = run(capsys, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_reproduce_json_deterministic(capsys, tmp_path):

@@ -9,6 +9,7 @@ from galcd import linalg, linear
 from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
+    _ctx_with_k,
     _family,
     build_family,
     classify_all_lcd,
@@ -41,6 +42,20 @@ def test_full_space_code():
     assert C.dim == 4 and C.g == Poly(f9, (1,))
     G = to_generator_matrix(C)
     assert G.rows == tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
+
+
+def test_family_and_context_memos_share_one_object():
+    f = make_field(11, 2)
+    fam = _family(f, 10, f.one)
+    assert _family(f, 10, f.from_int(1)) is fam  # equal lambdas built separately
+    ctx = _ctx_with_k(fam, 1)
+    assert _ctx_with_k(fam, 1) is ctx
+    assert code_from_defining_set(f, 10, f.one, (1,), k=1).P.ctx is ctx
+    _ctx_with_k.cache_clear()
+    assert _ctx_with_k(fam, 1) is not ctx and _ctx_with_k(fam, 1) == ctx
+    _family.cache_clear()
+    fresh = _family(f, 10, f.one)
+    assert fresh is not fam and _family(f, 10, f.one) is fresh
 
 
 def test_code_from_defining_set_recorded_examples():

@@ -95,6 +95,36 @@ def test_field_identity_and_memoization():
     assert c != a
 
 
+def test_every_spelling_of_a_modulus_gives_one_field():
+    mod = default_modulus(5, 2)
+    f = make_field(5, 2)
+    assert make_field(5, 2, mod) is f
+    assert make_field(5, 2, list(mod)) is f
+    assert make_field(5, 2, [c + 5 for c in mod]) is f  # coefficients >= p reduce mod p
+
+
+def test_invalid_fields_raise_on_every_call_and_are_not_memoized():
+    sizes = fields._make_field.cache_info().currsize, fields._field.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make_field(4, 1)
+    assert (fields._make_field.cache_info().currsize, fields._field.cache_info().currsize) == sizes
+
+
+def test_cache_clear_makes_the_next_call_build_anew():
+    f = make_field(13, 2)
+    fields._make_field.cache_clear()
+    fields._field.cache_clear()
+    g = make_field(13, 2)
+    assert g is not f and g == f and make_field(13, 2) is g
+    src, dst = make_field(2, 2), make_field(2, 4)
+    emb = embedding(src, dst)
+    assert embedding(src, dst) is emb
+    embedding.cache_clear()
+    fresh = embedding(src, dst)
+    assert fresh is not emb and fresh == emb and embedding(src, dst) is fresh
+
+
 def test_element_arithmetic_basics():
     f9 = make_field(3, 2)
     x, y = f9.from_code(5), f9.from_code(7)
@@ -110,11 +140,12 @@ def test_element_arithmetic_basics():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([(2, 3), (3, 2), (5, 2), (2, 4)]),
+@given(st.sampled_from([(2, 3), (3, 2), (5, 2), (2, 4), (2, 1), (3, 1), (7, 1)]),
        st.integers(0, 80), st.integers(0, 80), st.integers(0, 6))
 def test_frobenius_is_a_homomorphism(pe, xc, yc, j):
     f = make_field(*pe)
     x, y = f.from_code(xc % f.q), f.from_code(yc % f.q)
+    assert frobenius_pow(x, j) == x ** (f.p ** j)
     assert frobenius_pow(x + y, j) == frobenius_pow(x, j) + frobenius_pow(y, j)
     assert frobenius_pow(x * y, j) == frobenius_pow(x, j) * frobenius_pow(y, j)
     assert frobenius_pow(x, f.e) == x
