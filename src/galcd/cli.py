@@ -304,6 +304,7 @@ def cmd_reproduce(args) -> int:
     if args.format == "json":
         _emit(_dump_json([rep.to_json() for rep in reports]), args.out)
     else:
+        lines = []
         for rep in reports:
             for c in rep.claims:
                 if c.status == "match":
@@ -314,9 +315,10 @@ def cmd_reproduce(args) -> int:
                 else:
                     line = (f"[{rep.example_id}] {c.claim_id}: MISMATCH recorded {c.expected}, "
                             f"computed {c.computed}")
-                print(line)
-            print(f"[{rep.example_id}] {'ok' if rep.ok else 'MISMATCH'}; "
-                  f"{len(rep.claims)} claims, {len(rep.flagged)} flagged")
+                lines.append(line)
+            lines.append(f"[{rep.example_id}] {'ok' if rep.ok else 'MISMATCH'}; "
+                         f"{len(rep.claims)} claims, {len(rep.flagged)} flagged")
+        _emit("".join(line + "\n" for line in lines), args.out)
     return 0 if all(rep.ok for rep in reports) else REPRODUCE_MISMATCH
 
 

@@ -16,7 +16,7 @@ record theta next to every defining set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cache
 from math import gcd
 from typing import Iterable
@@ -56,8 +56,6 @@ class _Family:
     field: Field
     n: int
     lam: Element
-    r: int
-    rn: int
     ext: Field
     theta: Element
     base_ctx: CosetContext           # k = 0; cosets do not depend on k
@@ -68,17 +66,15 @@ class _Family:
 def build_family(field: Field, n: int, lam: Element, theta: Element | None = None) -> _Family:
     if lam.field != field or not lam:
         raise ValueError("lambda must be a nonzero element of the field")
-    r = mult_order(lam)
-    rn = r * n
-    ctx = CosetContext(p=field.p, e=field.e, k=0, n=n, r=r)
-    ext = splitting_field(field, rn)
+    ctx = CosetContext(p=field.p, e=field.e, k=0, n=n, r=mult_order(lam))
+    ext = splitting_field(field, ctx.rn)
     if theta is None:
         lam_ext = embed(field, ext, lam)
-        theta = primitive_rn_root(ext, rn, n, lam_ext)
+        theta = primitive_rn_root(ext, ctx.rn, n, lam_ext)
     else:
         if theta.field != ext:
             raise ValueError("theta must live in the splitting field")
-        if mult_order(theta) != rn or theta**n != embed(field, ext, lam):
+        if mult_order(theta) != ctx.rn or theta**n != embed(field, ext, lam):
             raise ValueError("theta is not a primitive rn-th root with theta^n = lambda")
     cosets = cyclotomic_cosets(ctx)
     minpolys = {c[0]: minimal_poly(c, theta, field) for c in cosets}
@@ -87,7 +83,7 @@ def build_family(field: Field, n: int, lam: Element, theta: Element | None = Non
         prod = prod * mq
     if prod != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
-    return _Family(field, n, lam, r, rn, ext, theta, ctx, cosets, minpolys)
+    return _Family(field, n, lam, ext, theta, ctx, cosets, minpolys)
 
 
 @cache
@@ -129,11 +125,11 @@ class ConstacyclicCode:
 
     @property
     def r(self) -> int:
-        return self.fam.r
+        return self.P.ctx.r
 
     @property
     def rn(self) -> int:
-        return self.fam.rn
+        return self.P.ctx.rn
 
     @property
     def theta(self) -> Element:
@@ -160,10 +156,13 @@ class ConstacyclicCode:
         )
 
 
-@cache
-def _ctx_with_k(fam: _Family, k: int) -> CosetContext:
-    """The family's context for Galois parameter k, one per (family, k); families hash by identity."""
-    return CosetContext(p=fam.field.p, e=fam.field.e, k=k, n=fam.n, r=fam.r)
+def _code(fam: _Family, P: DefiningSet) -> ConstacyclicCode:
+    """The code of a validated defining set: g is the product of its coset minimal polynomials."""
+    g = Poly(fam.field, (1,))
+    for coset in fam.cosets:
+        if coset[0] in P.residues:
+            g = g * fam.minpolys[coset[0]]
+    return ConstacyclicCode(fam.field, fam.n, fam.lam, P.ctx.k, P, g, fam)
 
 
 def code_from_defining_set(
@@ -174,12 +173,7 @@ def code_from_defining_set(
     The set must be a union of q-cyclotomic cosets inside 1 + r*Z_rn.
     """
     fam = _family(field, n, lam)
-    P = DefiningSet(_ctx_with_k(fam, k), tuple(residues))
-    g = Poly(field, (1,))
-    for coset in fam.cosets:
-        if coset[0] in P.residues:
-            g = g * fam.minpolys[coset[0]]
-    return ConstacyclicCode(field, n, lam, k, P, g, fam)
+    return _code(fam, DefiningSet(replace(fam.base_ctx, k=k), tuple(residues)))
 
 
 def from_generator_polynomial(
@@ -203,7 +197,7 @@ def from_generator_polynomial(
     # x^n - lambda is the product of the distinct M_Q: only a divisor ends at 1
     if rest.degree != 0:
         raise ValueError("generator does not divide x^n - lambda")
-    P = DefiningSet(_ctx_with_k(fam, k), tuple(roots))
+    P = DefiningSet(replace(fam.base_ctx, k=k), tuple(roots))
     return ConstacyclicCode(field, n, lam, k, P, g, fam)
 
 
@@ -348,6 +342,9 @@ class Catalog:
         return tuple(sorted(seen))
 
 
+MAX_STABLE_SETS = 1 << 20
+
+
 def classify_all_lcd(
     field: Field,
     n: int,
@@ -357,7 +354,6 @@ def classify_all_lcd(
     exact_distance: bool = True,
     budget_messages: int = DEFAULT_MESSAGE_BUDGET,
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
-    max_stable_sets: int = 1 << 20,
 ) -> Catalog:
     """Enumerate all -p^k-stable defining sets and their exact parameters.
 
@@ -378,23 +374,23 @@ def classify_all_lcd(
     exact_distance=False its interval starts there.
     """
     fam = _family(field, n, lam)
-    ctx = _ctx_with_k(fam, k)
+    ctx = replace(fam.base_ctx, k=k)
     if not frame_preserved(ctx):
         raise ValueError(
             "lambda^(1 + p^(e-k)) != 1: every code in this family is Galois LCD "
             "and the stability enumeration does not apply"
         )
     cycles = tau_cycles(ctx)
-    if 2 ** len(cycles) > max_stable_sets:
+    if 2 ** len(cycles) > MAX_STABLE_SETS:
         raise BudgetExceeded(
-            f"2^{len(cycles)} stable sets exceed the enumeration budget {max_stable_sets}"
+            f"2^{len(cycles)} stable sets exceed the enumeration budget {MAX_STABLE_SETS}"
         )
     t, h, involutive = census_counts(cycles)
     mults = multipliers(ctx)
     records = []
     orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int]]] = {}
     for P in enumerate_stable_sets(ctx):
-        code = code_from_defining_set(field, n, lam, P.residues, k)
+        code = _code(fam, P)
         if code.dim == 0:
             records.append(CatalogRecord(code, None, is_lcd(code), None))
         else:

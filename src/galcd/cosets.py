@@ -14,7 +14,7 @@ as sorted tuples so serialization and equality are stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from galcd.fields import is_prime, multiplicative_order
@@ -180,8 +180,7 @@ def dual_defining_set(P: DefiningSet) -> DefiningSet:
             f"dual exponents leave 1 + r*Z_rn: r = {ctx.r} does not divide 1 + p^(e-k)"
         )
     scaled = act_scale(P.complement(), ctx.minus_pek())
-    dual_ctx = CosetContext(p=ctx.p, e=ctx.e, k=(ctx.e - ctx.k) % ctx.e, n=ctx.n, r=ctx.r)
-    return DefiningSet(dual_ctx, scaled)
+    return DefiningSet(replace(ctx, k=(ctx.e - ctx.k) % ctx.e), scaled)
 
 
 def is_lcd_defining_set(P: DefiningSet) -> bool:

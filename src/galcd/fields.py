@@ -669,7 +669,6 @@ class Embedding:
 
     src: Field
     dst: Field
-    rho_code: int          # image of the class of x of src
     fwd: dict              # src code -> dst code
     inv: dict              # dst code -> src code (partial: subfield only)
 
@@ -682,10 +681,10 @@ class Embedding:
 def _build_embedding(src: Field, dst: Field) -> Embedding:
     if src == dst:
         ident = {c: c for c in range(src.q)}
-        return Embedding(src, dst, src.gen.code, ident, dict(ident))
+        return Embedding(src, dst, ident, dict(ident))
     if src.e == 1:
         fwd = {c: c for c in range(src.p)}
-        return Embedding(src, dst, fwd[src.gen.code], fwd, {v: k for k, v in fwd.items()})
+        return Embedding(src, dst, fwd, {v: k for k, v in fwd.items()})
     # The subfield of size src.q is the kernel of x -> x^(src.q); its
     # nonzero part is generated by g^((dst.q - 1) / (src.q - 1)).
     g = dst.primitive_element
@@ -709,7 +708,7 @@ def _build_embedding(src: Field, dst: Field) -> Embedding:
         for d in reversed(src._decode(code)):
             acc = acc * rho + Element(dst, d)
         fwd[code] = acc.code
-    return Embedding(src, dst, rho.code, fwd, {v: k for k, v in fwd.items()})
+    return Embedding(src, dst, fwd, {v: k for k, v in fwd.items()})
 
 
 @cache

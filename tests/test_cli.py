@@ -177,10 +177,28 @@ def test_pinned_outputs_keep_their_bytes(capsys):
             "1feb466b11e25def65cebaf95b97c2906553a50c980ee63aed1a87308cb236ef",
         ("classify", "-p", "11", "-e", "2", "-k", "1", "-n", "10", "--lambda", "1", "--format", "json"):
             "9786eba2c3a39314a50f8c3555b6cd4419a1417d19958f6bd12875530d9f3f49",
+        ("classify", "-p", "5", "-e", "3", "-k", "1", "-n", "13", "--lambda", "-1", "--format", "json"):
+            "75356ca9ee0e374692fc4b26982a4f9a465fd03538914f0faa5d99d98f70bedb",
+        ("classify", "-p", "3", "-e", "3", "-k", "1", "-n", "7", "--lambda", "1", "--format", "json"):
+            "101534b83d3a8953b3e7bcf2fa47f7200e528eea02313adea156410fa58343a3",
     }
     for argv, digest in pinned.items():
         _, out, _ = run(capsys, *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_reproduce_text_honours_out(capsys, tmp_path):
+    target = tmp_path / "r.txt"
+    code, out, _ = run(capsys, "reproduce", "3.8", "--out", str(target))
+    assert code == 0 and out == ""
+    _, printed, _ = run(capsys, "reproduce", "3.8")
+    assert target.read_bytes() == printed.encode()
+
+
+def test_classify_refuses_a_stable_set_count_over_the_budget(capsys):
+    code, out, err = run(capsys, "classify", "-p", "11", "-e", "2", "-k", "1", "-n", "40")
+    assert code == 2 and out == ""
+    assert "2^22 stable sets exceed the enumeration budget 1048576" in err
 
 
 def test_reproduce_json_deterministic(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import product
 
 import pytest
@@ -9,7 +11,6 @@ from galcd import linalg, linear
 from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
-    _ctx_with_k,
     _family,
     build_family,
     classify_all_lcd,
@@ -22,7 +23,7 @@ from galcd.constacyclic import (
     matrix_lcd_check,
     to_generator_matrix,
 )
-from galcd.cosets import act_scale, bch_lower_bound, cyclotomic_cosets, multiplier_orbit_key, multipliers
+from galcd.cosets import CosetContext, act_scale, bch_lower_bound, cyclotomic_cosets, multiplier_orbit_key, multipliers
 from galcd.fields import make_field, mult_order, embedding
 from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
 from galcd.polys import Poly, splitting_field, xn_minus_lambda
@@ -48,14 +49,21 @@ def test_family_and_context_memos_share_one_object():
     f = make_field(11, 2)
     fam = _family(f, 10, f.one)
     assert _family(f, 10, f.from_int(1)) is fam  # equal lambdas built separately
-    ctx = _ctx_with_k(fam, 1)
-    assert _ctx_with_k(fam, 1) is ctx
-    assert code_from_defining_set(f, 10, f.one, (1,), k=1).P.ctx is ctx
-    _ctx_with_k.cache_clear()
-    assert _ctx_with_k(fam, 1) is not ctx and _ctx_with_k(fam, 1) == ctx
+    assert code_from_defining_set(f, 10, f.one, (1,), k=1).P.ctx == CosetContext(p=11, e=2, k=1, n=10, r=1)
+    # a catalog's records share the one context its stable sets were enumerated in
+    cat = classify_all_lcd(f, 10, f.one, 1, exact_distance=False)
+    assert len({id(rec.code.P.ctx) for rec in cat.records}) == 1
     _family.cache_clear()
     fresh = _family(f, 10, f.one)
     assert fresh is not fam and _family(f, 10, f.one) is fresh
+
+
+def test_clearing_the_family_memo_frees_the_family():
+    f = make_field(11, 2)
+    ref = weakref.ref(code_from_defining_set(f, 10, f.one, (1,), k=1).fam)
+    _family.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_code_from_defining_set_recorded_examples():
@@ -374,7 +382,6 @@ def test_theta_labels_are_relative_but_verdicts_invariant():
     assert sorted(m.codes for m in default.minpolys.values()) == \
         sorted(m.codes for m in relabeled.minpolys.values())
 
-    from galcd.constacyclic import _ctx_with_k
     from galcd.cosets import DefiningSet, is_lcd_defining_set
 
     P = (2, 3, 4, 5, 6, 7, 8)
@@ -387,7 +394,7 @@ def test_theta_labels_are_relative_but_verdicts_invariant():
     lifted = Poly.make(ext, [emb.fwd[c] for c in g_default.codes])
     relabeled_P = tuple(i for i in range(10) if lifted(relabeled.theta**i).code == 0)
     assert relabeled_P != P or relabeled.theta == default.theta
-    ctx = _ctx_with_k(default, 1)
+    ctx = CosetContext(p=11, e=2, k=1, n=10, r=1)
     assert is_lcd_defining_set(DefiningSet(ctx, P)) == \
         is_lcd_defining_set(DefiningSet(ctx, relabeled_P))
     C1 = code_from_defining_set(f121, 10, lam, P, k=1)
@@ -420,8 +427,9 @@ def test_classify_degenerate_all_fixed_context():
 
 def test_classify_budget_refusal():
     f121 = make_field(11, 2)
-    with pytest.raises(BudgetExceeded):
-        classify_all_lcd(f121, 10, f121.one, 1, max_stable_sets=8)
+    # 22 tau-cycles: 2^22 stable sets exceed MAX_STABLE_SETS = 2^20
+    with pytest.raises(BudgetExceeded, match=r"2\^22 stable sets exceed the enumeration budget 1048576"):
+        classify_all_lcd(f121, 40, f121.one, 1)
 
 
 def test_classify_inexact_mode_reports_intervals():

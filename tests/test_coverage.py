@@ -55,7 +55,6 @@ def test_reproduce_all_plus_cli_covers_every_operation(capsys):
     # an empty family cache, as in a fresh `galcd reproduce all` process, so
     # families built by earlier tests do not hide the operations that build them
     constacyclic._family.cache_clear()
-    constacyclic._ctx_with_k.cache_clear()
     hit: set = set()
 
     def profiler(frame, event, arg):
