@@ -16,10 +16,11 @@ the generator a satisfies a^3 = 1 + a.
 
 Fields and elements are immutable.  Only this module reads the tables;
 other modules use the scalar calls and the row kernels ``axpy``,
-``axmy`` and ``scale``.  Built at construction: ``_exp``/``_log``
-(q <= 2^16), and for extension fields with q <= 600 ``_mul``/``_add``,
-the q*q tables as row lists that share one int object per code (prime
-fields reduce mod p instead).  Filled lazily on first use:
+``axmy`` and ``scale``.  The field size q alone picks the arithmetic,
+so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
+(q <= 2^16), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
+lists that share one int object per code.  Larger fields multiply with
+``_raw_mul`` and add digit by digit.  Filled lazily on first use:
 ``_qm1_factors`` (the factorization of q - 1), ``_primitive`` when
 q > 2^16 and ``_tables`` (the q*q numpy tables of ``tables()``,
 q <= 2200, which only message enumeration reads).  Sharing a field
@@ -32,6 +33,7 @@ work.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
@@ -40,7 +42,7 @@ import numpy as np
 
 _LOG_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field size
 TABLE_LIMIT = 2200          # tables() serves full q*q tables up to this field size
-_ROW_TABLE_LIMIT = 600      # extension fields keep them as row lists up to this size
+_ROW_TABLE_LIMIT = 600      # every field keeps them as row lists up to this size
 
 
 def is_prime(m: int) -> bool:
@@ -67,6 +69,16 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
+
+
+def as_int(x) -> int:
+    """x as an int; a bool or a non-integer such as 1.5 or "2" raises ValueError."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {x!r}")
 
 
 def _pollard_rho(m: int) -> int:
@@ -278,7 +290,7 @@ class Field:
         self._mul = self._add = self._tables = None
         if self.q <= _LOG_TABLE_LIMIT:
             self._build_log_tables()
-        if self.e > 1 and self.q <= _ROW_TABLE_LIMIT:
+        if self.q <= _ROW_TABLE_LIMIT:
             codes = np.array(range(self.q), dtype=object)  # one int object per code
             self._mul, self._add = (codes[t].tolist() for t in self.tables())
             self._tables = None  # only message enumeration reads the arrays; tables() rebuilds them
@@ -329,8 +341,6 @@ class Field:
     # -- scalar arithmetic on codes ------------------------------------------
 
     def add_codes(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         if self._add is not None:
             return self._add[a][b]
         p = self.p
@@ -345,8 +355,6 @@ class Field:
 
     def neg_code(self, a: int) -> int:
         p = self.p
-        if self.e == 1:
-            return -a % p
         out = 0
         m = 1
         while a:
@@ -379,8 +387,6 @@ class Field:
             return 0 if n else 1
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
-        if self.e == 1:
-            return pow(a, n, self.p)
         return self._encode(_ppowmod(self._decode(a), n, self.modulus, self.p))
 
     def frob_code(self, a: int, j: int) -> int:
@@ -416,9 +422,6 @@ class Field:
 
     def axpy(self, xs: Sequence[int], f: int, ys: Sequence[int]) -> list[int]:
         """The row xs + f*ys on codes."""
-        if self.e == 1:
-            p = self.p
-            return [(x + f * y) % p for x, y in zip(xs, ys)]
         if self._add is not None:
             add, fmul = self._add, self._mul[f]
             return [add[x][fmul[y]] for x, y in zip(xs, ys)]
@@ -427,9 +430,6 @@ class Field:
 
     def axmy(self, xs: Sequence[int], f: int, ys: Sequence[int]) -> list[int]:
         """The row xs - f*ys on codes."""
-        if self.e == 1:
-            p = self.p
-            return [(x - f * y) % p for x, y in zip(xs, ys)]
         if self._add is not None:
             mul = self._mul
             add, fmul = self._add, mul[mul[f][self.p - 1]]  # the row of -f; p - 1 codes -1
@@ -438,9 +438,6 @@ class Field:
 
     def scale(self, f: int, xs: Sequence[int]) -> list[int]:
         """The row f*xs on codes."""
-        if self.e == 1:
-            p = self.p
-            return [f * x % p for x in xs]
         if self._mul is not None:
             fmul = self._mul[f]
             return [fmul[x] for x in xs]
@@ -466,10 +463,10 @@ class Field:
 
     def from_int(self, c: int) -> "Element":
         """Map an integer through the prime subfield (so -1 becomes p-1)."""
-        return Element(self, c % self.p)
+        return Element(self, as_int(c) % self.p)
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "Element":
-        cs = [c % self.p for c in coeffs]
+        cs = [as_int(c) % self.p for c in coeffs]
         if len(cs) > self.e:
             if any(cs[self.e:]):
                 raise ValueError(f"coefficient vector longer than degree {self.e}")
@@ -477,6 +474,7 @@ class Field:
         return Element(self, self._encode(cs))
 
     def from_code(self, code: int) -> "Element":
+        code = as_int(code)
         if not 0 <= code < self.q:
             raise ValueError(f"code {code} out of range for GF({self.q})")
         return Element(self, code)
@@ -577,7 +575,7 @@ class Element:
         return self.code != 0
 
     def __str__(self) -> str:
-        if self.field.e == 1 or self.code < self.field.p:
+        if self.code < self.field.p:
             return str(self.code)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
@@ -600,7 +598,7 @@ def make_field(p: int, e: int, modulus: Sequence[int] | None = None) -> Field:
     Two functools.cache memos share the work: ``_make_field`` per
     spelling of the arguments, ``_field`` per canonical (p, e, modulus).
     """
-    return _make_field(p, e, None if modulus is None else tuple(int(c) for c in modulus))
+    return _make_field(p, e, None if modulus is None else tuple(as_int(c) for c in modulus))
 
 
 @cache

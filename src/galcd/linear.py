@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from galcd import linalg
-from galcd.fields import TABLE_LIMIT, Element, Field, sqrt_minus_one
+from galcd.fields import TABLE_LIMIT, Element, Field, as_int, sqrt_minus_one
 
 DEFAULT_MESSAGE_BUDGET = 10**8
 DEFAULT_SUPPORT_BUDGET = 10**7
@@ -50,11 +50,12 @@ class LinearCode:
                         raise ValueError("matrix entry from a different field")
                     prow.append(x.code)
                 else:
-                    if not 0 <= int(x) < field.p:
+                    x = as_int(x)
+                    if not 0 <= x < field.p:
                         raise ValueError(
                             f"integer entry {x} out of range [0, {field.p}); pass an Element"
                         )
-                    prow.append(int(x))
+                    prow.append(x)
             packed.append(prow)
         if packed:
             widths = {len(r) for r in packed}

@@ -39,7 +39,7 @@ class Poly:
     @staticmethod
     def from_ints(field: Field, ints: Sequence[int]) -> "Poly":
         """Coefficients given as integers through the prime subfield."""
-        return Poly.make(field, [c % field.p for c in ints])
+        return Poly.make(field, [field.from_int(c).code for c in ints])
 
     @property
     def degree(self) -> int:

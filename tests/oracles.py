@@ -83,6 +83,25 @@ def naive_axpy(field: Field, xs, f: int, ys) -> list[int]:
     return [digitwise_add(field, x, field._raw_mul(f, y)) for x, y in zip(xs, ys)]
 
 
+def mod_p_kernels(p: int) -> dict:
+    """GF(p)'s scalar calls and row kernels as plain integer arithmetic mod p.
+
+    Keyed by the ``Field`` method each one checks; plain ``%`` and
+    ``pow``, with none of the tables or digit loops ``Field`` runs on.
+    """
+    return {
+        "add_codes": lambda a, b: (a + b) % p,
+        "neg_code": lambda a: -a % p,
+        "sub_codes": lambda a, b: (a - b) % p,
+        "mul_codes": lambda a, b: a * b % p,
+        "inv_code": lambda a: pow(a, -1, p),
+        "pow_code": lambda a, n: pow(a, n, p),
+        "axpy": lambda xs, f, ys: [(x + f * y) % p for x, y in zip(xs, ys)],
+        "axmy": lambda xs, f, ys: [(x - f * y) % p for x, y in zip(xs, ys)],
+        "scale": lambda f, xs: [f * x % p for x in xs],
+    }
+
+
 def root_test_defining_set(fam, g: Poly) -> tuple[int, ...]:
     """The exponents i with g(theta^i) = 0, by evaluation in the splitting field.
 

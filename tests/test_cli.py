@@ -181,6 +181,15 @@ def test_pinned_outputs_keep_their_bytes(capsys):
             "75356ca9ee0e374692fc4b26982a4f9a465fd03538914f0faa5d99d98f70bedb",
         ("classify", "-p", "3", "-e", "3", "-k", "1", "-n", "7", "--lambda", "1", "--format", "json"):
             "101534b83d3a8953b3e7bcf2fa47f7200e528eea02313adea156410fa58343a3",
+        ("classify", "-p", "7", "-e", "1", "-k", "0", "-n", "8", "--lambda", "-1", "--format", "json"):
+            "13656cd03308152b1be1ec5b1235a097b084d02772a42b0d21e5ecb781b6faa8",
+        ("classify", "-p", "5", "-e", "1", "-k", "0", "-n", "12", "--lambda", "1", "--format", "csv"):
+            "0152f660237273536299ba6589c324c05fdfadd98a527613fe727ce67d0b948e",
+        ("extend", "-p", "5", "-e", "1", "-k", "0", "--mode", "pmod4", "--gen", "[[1,0,2,3],[0,1,4,1]]"):
+            "e5865e7ced98c9bdba98a594f8884545f6242ebf1e89725b075344a81aad67dc",
+        ("mindist", "-p", "13", "-e", "1", "-n", "6",
+         "--gen", "[[1,0,0,2,3,5],[0,1,0,7,1,4],[0,0,1,9,9,2]]"):
+            "f73939c48daceb3317de44ac2f2716695ebd37dd25007b5137bd7d479832d26e",
     }
     for argv, digest in pinned.items():
         _, out, _ = run(capsys, *argv)

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from galcd.fields import (
     embed,
     embedding,
     factorize,
+    is_prime,
     make_field,
     mult_order,
     frobenius_pow,
@@ -31,6 +33,7 @@ from galcd.fields import (
 from oracles import (
     brute_log_tables,
     digitwise_add,
+    mod_p_kernels,
     naive_axpy,
     naive_pow,
     trial_division_irreducible,
@@ -84,6 +87,8 @@ def test_make_field_rejects_bad_input():
         make_field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError):
         make_field(3, 2, (1, 1))  # not degree 2
+    with pytest.raises(ValueError, match="expected an integer"):
+        make_field(3, 2, (2.5, 2, 1))  # not truncated to x^2 + 2x + 2
 
 
 def test_field_identity_and_memoization():
@@ -137,6 +142,36 @@ def test_element_arithmetic_basics():
         x / f9.zero
     with pytest.raises(ValueError):
         x + make_field(3, 1).one
+
+
+NOT_INTEGERS = [1.5, 2.0, "2", True, None]
+
+
+def test_from_int_takes_only_integers():
+    f5 = make_field(5, 1)
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="expected an integer"):
+            f5.from_int(bad)
+    assert f5.from_int(np.int64(-1)) == f5.from_int(-1) == f5.from_code(4)
+    assert type(f5.from_int(np.int64(7)).code) is int
+
+
+def test_from_code_takes_only_integers():
+    f9 = make_field(3, 2)
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="expected an integer"):
+            f9.from_code(bad)
+    assert type(f9.from_code(np.int64(7)).code) is int
+    with pytest.raises(ValueError, match="out of range"):
+        f9.from_code(9)
+
+
+def test_from_coeffs_takes_only_integers():
+    f9 = make_field(3, 2)
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="expected an integer"):
+            f9.from_coeffs([bad, 2])
+    assert f9.from_coeffs([np.int64(1), -1]) == f9.from_code(7)
 
 
 @settings(max_examples=120, deadline=None)
@@ -337,10 +372,7 @@ def test_tables_match_raw_products_and_digitwise_sums_on_every_small_field():
         for a in range(q):
             assert mul[a].tolist() == [f._raw_mul(a, b) for b in range(q)], (q, a)
             assert add[a].tolist() == [digitwise_add(f, a, b) for b in range(q)], (q, a)
-        if e > 1:
-            assert (f._mul, f._add) == (mul.tolist(), add.tolist())
-        else:
-            assert f._mul is f._add is None
+        assert (f._mul, f._add) == (mul.tolist(), add.tolist())
 
 
 @pytest.mark.parametrize("p,e", [(5, 3), (23, 2), (7, 1)])
@@ -349,9 +381,8 @@ def test_numpy_tables_are_built_on_first_use_from_the_same_rule(p, e):
     assert f._tables is None
     mul, add = f.tables()
     assert f._tables is not None
-    if e > 1:
-        assert (mul.tolist(), add.tolist()) == (f._mul, f._add)
-    else:
+    assert (mul.tolist(), add.tolist()) == (f._mul, f._add)
+    if e == 1:
         assert mul.tolist() == [[a * b % p for b in range(p)] for a in range(p)]
         assert add.tolist() == [[(a + b) % p for b in range(p)] for a in range(p)]
 
@@ -367,11 +398,11 @@ def test_tables_match_raw_products_and_digitwise_sums_on_sampled_pairs(p, e):
         assert mul[a, b] == f._raw_mul(a, b) and add[a, b] == digitwise_add(f, a, b), (a, b)
 
 
-@pytest.mark.parametrize("p,e,branch", [(7, 1, "prime"), (65537, 1, "prime"), (3, 2, "rows"),
+@pytest.mark.parametrize("p,e,branch", [(7, 1, "rows"), (65537, 1, "scalar"), (3, 2, "rows"),
                                         (2, 9, "rows"), (5, 4, "scalar"), (2, 20, "scalar")])
 def test_row_kernels_match_entrywise_arithmetic(p, e, branch):
     f = make_field(p, e)
-    assert branch == ("prime" if e == 1 else "rows" if f._add is not None else "scalar")
+    assert branch == ("rows" if f._add is not None else "scalar")
     rng = random.Random(p * e)
     for _ in range(20):
         xs, ys = ([rng.choice((0, rng.randrange(f.q))) for _ in range(25)] for _ in range(2))
@@ -379,6 +410,43 @@ def test_row_kernels_match_entrywise_arithmetic(p, e, branch):
             assert f.axpy(xs, c, ys) == naive_axpy(f, xs, c, ys), c
             assert naive_axpy(f, f.axmy(xs, c, ys), c, ys) == xs, c  # adding c*ys back
             assert f.scale(c, ys) == naive_axpy(f, [0] * len(ys), c, ys), c
+
+
+@pytest.mark.parametrize("primes", [[p for p in range(600) if is_prime(p)], [601, 7919], [65537]],
+                         ids=["rows", "log", "scalar"])
+def test_prime_field_kernels_match_mod_p_arithmetic(primes):
+    for p in primes:
+        f = Field(p, 1, default_modulus(p, 1))  # not memoized: the tables go with it
+        assert (f._add is not None, f._exp is not None) == (p < 600, p < 1 << 16), p
+        ref = mod_p_kernels(p)
+        rng = random.Random(p)
+        for _ in range(4):
+            xs, ys = ([rng.choice((0, rng.randrange(p))) for _ in range(14)] for _ in range(2))
+            for c in (0, 1, p - 1, rng.randrange(p)):
+                for name in ("axpy", "axmy"):
+                    assert getattr(f, name)(xs, c, ys) == ref[name](xs, c, ys), (p, name, c)
+                assert f.scale(c, xs) == ref["scale"](c, xs), (p, c)
+            for a, b in zip(xs + [0, p - 1], ys + [p - 1, 0]):
+                for name in ("add_codes", "sub_codes", "mul_codes"):
+                    assert getattr(f, name)(a, b) == ref[name](a, b), (p, name, a, b)
+                assert f.neg_code(a) == ref["neg_code"](a), (p, a)
+                if a:
+                    assert f.inv_code(a) == ref["inv_code"](a), (p, a)
+                    for n in (0, 1, p - 2, rng.randrange(-3 * p, 3 * p)):
+                        assert f.pow_code(a, n) == ref["pow_code"](a, n), (p, a, n)
+
+
+def test_field_kernels_never_read_the_degree():
+    kernels = {"add_codes", "neg_code", "sub_codes", "mul_codes", "inv_code", "pow_code",
+               "axpy", "axmy", "scale"}
+    tree = ast.parse(pathlib.Path(fields.__file__).read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Field")
+    methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in kernels}
+    assert set(methods) == kernels
+    readers = sorted(name for name, fn in methods.items() for node in ast.walk(fn)
+                     if isinstance(node, ast.Attribute) and node.attr == "e"
+                     and isinstance(node.value, ast.Name) and node.value.id == "self")
+    assert readers == []
 
 
 def test_tables_are_refused_above_the_limit():

@@ -61,6 +61,14 @@ def test_linear_code_construction_and_validation():
         LinearCode(f8, [[3, 1]])  # 3 is not below p = 2
 
 
+def test_integer_entries_must_be_integers():
+    f3 = make_field(3, 1)
+    for bad in [1.7, 2.0, "2", True, None]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            LinearCode(f3, [[1, bad, 0]])
+    assert LinearCode(f3, [[1, 2, 1]]).rows == ((1, 2, 1),)
+
+
 def test_generator_rows_kept_as_bytes_or_tuples():
     """Rows over GF(q <= 256) are stored as bytes, larger fields keep tuples; both read back alike."""
     for pe in [(2, 1), (2, 8), (3, 6)]:

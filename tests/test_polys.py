@@ -33,6 +33,14 @@ def test_poly_basics():
     assert Poly(f3, ()).degree == -1
 
 
+def test_from_ints_takes_only_integers():
+    f3 = make_field(3, 1)
+    for bad in [1.5, 2.0, "2", True, None]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            Poly.from_ints(f3, [1, bad])
+    assert Poly.from_ints(f3, [4, -1]).codes == (1, 2)
+
+
 def test_poly_degree_adds_on_products():
     f5 = make_field(5, 1)
     a = _poly(f5, [2, 0, 1])
