@@ -126,13 +126,12 @@ def cmd_cosets(args) -> int:
               "lambda^(1+p^(e-k)) != 1, so every code here is Galois LCD)")
         print("all-LCD: yes (automatic)")
         return 0
-    t, h, involutive = cosets.census_counts(cosets.tau_cycles(ctx))
-    if h is None:
-        print(f"census: t={t} h=n/a (non-fixed cosets do not pair)")
+    census = cosets.stable_orbit_census(ctx)
+    if census.h is None:
+        print(f"census: t={census.t} h=n/a (non-fixed cosets do not pair)")
     else:
-        census = cosets.stable_orbit_census(ctx)
-        inv = "involutive" if involutive else "not involutive"
-        print(f"census: t={t} h={h} ({inv})")
+        inv = "involutive" if census.involutive else "not involutive"
+        print(f"census: t={census.t} h={census.h} ({inv})")
         if census.pairs:
             print("orbit pairs: " + "  ".join(f"Q{a}<->Q{b}" for a, b in census.pairs))
     j = cosets.all_lcd_exponent(ctx)
@@ -158,17 +157,18 @@ def cmd_classify(args) -> int:
         budget_messages=args.budget_messages,
         budget_supports=args.budget_supports,
     )
+    census = cat.census
     if args.format == "json":
         payload = {
             "p": field.p, "e": field.e, "k": args.k, "n": args.n,
             "lambda": lam.to_json(), "r": cat.records[0].code.r,
             "theta": cat.records[0].code.theta.to_json(),
             "records": [rec.to_json() for rec in cat.records],
-            "census": {"t": cat.t, "h": cat.h, "involutive": cat.involutive},
+            "census": {"t": census.t, "h": census.h, "involutive": census.involutive},
             "counts": {
                 "stable_sets": cat.stable_count,
                 "excluding_zero_code": cat.nonzero_count,
-                "census_formula": cat.census_count,
+                "census_formula": census.count,
             },
         }
         _emit(_dump_json(payload), args.out)
@@ -191,17 +191,16 @@ def cmd_classify(args) -> int:
                 rec.lcd, rec.mds,
             ])
         _emit(buf.getvalue(), args.out)
-    if cat.h is None:
-        formula = "2^(t+h)-1 n/a (non-fixed cosets do not pair)"
-        census = f"t={cat.t} h=n/a"
+    if census.h is None:
+        formula = "n/a (non-fixed cosets do not pair)"
+    elif census.involutive:
+        formula = f"= {census.count} ({'matches' if cat.nonzero_count == census.count else 'differs'})"
     else:
-        match = "matches" if cat.nonzero_count == cat.census_count else "differs"
-        formula = f"2^(t+h)-1 = {cat.census_count} ({match})" if cat.involutive \
-            else f"2^(t+h)-1 = {cat.census_count} (formula needs an involutive action)"
-        census = f"t={cat.t} h={cat.h}"
+        formula = f"= {census.count} (formula needs an involutive action)"
     print(f"stable sets: {cat.stable_count} including empty and full; "
           f"{cat.nonzero_count} excluding the zero code", file=sys.stderr)
-    print(f"census: {census}; {formula}", file=sys.stderr)
+    h = "n/a" if census.h is None else census.h
+    print(f"census: t={census.t} h={h}; 2^(t+h)-1 {formula}", file=sys.stderr)
     return 0
 
 
@@ -255,15 +254,11 @@ def cmd_mindist(args) -> int:
         distance = partial(constacyclic.code_params, _code_from_args(args))
     else:
         raise _UsageError("provide --defining-set or --gen")
-    try:
-        params = distance(
-            args.strategy,
-            budget_messages=args.budget_messages,
-            budget_supports=args.budget_supports,
-        )
-    except BudgetExceeded as ex:
-        print(f"refused: {ex}", file=sys.stderr)
-        return BUDGET_REFUSED
+    params = distance(
+        args.strategy,
+        budget_messages=args.budget_messages,
+        budget_supports=args.budget_supports,
+    )
     print(f"params: {params}")
     print(_dump_json(params.to_json()).strip())
     if not params.exact:
@@ -326,11 +321,10 @@ def cmd_reproduce(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_field_args(sp, with_k=True, with_n=True, with_lambda=True):
+def _add_field_args(sp, with_n=True, with_lambda=True):
     sp.add_argument("-p", type=int, required=True, help="prime characteristic")
     sp.add_argument("-e", type=int, required=True, help="extension degree")
-    if with_k:
-        sp.add_argument("-k", type=int, default=0, help="Galois duality parameter (0 <= k < e)")
+    sp.add_argument("-k", type=int, default=0, help="Galois duality parameter (0 <= k < e)")
     if with_n:
         sp.add_argument("-n", type=int, required=True, help="code length")
     if with_lambda:

@@ -24,8 +24,8 @@ from typing import Iterable
 from galcd.cosets import (
     CosetContext,
     DefiningSet,
+    OrbitCensus,
     bch_lower_bound,
-    census_counts,
     cyclotomic_cosets,
     dual_defining_set,
     enumerate_stable_sets,
@@ -33,7 +33,7 @@ from galcd.cosets import (
     is_lcd_defining_set,
     multiplier_orbit_key,
     multipliers,
-    tau_cycles,
+    stable_orbit_census,
     unique_order2_unit,
 )
 from galcd.fields import Element, Field, embed, make_field, mult_order, multiplicative_order, primitive_rn_root
@@ -306,14 +306,10 @@ class CatalogRecord:
 
 @dataclass(frozen=True)
 class Catalog:
-    field: Field
-    n: int
-    lam: Element
-    k: int
+    """Every -p^k-stable defining set's record, and the census the sets were enumerated from."""
+
     records: tuple[CatalogRecord, ...]
-    t: int
-    h: int | None                  # None when the non-fixed cosets do not pair
-    involutive: bool
+    census: OrbitCensus
 
     @property
     def stable_count(self) -> int:
@@ -323,14 +319,6 @@ class Catalog:
     def nonzero_count(self) -> int:
         """Stable sets excluding the full one (the zero code)."""
         return self.stable_count - 1
-
-    @property
-    def census_count(self) -> int | None:
-        """The 2^(t+h) - 1 census value (counts stable sets minus the zero code
-        when the -p^k action is involutive on cosets)."""
-        if self.h is None:
-            return None
-        return 2 ** (self.t + self.h) - 1
 
     def parameter_types(self) -> tuple[tuple[int, int, int], ...]:
         seen = []
@@ -375,17 +363,11 @@ def classify_all_lcd(
     """
     fam = _family(field, n, lam)
     ctx = replace(fam.base_ctx, k=k)
-    if not frame_preserved(ctx):
-        raise ValueError(
-            "lambda^(1 + p^(e-k)) != 1: every code in this family is Galois LCD "
-            "and the stability enumeration does not apply"
-        )
-    cycles = tau_cycles(ctx)
-    if 2 ** len(cycles) > MAX_STABLE_SETS:
+    census = stable_orbit_census(ctx)
+    if 2 ** len(census.cycles) > MAX_STABLE_SETS:
         raise BudgetExceeded(
-            f"2^{len(cycles)} stable sets exceed the enumeration budget {MAX_STABLE_SETS}"
+            f"2^{len(census.cycles)} stable sets exceed the enumeration budget {MAX_STABLE_SETS}"
         )
-    t, h, involutive = census_counts(cycles)
     mults = multipliers(ctx)
     records = []
     orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int]]] = {}
@@ -405,16 +387,7 @@ def classify_all_lcd(
             params = shared if exact_distance else CodeParams(code.n, code.dim, (bch, top), False)
             records.append(CatalogRecord(code, params, is_lcd(code), bch))
     records.sort(key=lambda rec: (len(rec.code.P.residues), rec.code.P.residues))
-    return Catalog(
-        field=field,
-        n=n,
-        lam=lam,
-        k=k,
-        records=tuple(records),
-        t=t,
-        h=h,
-        involutive=involutive,
-    )
+    return Catalog(tuple(records), census)
 
 
 def hermitian_mds_family(

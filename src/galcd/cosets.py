@@ -175,10 +175,7 @@ def dual_defining_set(P: DefiningSet) -> DefiningSet:
     1 + r*Z_rn.
     """
     ctx = P.ctx
-    if not frame_preserved(ctx):
-        raise ValueError(
-            f"dual exponents leave 1 + r*Z_rn: r = {ctx.r} does not divide 1 + p^(e-k)"
-        )
+    _require_frame(ctx)
     scaled = act_scale(P.complement(), ctx.minus_pek())
     return DefiningSet(replace(ctx, k=(ctx.e - ctx.k) % ctx.e), scaled)
 
@@ -211,18 +208,22 @@ def q1_fixed_test(ctx: CosetContext) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class OrbitCensus:
-    """Cosets fixed by -p^k (t of them) and the non-fixed ones halved (h pairs)."""
+    """Cosets fixed by -p^k (t of them) and the non-fixed ones halved (h pairs).
 
+    h and count are None when the non-fixed cosets do not pair.
+    """
+
+    cycles: tuple[tuple[int, ...], ...]  # tau_cycles(ctx), which the census reads
     t: int
-    h: int
+    h: int | None
     fixed: tuple[int, ...]            # smallest members of fixed cosets
     pairs: tuple[tuple[int, int], ...]  # (min(Q), min(-p^k Q)) for non-fixed Q, each unordered pair once
     involutive: bool                  # whether -p^k pairs cosets two by two
 
     @property
-    def count(self) -> int:
+    def count(self) -> int | None:
         """Stable-set count 2^(t+h) - 1 excluding the zero code (valid when involutive)."""
-        return 2 ** (self.t + self.h) - 1
+        return None if self.h is None else 2 ** (self.t + self.h) - 1
 
 
 def frame_preserved(ctx: CosetContext) -> bool:
@@ -236,17 +237,21 @@ def frame_preserved(ctx: CosetContext) -> bool:
     return (1 + ctx.p**ctx.k) % ctx.r == 0
 
 
+def _require_frame(ctx: CosetContext) -> None:
+    if not frame_preserved(ctx):
+        raise ValueError(
+            "lambda^(1 + p^(e-k)) != 1: every code in this family is Galois LCD "
+            "and the stability enumeration does not apply"
+        )
+
+
 def _coset_map(ctx: CosetContext) -> dict[int, tuple[int, ...]]:
     return {c[0]: c for c in cyclotomic_cosets(ctx)}
 
 
 def tau(ctx: CosetContext) -> dict[int, int]:
     """The permutation induced by -p^k on cosets, keyed by smallest members."""
-    if not frame_preserved(ctx):
-        raise ValueError(
-            f"-p^k does not preserve 1 + {ctx.r}*Z_{ctx.rn}; "
-            "the stability action is only defined when r divides 1 + p^k"
-        )
+    _require_frame(ctx)
     s = ctx.minus_pk()
     out = {}
     for key, coset in _coset_map(ctx).items():
@@ -273,15 +278,6 @@ def tau_cycles(ctx: CosetContext) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def census_counts(cycles) -> tuple[int, int | None, bool]:
-    """(t, h, involutive) of tau-cycles: fixed cosets, half the non-fixed ones
-    (None when they do not pair), and whether every cycle has length <= 2."""
-    t = sum(1 for c in cycles if len(c) == 1)
-    moved = sum(len(c) for c in cycles if len(c) > 1)
-    h = None if moved % 2 else moved // 2
-    return t, h, all(len(c) <= 2 for c in cycles)
-
-
 def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
     """Partition the cosets into fixed ones and halved non-fixed pairs.
 
@@ -289,15 +285,11 @@ def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
     (always in the Hermitian case k = e/2), and more generally whenever
     the non-fixed cosets are even in number; a 3-cycle of cosets, which
     some non-Hermitian contexts produce, has no (t, h) reading and
-    raises.  Stable-set enumeration works regardless via tau_cycles.
+    leaves h and count None.  Stable-set enumeration works regardless
+    via tau_cycles.
     """
     cycles = tau_cycles(ctx)
-    t, h, involutive = census_counts(cycles)
-    if h is None:
-        raise ValueError(
-            "non-fixed cosets do not pair up evenly; the (t, h) census is "
-            "undefined for this context"
-        )
+    moved = sum(len(c) for c in cycles if len(c) > 1)
     pairs = []
     for cyc in (c for c in cycles if len(c) > 1):
         for i in range(0, len(cyc) - 1, 2):
@@ -305,7 +297,14 @@ def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
         if len(cyc) % 2:  # odd cycle > 1: close with the wrap pair
             pairs.append((cyc[-1], cyc[0]))
     fixed = tuple(c[0] for c in cycles if len(c) == 1)
-    return OrbitCensus(t=t, h=h, fixed=fixed, pairs=tuple(pairs), involutive=involutive)
+    return OrbitCensus(
+        cycles=cycles,
+        t=len(fixed),
+        h=None if moved % 2 else moved // 2,
+        fixed=fixed,
+        pairs=tuple(pairs),
+        involutive=all(len(c) <= 2 for c in cycles),
+    )
 
 
 def enumerate_stable_sets(ctx: CosetContext):
@@ -374,10 +373,7 @@ def hermitian_necessary_check(p: int, a: int, r: int, n: int) -> bool:
 
 def lcd_closure(ctx: CosetContext, residues: Iterable[int]) -> DefiningSet:
     """Smallest q-closed superset of the input that is fixed by -p^k."""
-    if not frame_preserved(ctx):
-        raise ValueError(
-            f"-p^k leaves 1 + r*Z_rn: r = {ctx.r} does not divide 1 + p^k"
-        )
+    _require_frame(ctx)
     current = set(DefiningSet(ctx, tuple(residues)).residues)
     s = ctx.minus_pk()
     while True:

@@ -387,6 +387,8 @@ class Field:
             return 0 if n else 1
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
+        if a < self.p:  # the constants are the prime subfield, closed under powers
+            return pow(a, n, self.p)
         return self._encode(_ppowmod(self._decode(a), n, self.modulus, self.p))
 
     def frob_code(self, a: int, j: int) -> int:

@@ -21,8 +21,6 @@ from galcd.fields import make_field, mult_order, multiplicative_order, frobenius
 from galcd.linalg import rank
 from galcd.linear import LinearCode, galois_inner_product
 
-EXAMPLE_IDS = ("2.4", "3.8", "3.14", "3.15", "4.5", "4.8")
-
 # Recorded claims that exact recomputation contradicts.  "recorded" keeps
 # the claim verbatim; "rule" states how the oracle value is obtained.
 KNOWN_DISCREPANCIES: dict[tuple[str, str], dict[str, str]] = {
@@ -108,7 +106,7 @@ def _params_list(params) -> list[int]:
     return [params.n, params.dim, params.d]
 
 
-def run_2_4(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linear.DEFAULT_SUPPORT_BUDGET) -> ExampleReport:
+def run_2_4(**budgets) -> ExampleReport:
     f8 = make_field(2, 3, (1, 1, 0, 1))
     a = f8.gen
     G = LinearCode(f8, [[f8.one, f8.zero, a, a], [f8.zero, f8.one, f8.one, a]])
@@ -140,22 +138,22 @@ def run_2_4(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     )
     _claim(rep, "dual-orthogonality", "every generator row pairs to 0 with every dual row", True, ortho)
 
-    pm = linear.min_distance(G, "messages", budget_messages=budget_messages, budget_supports=budget_supports)
-    psup = linear.min_distance(G, "supports", budget_messages=budget_messages, budget_supports=budget_supports)
+    pm = linear.min_distance(G, "messages", **budgets)
+    psup = linear.min_distance(G, "supports", **budgets)
     _claim(rep, "params", "exact parameters", [4, 2, 3], _params_list(pm))
     _claim(rep, "strategies-agree", "message and support engines agree", _params_list(pm), _params_list(psup))
     _claim(rep, "mds", "attains the Singleton bound", True, pm.mds)
 
     ext = linear.extend_lcd(G, 1, "char2")
     ext_chk = linear.is_galois_lcd(ext, 1)
-    ext_params = linear.min_distance(ext, budget_messages=budget_messages, budget_supports=budget_supports)
+    ext_params = linear.min_distance(ext, **budgets)
     _claim(rep, "extension-char2", "[I A A] extension is LCD with d >= 3",
            True, bool(ext_chk.lcd and ext_params.exact and ext_params.d >= 3))
 
     return rep
 
 
-def run_3_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linear.DEFAULT_SUPPORT_BUDGET) -> ExampleReport:
+def run_3_8(**budgets) -> ExampleReport:
     f = make_field(11, 3)
     lam = f.from_int(-1)
     ctx = CosetContext(p=11, e=3, k=1, n=5, r=2)
@@ -188,7 +186,7 @@ def run_3_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     _claim(rep, "dual-set", "dual defining set", [1, 9], list(D.P.residues))
     _claim(rep, "dual-dim", "dual dimension", 3, D.dim)
 
-    params = constacyclic.code_params(C, budget_messages=budget_messages, budget_supports=budget_supports)
+    params = constacyclic.code_params(C, **budgets)
     _claim(rep, "params", "recorded parameters", [10, 7, 4], _params_list(params))
     _claim(rep, "computed-params", "oracle parameters for n = 5", [5, 2, 4], _params_list(params))
     _claim(rep, "mds", "the computed code attains the Singleton bound", True, params.mds)
@@ -196,7 +194,7 @@ def run_3_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     return rep
 
 
-def run_3_14(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linear.DEFAULT_SUPPORT_BUDGET) -> ExampleReport:
+def run_3_14(**budgets) -> ExampleReport:
     f = make_field(5, 3)
     lam = f.from_int(-1)
     ctx = CosetContext(p=5, e=3, k=1, n=13, r=2)
@@ -219,11 +217,9 @@ def run_3_14(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     _claim(rep, "factor-degrees", "x^13 + 1 factor degrees over GF(125)",
            [1, 4, 4, 4], sorted(m.degree for _, m in factors))
 
-    cat = constacyclic.classify_all_lcd(
-        f, 13, lam, 1, budget_messages=budget_messages, budget_supports=budget_supports
-    )
+    cat = constacyclic.classify_all_lcd(f, 13, lam, 1, **budgets)
     _claim(rep, "stable-sets", "stable defining sets (including empty and full)", 16, cat.stable_count)
-    _claim(rep, "count", "recorded code count (excludes the zero code)", 15, cat.census_count)
+    _claim(rep, "count", "recorded code count (excludes the zero code)", 15, cat.census.count)
     _claim(rep, "all-lcd", "every catalog entry is Galois LCD", True, all(r.lcd for r in cat.records))
 
     recorded_types = [[13, 12, 2], [13, 9, 4], [13, 8, 4], [13, 4, 8], [13, 5, 7]]
@@ -234,7 +230,7 @@ def run_3_14(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     return rep
 
 
-def run_3_15(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linear.DEFAULT_SUPPORT_BUDGET) -> ExampleReport:
+def run_3_15(**budgets) -> ExampleReport:
     f = make_field(13, 3)
     lam = f.from_int(-1)
     ctx = CosetContext(p=13, e=3, k=2, n=9, r=2)
@@ -278,7 +274,7 @@ def run_3_15(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
         C = constacyclic.code_from_defining_set(f, 9, lam, residues, k=2)
         dims.append(C.dim)
         _claim(rep, f"{name}-stable", f"-13^2 fixes {name}", True, constacyclic.is_lcd(C))
-        params = constacyclic.code_params(C, budget_messages=budget_messages, budget_supports=budget_supports)
+        params = constacyclic.code_params(C, **budgets)
         expected, kind = recorded[name]
         _claim(rep, f"{name}-params", f"parameters of {name}", expected, _params_list(params), kind=kind)
         if name in ("P3", "P6"):
@@ -288,7 +284,7 @@ def run_3_15(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=line
     return rep
 
 
-def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linear.DEFAULT_SUPPORT_BUDGET) -> ExampleReport:
+def run_4_5(**budgets) -> ExampleReport:
     f = make_field(11, 2)
     lam = f.one
     ctx = CosetContext(p=11, e=2, k=1, n=10, r=1)
@@ -308,10 +304,8 @@ def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     census = cosets.stable_orbit_census(ctx)
     _claim(rep, "census", "fixed cosets and swapped pairs", [2, 4], [census.t, census.h])
 
-    cat = constacyclic.classify_all_lcd(
-        f, 10, lam, 1, budget_messages=budget_messages, budget_supports=budget_supports
-    )
-    _claim(rep, "count", "number of Hermitian LCD cyclic codes", 63, cat.census_count)
+    cat = constacyclic.classify_all_lcd(f, 10, lam, 1, **budgets)
+    _claim(rep, "count", "number of Hermitian LCD cyclic codes", 63, cat.census.count)
     _claim(rep, "stable-sets", "enumerated stable sets including empty and full", 64, cat.stable_count)
 
     p_sets = {"P1": (4, 5, 6), "P2": (3, 4, 5, 6, 7), "P3": (2, 3, 4, 5, 6, 7, 8)}
@@ -320,7 +314,7 @@ def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
         _claim(rep, f"{name}-lcd", f"{name} is Hermitian LCD (coset criterion)", True, constacyclic.is_lcd(C))
         _claim(rep, f"{name}-lcd-matrix", f"{name} is Hermitian LCD (Gram criterion)",
                True, constacyclic.matrix_lcd_check(C).lcd)
-        params = constacyclic.code_params(C, budget_messages=budget_messages, budget_supports=budget_supports)
+        params = constacyclic.code_params(C, **budgets)
         if name == "P3":
             _claim(rep, "P3-bch", "run bound for the seven consecutive exponents",
                    8, cosets.bch_lower_bound(C.P))
@@ -334,7 +328,7 @@ def run_4_5(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     return rep
 
 
-def run_4_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linear.DEFAULT_SUPPORT_BUDGET) -> ExampleReport:
+def run_4_8(**budgets) -> ExampleReport:
     p, a, n = 3, 2, 5
     f = make_field(p, 2 * a)
     lam = f.from_int(-1)
@@ -350,7 +344,7 @@ def run_4_8(budget_messages=linear.DEFAULT_MESSAGE_BUDGET, budget_supports=linea
     produced = []
     for d in range(2, n + 1):
         C = constacyclic.hermitian_mds_family(p, a, -1, n, d)
-        params = constacyclic.code_params(C, budget_messages=budget_messages, budget_supports=budget_supports)
+        params = constacyclic.code_params(C, **budgets)
         produced.append(_params_list(params))
         _claim(rep, f"d{d}-params", f"designed distance {d} yields [n, n+1-d, d]",
                [n, n + 1 - d, d], _params_list(params))
@@ -370,6 +364,7 @@ _RUNNERS = {
     "4.5": run_4_5,
     "4.8": run_4_8,
 }
+EXAMPLE_IDS = tuple(_RUNNERS)
 
 
 def run_example(example_id: str, **budgets) -> ExampleReport:

@@ -110,11 +110,11 @@ def test_mindist_paths(capsys):
         '[[[1,0,0],[0,0,0],[0,1,0],[0,1,0]],[[0,0,0],[1,0,0],[1,0,0],[0,1,0]]]')
     assert code == 0 and '"d":3' in out
 
-    code, _, err = run(
+    assert run(
         capsys, "mindist", "-p", "11", "-e", "2", "-k", "1", "-n", "10",
         "--lambda", "1", "--defining-set", "0", "--strategy", "messages",
-        "--budget-messages", "10")
-    assert code == 2 and "refused" in err
+        "--budget-messages", "10",
+    ) == (2, "", "refused: message enumeration needs 45949729863572161 > budget 10\n")
 
 
 def test_mindist_reads_the_generator_from_a_file(capsys, tmp_path):
@@ -190,10 +190,45 @@ def test_pinned_outputs_keep_their_bytes(capsys):
         ("mindist", "-p", "13", "-e", "1", "-n", "6",
          "--gen", "[[1,0,0,2,3,5],[0,1,0,7,1,4],[0,0,1,9,9,2]]"):
             "f73939c48daceb3317de44ac2f2716695ebd37dd25007b5137bd7d479832d26e",
+        ("cosets", "-p", "13", "-e", "3", "-k", "2", "-n", "9", "--lambda", "-1"):
+            "0c8b1c4f56f64e493adeea7a0ff9523a5e20f29e02930e674f18662beb5ecff6",
+        ("cosets", "-p", "3", "-e", "3", "-k", "1", "-n", "7"):
+            "60515eda0f9a364b060a49d9d0cd7b426ec66de46b6b4b2979ae8b0c0436dc4a",
+        ("cosets", "-p", "3", "-e", "2", "-k", "0", "-n", "2", "--lambda", "0,1"):
+            "2ffb70551dd4246d2b703f8369e484e76dd5e13498e17da4cc031d0ef3d8d199",
+        ("classify", "-p", "3", "-e", "3", "-k", "1", "-n", "7", "--format", "csv"):
+            "ad71d23af15dc7e0a32e9ac93aa71fc617a4def9e3a6d30828edcd75fcba5d98",
+        ("classify", "-p", "13", "-e", "3", "-k", "2", "-n", "9", "--lambda", "-1", "--format", "csv"):
+            "ef22ba308591ff66b45bd052b598e649705c4113ad8e575ac40ef3f8af722a14",
+    }
+    # the census lines of classify go to stderr; every other pinned command writes none
+    stderr = {
+        ("classify", "-p", "11", "-e", "2", "-k", "1", "-n", "10", "--lambda", "1", "--format", "json"):
+            "stable sets: 64 including empty and full; 63 excluding the zero code\n"
+            "census: t=2 h=4; 2^(t+h)-1 = 63 (matches)\n",
+        ("classify", "-p", "5", "-e", "3", "-k", "1", "-n", "13", "--lambda", "-1", "--format", "json"):
+            "stable sets: 16 including empty and full; 15 excluding the zero code\n"
+            "census: t=4 h=0; 2^(t+h)-1 = 15 (matches)\n",
+        ("classify", "-p", "3", "-e", "3", "-k", "1", "-n", "7", "--lambda", "1", "--format", "json"):
+            "stable sets: 4 including empty and full; 3 excluding the zero code\n"
+            "census: t=1 h=n/a; 2^(t+h)-1 n/a (non-fixed cosets do not pair)\n",
+        ("classify", "-p", "7", "-e", "1", "-k", "0", "-n", "8", "--lambda", "-1", "--format", "json"):
+            "stable sets: 4 including empty and full; 3 excluding the zero code\n"
+            "census: t=0 h=2; 2^(t+h)-1 = 3 (matches)\n",
+        ("classify", "-p", "5", "-e", "1", "-k", "0", "-n", "12", "--lambda", "1", "--format", "csv"):
+            "stable sets: 64 including empty and full; 63 excluding the zero code\n"
+            "census: t=4 h=2; 2^(t+h)-1 = 63 (matches)\n",
+        ("classify", "-p", "3", "-e", "3", "-k", "1", "-n", "7", "--format", "csv"):
+            "stable sets: 4 including empty and full; 3 excluding the zero code\n"
+            "census: t=1 h=n/a; 2^(t+h)-1 n/a (non-fixed cosets do not pair)\n",
+        ("classify", "-p", "13", "-e", "3", "-k", "2", "-n", "9", "--lambda", "-1", "--format", "csv"):
+            "stable sets: 8 including empty and full; 7 excluding the zero code\n"
+            "census: t=1 h=4; 2^(t+h)-1 = 31 (formula needs an involutive action)\n",
     }
     for argv, digest in pinned.items():
-        _, out, _ = run(capsys, *argv)
+        _, out, err = run(capsys, *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert err == stderr.get(argv, ""), argv
 
 
 def test_reproduce_text_honours_out(capsys, tmp_path):

@@ -406,9 +406,9 @@ def test_theta_labels_are_relative_but_verdicts_invariant():
 def test_classify_recorded_catalog():
     f125 = make_field(5, 3)
     cat = classify_all_lcd(f125, 13, f125.from_int(-1), 1)
-    assert cat.stable_count == 16 and cat.census_count == 15
+    assert cat.stable_count == 16 and cat.census.count == 15
     assert cat.nonzero_count == 15
-    assert cat.involutive
+    assert cat.census.involutive
     types = set(cat.parameter_types())
     for expected in [(13, 12, 2), (13, 9, 4), (13, 8, 4), (13, 4, 8), (13, 5, 7)]:
         assert expected in types
@@ -524,8 +524,8 @@ def test_classify_handles_unpairable_census():
     f27 = make_field(3, 3)
     cat = classify_all_lcd(f27, 7, f27.one, 1)
     assert cat.stable_count == 4  # one fixed coset plus one 3-cycle
-    assert cat.h is None and cat.census_count is None
-    assert not cat.involutive
+    assert cat.census.h is None and cat.census.count is None
+    assert not cat.census.involutive
     assert all(rec.lcd == is_lcd(rec.code) for rec in cat.records)
 
 

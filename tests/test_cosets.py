@@ -374,6 +374,28 @@ def test_census_rejects_frame_breaking_actions():
     stable_orbit_census(ctx_ok)
 
 
+def test_every_stability_entry_point_refuses_outside_the_frame_with_one_text():
+    from galcd.constacyclic import classify_all_lcd
+    from galcd.fields import make_field, mult_order
+
+    ctx = CosetContext(p=3, e=2, k=0, n=2, r=4)
+    f9 = make_field(3, 2)
+    lam = next(x for x in f9.elements() if x and mult_order(x) == 4)
+    text = ("lambda^(1 + p^(e-k)) != 1: every code in this family is Galois LCD "
+            "and the stability enumeration does not apply")
+    calls = [
+        lambda: tau_cycles(ctx),
+        lambda: stable_orbit_census(ctx),
+        lambda: dual_defining_set(DefiningSet(ctx, (1,))),
+        lambda: lcd_closure(ctx, (1,)),
+        lambda: classify_all_lcd(f9, 2, lam, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == text
+
+
 def test_frame_preserved_is_the_lambda_gate():
     """frame_preserved(ctx) holds iff lambda^(1 + p^(e-k)) = 1 for lambda of order r."""
     from galcd.cosets import frame_preserved
@@ -401,8 +423,10 @@ def test_census_undefined_for_three_cycled_cosets():
     ctx = CosetContext(p=3, e=3, k=1, n=7, r=1)
     cycles = tau_cycles(ctx)
     assert sorted(len(c) for c in cycles) == [1, 3]
-    with pytest.raises(ValueError):
-        stable_orbit_census(ctx)
+    census = stable_orbit_census(ctx)
+    assert census.cycles == cycles and census.t == 1
+    assert census.h is None and census.count is None
+    assert not census.involutive
 
 
 def test_multipliers_examples():

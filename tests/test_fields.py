@@ -360,6 +360,22 @@ def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
     assert f.pow_code(0, 0) == 1 and f.pow_code(0, 7) == 0
 
 
+@pytest.mark.parametrize("p,e", [(65537, 1), (2, 20), (3, 12)])
+def test_untabled_powers_of_prime_subfield_elements_skip_polynomial_powering(monkeypatch, p, e):
+    f = make_field(p, e)
+    assert f._exp is None
+
+    def refuse(*args):
+        raise AssertionError("polynomial powering of a prime-subfield element")
+
+    monkeypatch.setattr(fields, "_ppowmod", refuse)
+    rng = random.Random(p + e)
+    for a in {1, p - 1, *(rng.randrange(1, p) for _ in range(20))}:
+        assert f.inv_code(a) == pow(a, -1, p), a
+        for n in (0, 1, 2, p - 1, rng.randrange(p, 10**6), -3):
+            assert f.pow_code(a, n) == pow(a, n, p), (a, n)
+
+
 def test_tables_match_raw_products_and_digitwise_sums_on_every_small_field():
     for q in range(2, 65):
         factors = factorize(q)
