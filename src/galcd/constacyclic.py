@@ -25,10 +25,10 @@ from galcd.cosets import (
     CosetContext,
     DefiningSet,
     OrbitCensus,
+    _stable_sets,
     bch_lower_bound,
     cyclotomic_cosets,
     dual_defining_set,
-    enumerate_stable_sets,
     frame_preserved,
     is_lcd_defining_set,
     multiplier_orbit_key,
@@ -371,7 +371,7 @@ def classify_all_lcd(
     mults = multipliers(ctx)
     records = []
     orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int]]] = {}
-    for P in enumerate_stable_sets(ctx):
+    for P in _stable_sets(ctx, census.cycles, fam.cosets):
         code = _code(fam, P)
         if code.dim == 0:
             records.append(CatalogRecord(code, None, is_lcd(code), None))

@@ -245,18 +245,11 @@ def _require_frame(ctx: CosetContext) -> None:
         )
 
 
-def _coset_map(ctx: CosetContext) -> dict[int, tuple[int, ...]]:
-    return {c[0]: c for c in cyclotomic_cosets(ctx)}
-
-
 def tau(ctx: CosetContext) -> dict[int, int]:
     """The permutation induced by -p^k on cosets, keyed by smallest members."""
     _require_frame(ctx)
     s = ctx.minus_pk()
-    out = {}
-    for key, coset in _coset_map(ctx).items():
-        out[key] = min(act_scale(coset, s, rn=ctx.rn))
-    return out
+    return {coset[0]: min(act_scale(coset, s, rn=ctx.rn)) for coset in cyclotomic_cosets(ctx)}
 
 
 def tau_cycles(ctx: CosetContext) -> tuple[tuple[int, ...], ...]:
@@ -314,8 +307,13 @@ def enumerate_stable_sets(ctx: CosetContext):
     smallest member; there are 2^(number of cycles) of them including
     the empty set and the full exponent set.
     """
-    cycles = tau_cycles(ctx)
-    cmap = _coset_map(ctx)
+    yield from _stable_sets(ctx, tau_cycles(ctx), cyclotomic_cosets(ctx))
+
+
+def _stable_sets(ctx: CosetContext, cycles: tuple[tuple[int, ...], ...],
+                 cosets: tuple[tuple[int, ...], ...]):
+    """enumerate_stable_sets from ctx's tau-cycles and cyclotomic cosets, already derived."""
+    cmap = {c[0]: c for c in cosets}
     blocks = [tuple(sorted(x for key in cyc for x in cmap[key])) for cyc in cycles]
     for mask in range(1 << len(blocks)):
         residues: list[int] = []

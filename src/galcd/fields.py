@@ -18,11 +18,17 @@ Fields and elements are immutable.  Only this module reads the tables;
 other modules use the scalar calls and the row kernels ``axpy``,
 ``axmy`` and ``scale``.  The field size q alone picks the arithmetic,
 so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
-(q <= 2^16), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
-lists that share one int object per code.  Larger fields multiply with
-``_raw_mul`` and add digit by digit.  Filled lazily on first use:
-``_qm1_factors`` (the factorization of q - 1), ``_primitive`` when
-q > 2^16 and ``_tables`` (the q*q numpy tables of ``tables()``,
+(q <= 2^16, from a blocked numpy walk over the powers of the
+generator), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
+lists that share one int object per code.  Larger fields add digit by
+digit and multiply with ``_raw_mul``: both coefficient vectors are
+packed into w-bit slots of one Python int, multiplied once, and the
+high half is folded back through the packed rows x^(e+j) mod modulus
+(Kronecker substitution; ``pow_code`` squares and multiplies the same
+way).  Filled lazily on first use: ``_qm1_factors`` (the factorization
+of q - 1), ``_primitive`` when q > 2^16, ``_packed_rows`` (w and those
+rows, for every extension field: set-up multiplies before any table
+exists) and ``_tables`` (the q*q numpy tables of ``tables()``,
 q <= 2200, which only message enumeration reads).  Sharing a field
 between threads is still safe: each lazy value is deterministic, so
 threads that race compute equal values, and each write is one attribute
@@ -43,6 +49,7 @@ import numpy as np
 _LOG_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field size
 TABLE_LIMIT = 2200          # tables() serves full q*q tables up to this field size
 _ROW_TABLE_LIMIT = 600      # every field keeps them as row lists up to this size
+_WALK_WIDTH = 4096          # columns per block of the log-table walk
 
 
 def is_prime(m: int) -> bool:
@@ -140,25 +147,22 @@ def multiplicative_order(a: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(p) as plain int lists, constant term first.
-# Used for modulus bookkeeping and for fields too large for tables.
+# Polynomials over GF(p) as plain int lists, constant term first, for
+# modulus bookkeeping; products modulo a monic m run on packed ints.
+#
+# A packed polynomial holds coefficient i in bits [w*i, w*(i + 1)) of one
+# Python int (Kronecker substitution; D. Harvey, J. Symbolic Comput.,
+# 2009), so one bigint product multiplies two polynomials.  With reduced
+# inputs a product slot is at most e*(p-1)^2, and folding the high half
+# back through the rows x^(e+j) mod m adds at most (e-1)*(p-1)^2 more,
+# so w bits with 2^w > 2e*(p-1)^2 keep every slot apart, for every p
+# and e.
 # ---------------------------------------------------------------------------
 
 def _ptrim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
@@ -175,15 +179,66 @@ def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return _ptrim(r)
 
 
-def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, m, p)
+def _x_multiples(r: list[int], m: Sequence[int], p: int, count: int) -> list[list[int]]:
+    """r, x*r, ..., x^(count-1)*r mod m, for r of e digits and monic m of degree e."""
+    out = []
+    for _ in range(count):
+        out.append(r)
+        top = r[-1]  # shift up and fold top * x^e back in
+        r = [(lo - top * c) % p for lo, c in zip([0] + r[:-1], m)]
+    return out
+
+
+def _packing(m: Sequence[int], p: int) -> tuple[int, tuple[int, ...]]:
+    """The slot width w and the packed rows x^(e+j) mod m, j = 0..e-2, for monic m."""
+    e = len(m) - 1
+    w = (2 * e * (p - 1) ** 2).bit_length() + 1
+    return w, tuple(_pack(r, w) for r in _x_multiples([-c % p for c in m[:e]], m, p, e - 1))
+
+
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out << w | c
+    return out
+
+
+def _mulmod(x: int, y: int, p: int, e: int, w: int, rows: tuple[int, ...]) -> int:
+    """x*y mod m on packed polynomials with reduced slots; the result's slots are not reduced mod p."""
+    prod = x * y
+    low = prod & ((1 << e * w) - 1)
+    prod >>= e * w
+    mask = (1 << w) - 1
+    for row in rows:
+        low += (prod & mask) % p * row
+        prod >>= w
+    return low
+
+
+def _unpack(x: int, p: int, e: int, w: int) -> list[int]:
+    """The e slots of a packed polynomial, each reduced mod p."""
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(e):
+        out.append((x & mask) % p)
+        x >>= w
+    return out
+
+
+def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int,
+             packing: tuple[int, tuple[int, ...]]) -> list[int]:
+    """a^n mod m over GF(p) for monic m; packing is ``_packing(m, p)``."""
+    e = len(m) - 1
+    w, rows = packing
+    base = _pack([c % p for c in _pmod(a, m, p)], w)
+    result = 1
     while n:
         if n & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            result = _pack(_unpack(_mulmod(result, base, p, e, w, rows), p, e, w), w)
         n >>= 1
-    return result
+        if n:
+            base = _pack(_unpack(_mulmod(base, base, p, e, w, rows), p, e, w), w)
+    return _ptrim(_unpack(result, p, e, w))
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -212,9 +267,10 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         return True
     # x^(p^e) == x mod f, and gcd(x^(p^(e/l)) - x, f) == 1 for prime l | e
     proper = {e // ell for ell in factorize(e)}
+    packing = _packing(c, p)
     h = [0, 1]
     for i in range(1, e + 1):
-        h = _ppowmod(h, p, c, p)
+        h = _ppowmod(h, p, c, p, packing)
         if i in proper:
             diff = list(h)
             while len(diff) < 2:
@@ -275,7 +331,7 @@ class Field:
     __slots__ = (
         "p", "e", "q", "modulus",
         "_exp", "_log", "_mul", "_add", "_tables",
-        "_qm1_factors", "_primitive",
+        "_qm1_factors", "_primitive", "_packed_rows",
     )
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
@@ -285,6 +341,7 @@ class Field:
         self.modulus = modulus
         self._qm1_factors: dict[int, int] | None = None
         self._primitive: int | None = None
+        self._packed_rows: tuple[int, tuple[int, ...]] | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._mul = self._add = self._tables = None
@@ -297,31 +354,57 @@ class Field:
 
     # -- construction helpers ------------------------------------------------
 
+    @property
+    def _packing(self) -> tuple[int, tuple[int, ...]]:
+        """``_packing(modulus, p)``, built on first use."""
+        if self._packed_rows is None:
+            self._packed_rows = _packing(self.modulus, self.p)
+        return self._packed_rows
+
     def _raw_mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        pa = self._decode(a)
-        pb = _ptrim(self._decode(b))  # _pmul skips zero digits of pa only
-        return self._encode(_pmod(_pmul(pa, pb, self.p), self.modulus, self.p))
+        p, e = self.p, self.e
+        if e == 1:
+            return a * b % p
+        w, rows = self._packing
+        prod = _mulmod(_pack(self._decode(a), w), _pack(self._decode(b), w), p, e, w, rows)
+        return self._encode(_unpack(prod, p, e, w))
 
     def _build_log_tables(self) -> None:
-        # One walk over the powers of the generator.  Extension fields
-        # multiply on the coefficient list, so no step decodes again.
-        q, p = self.q, self.p
+        # The powers of the generator g, one block of columns at a time.
+        # Multiplication by g is the GF(p)-linear map M on coefficient
+        # vectors.  The block B of g^0 .. g^(d-1) grows by doubling,
+        # B <- [B | M^d B] and M^d <- M^d M^d, up to _WALK_WIDTH columns;
+        # each further block is M^width times the one before.  Entries
+        # stay below p and a product sums e terms below p^2, far inside
+        # int64 for q <= 2^16.
+        q, p, e = self.q, self.p, self.e
         g = self.primitive_element.code
-        exp = [1] * (q - 1)
-        if self.e == 1:
+        if e == 1:
+            exp = [1] * (q - 1)
             for i in range(1, q - 1):
                 exp[i] = exp[i - 1] * g % p
+            codes = np.array(exp, dtype=np.int64)
         else:
-            g_coeffs, cur = _ptrim(self._decode(g)), [1]
-            for i in range(1, q - 1):
-                cur = _pmod(_pmul(cur, g_coeffs, p), self.modulus, p)
-                exp[i] = self._encode(cur)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
+            # column j of M holds the digits of g * x^j
+            step = np.array(_x_multiples(self._decode(g), self.modulus, p, e), dtype=np.int64).T
+            width = 1 << (min(q - 1, _WALK_WIDTH).bit_length() - 1)
+            block = np.zeros((e, width), dtype=np.int64)
+            block[0, 0] = 1
+            done = 1
+            while done < width:
+                block[:, done:2 * done] = step @ block[:, :done] % p
+                done *= 2
+                if done < q - 1:  # M^width is needed only for a further block
+                    step = step @ step % p
+            weights = p ** np.arange(e, dtype=np.int64)
+            codes = np.empty(q - 1, dtype=np.int64)
+            for start in range(0, q - 1, width):
+                if start:
+                    block = step @ block % p
+                codes[start:start + width] = (weights @ block)[:q - 1 - start]
+        log = np.zeros(q, dtype=np.int64)
+        log[codes] = np.arange(q - 1)
+        self._exp, self._log = codes.tolist(), log.tolist()
 
     def _decode(self, code: int) -> list[int]:
         """All e base-p digits of a code, constant term first (untrimmed)."""
@@ -389,7 +472,7 @@ class Field:
             return self._exp[self._log[a] * n % (self.q - 1)]
         if a < self.p:  # the constants are the prime subfield, closed under powers
             return pow(a, n, self.p)
-        return self._encode(_ppowmod(self._decode(a), n, self.modulus, self.p))
+        return self._encode(_ppowmod(self._decode(a), n, self.modulus, self.p, self._packing))
 
     def frob_code(self, a: int, j: int) -> int:
         """a^(p^j) on codes."""

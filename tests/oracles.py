@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
-These deliberately avoid the production decision paths: irreducibility
-is checked by literal trial division, intersections by rank counting
-or literal codeword enumeration, and distances by walking the whole
-codebook in pure Python.
+These deliberately avoid the production decision paths: field products
+are schoolbook digit products reduced one leading term at a time,
+irreducibility is checked by literal trial division, intersections by
+rank counting or literal codeword enumeration, and distances by walking
+the whole codebook in pure Python.
 """
 
 from __future__ import annotations
@@ -18,23 +19,49 @@ from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
 from galcd.polys import Poly
 
 
+def _digits(code: int, p: int, e: int) -> list[int]:
+    out = []
+    for _ in range(e):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
+
+
+def poly_rem(a, m, p: int) -> list[int]:
+    """The remainder of a by monic m over GF(p), len(m) - 1 digits, one leading term at a time."""
+    d = len(m) - 1
+    r = [c % p for c in a] + [0] * max(0, d - len(a))
+    for top in range(len(r) - 1, d - 1, -1):
+        lead = r[top]
+        if lead:
+            for i, c in enumerate(m):
+                r[top - d + i] = (r[top - d + i] - lead * c) % p
+    return r[:d]
+
+
+def schoolbook_mul(field: Field, a: int, b: int) -> int:
+    """a*b on codes: the digit polynomials multiplied term by term, then reduced by the modulus."""
+    p, e = field.p, field.e
+    da, db = _digits(a, p, e), _digits(b, p, e)
+    prod = [0] * (2 * e - 1)
+    for j, bj in enumerate(db):
+        if bj:
+            for i, ai in enumerate(da):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    return sum(c * p**i for i, c in enumerate(poly_rem(prod, field.modulus, p)))
+
+
 def trial_division_irreducible(coeffs, p: int) -> bool:
     """Divide by every monic polynomial of degree 1..deg//2."""
-    from galcd.fields import _pmod, _ptrim
-
-    c = _ptrim([x % p for x in coeffs])
+    c = [x % p for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
     e = len(c) - 1
     if e < 1:
         return False
     for d in range(1, e // 2 + 1):
         for tail in range(p**d):
-            div = []
-            t = tail
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            if not _pmod(c, div, p):
+            if not any(poly_rem(c, _digits(tail, p, d) + [1], p)):
                 return False
     return True
 
@@ -42,30 +69,48 @@ def trial_division_irreducible(coeffs, p: int) -> bool:
 def brute_log_tables(field: Field) -> tuple[int, list[int], list[int]]:
     """Smallest generator with its exp and log tables, by plain walks.
 
-    The powers of each candidate code are walked with ``_raw_mul``
+    The powers of each candidate code are walked with ``schoolbook_mul``
     until they first return to 1; the first candidate whose walk takes
     q - 1 steps generates the multiplicative group.
     """
     q = field.q
     for g in range(1, q):
         exp = [1]
-        val = field._raw_mul(1, g)
+        val = schoolbook_mul(field, 1, g)
         while val != 1:
             exp.append(val)
-            val = field._raw_mul(val, g)
+            val = schoolbook_mul(field, val, g)
         if len(exp) == q - 1:
-            log = [0] * q
-            for i, v in enumerate(exp):
-                log[v] = i
-            return g, exp, log
+            return g, exp, _log_of(exp, q)
     raise AssertionError(f"no generator of {field!r}")
 
 
+def walk_log_tables(field: Field, g: int) -> tuple[list[int], list[int]]:
+    """The exp and log tables of g by q - 2 sequential ``schoolbook_mul`` steps.
+
+    Raises AssertionError unless g has order q - 1.
+    """
+    q = field.q
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(schoolbook_mul(field, exp[-1], g))
+    if schoolbook_mul(field, exp[-1], g) != 1 or len(set(exp)) != q - 1:
+        raise AssertionError(f"{g} does not generate {field!r}")
+    return exp, _log_of(exp, q)
+
+
+def _log_of(exp: list[int], q: int) -> list[int]:
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return log
+
+
 def naive_pow(field: Field, a: int, n: int) -> int:
-    """a^n for n >= 0 as n plain ``_raw_mul`` products starting from 1."""
+    """a^n for n >= 0 as n plain ``schoolbook_mul`` products starting from 1."""
     out = 1
     for _ in range(n):
-        out = field._raw_mul(out, a)
+        out = schoolbook_mul(field, out, a)
     return out
 
 
@@ -79,8 +124,8 @@ def digitwise_add(field: Field, a: int, b: int) -> int:
 
 
 def naive_axpy(field: Field, xs, f: int, ys) -> list[int]:
-    """The row xs + f*ys entry by entry through ``_raw_mul`` and ``digitwise_add``."""
-    return [digitwise_add(field, x, field._raw_mul(f, y)) for x, y in zip(xs, ys)]
+    """The row xs + f*ys entry by entry through ``schoolbook_mul`` and ``digitwise_add``."""
+    return [digitwise_add(field, x, schoolbook_mul(field, f, y)) for x, y in zip(xs, ys)]
 
 
 def mod_p_kernels(p: int) -> dict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galcd import linalg, linear
+from galcd import cosets, linalg, linear
 from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
@@ -23,7 +23,15 @@ from galcd.constacyclic import (
     matrix_lcd_check,
     to_generator_matrix,
 )
-from galcd.cosets import CosetContext, act_scale, bch_lower_bound, cyclotomic_cosets, multiplier_orbit_key, multipliers
+from galcd.cosets import (
+    CosetContext,
+    act_scale,
+    bch_lower_bound,
+    cyclotomic_cosets,
+    enumerate_stable_sets,
+    multiplier_orbit_key,
+    multipliers,
+)
 from galcd.fields import make_field, mult_order, embedding
 from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
 from galcd.polys import Poly, splitting_field, xn_minus_lambda
@@ -527,6 +535,23 @@ def test_classify_handles_unpairable_census():
     assert cat.census.h is None and cat.census.count is None
     assert not cat.census.involutive
     assert all(rec.lcd == is_lcd(rec.code) for rec in cat.records)
+
+
+def test_classify_derives_the_cosets_and_tau_cycles_once(monkeypatch):
+    f9 = make_field(3, 2)
+    calls = {"tau_cycles": [], "cyclotomic_cosets": []}
+    for name, seen in calls.items():
+        def counting(ctx, real=getattr(cosets, name), seen=seen):
+            seen.append(ctx)
+            return real(ctx)
+
+        monkeypatch.setattr(cosets, name, counting)
+    cat = classify_all_lcd(f9, 10, f9.one, 1, exact_distance=False)
+    assert {name: len(seen) for name, seen in calls.items()} == {"tau_cycles": 1, "cyclotomic_cosets": 1}
+    ctx = calls["tau_cycles"][0]
+    monkeypatch.undo()
+    assert [rec.code.P.residues for rec in cat.records] == sorted(
+        (P.residues for P in enumerate_stable_sets(ctx)), key=lambda res: (len(res), res))
 
 
 def _sweep_contexts():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from galcd import fields
 from galcd.fields import (
+    _WALK_WIDTH,
     TABLE_LIMIT,
     Element,
     Field,
@@ -36,7 +37,9 @@ from oracles import (
     mod_p_kernels,
     naive_axpy,
     naive_pow,
+    schoolbook_mul,
     trial_division_irreducible,
+    walk_log_tables,
 )
 
 
@@ -331,17 +334,37 @@ def test_log_tables_match_the_brute_force_walks_for_every_small_field():
         assert (f.primitive_element.code, f._exp, f._log) == (g, exp, log), (p, e)
 
 
+# Past q = 2048 the blocked walk advances whole blocks of _WALK_WIDTH
+# columns, and in every case below q - 1 is not a multiple of the width,
+# so the last block is cut short.  The last two moduli are not the
+# defaults (dense tails, the largest irreducible ones).
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 16, None), (3, 10, None), (13, 4, None), (251, 2, None),
+    pytest.param(2, 13, (1, 0) + (1,) * 12, id="2-13-dense"),
+    pytest.param(5, 6, (2, 4, 4, 4, 4, 4, 1), id="5-6-dense"),
+])
+def test_log_tables_match_the_sequential_walk_past_2048(p, e, modulus):
+    if modulus is None:
+        modulus = default_modulus(p, e)
+    else:
+        assert modulus != default_modulus(p, e) and trial_division_irreducible(modulus, p)
+    f = Field(p, e, modulus)  # not memoized: the tables go with it
+    assert 2048 < f.q <= 1 << 16 and (f.q - 1) % _WALK_WIDTH
+    exp, log = walk_log_tables(f, f.primitive_element.code)
+    assert f._exp == exp and f._log == log
+
+
 def test_gf3_10_generator_and_sampled_exp_entries():
     f = make_field(3, 10)
     assert f.primitive_element.code == 34
     g = f._decode(34)
     rng = random.Random(310)
     for i in rng.sample(range(f.q - 1), 100):
-        assert f._exp[i] == f._encode(_ppowmod(g, i, f.modulus, f.p)), i
+        assert f._exp[i] == f._encode(_ppowmod(g, i, f.modulus, f.p, f._packing)), i
         assert f._log[f._exp[i]] == i
 
 
-@pytest.mark.parametrize("p,e", [(3, 12), (2, 20), (5, 8), (65537, 1)])
+@pytest.mark.parametrize("p,e", [(3, 12), (2, 20), (5, 8), (65537, 1), (7, 22), (257, 3)])
 def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
     f = make_field(p, e)
     assert f._exp is None
@@ -358,6 +381,21 @@ def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
         n1, n2 = rng.randrange(f.q, 10 * f.q), rng.randrange(f.q, 10 * f.q)
         assert f.pow_code(a, n1 + n2) == f._raw_mul(f.pow_code(a, n1), f.pow_code(a, n2))
     assert f.pow_code(0, 0) == 1 and f.pow_code(0, 7) == 0
+
+
+@pytest.mark.parametrize("p,e", [(2, 20), (3, 12), (5, 8), (7, 22), (257, 3)])
+def test_untabled_products_match_the_schoolbook_oracle(p, e):
+    f = make_field(p, e)
+    assert f._exp is None
+    rng = random.Random(10 * p + e)
+    special = [0, 1, p - 1, f.q - 1, p ** (e - 1)]  # q - 1 has every digit p - 1; p^(e-1) codes x^(e-1)
+    for a in special + [rng.randrange(f.q) for _ in range(25)]:
+        for b in special + [rng.randrange(f.q) for _ in range(8)]:
+            assert f._raw_mul(a, b) == schoolbook_mul(f, a, b), (a, b)
+        if a:
+            assert schoolbook_mul(f, a, f.inv_code(a)) == 1, a
+            n1, n2 = rng.randrange(f.q, 10 * f.q), rng.randrange(f.q, 10 * f.q)
+            assert f.pow_code(a, n1 + n2) == schoolbook_mul(f, f.pow_code(a, n1), f.pow_code(a, n2)), a
 
 
 @pytest.mark.parametrize("p,e", [(65537, 1), (2, 20), (3, 12)])
@@ -510,20 +548,23 @@ def test_galcd_imports_only_at_module_level_and_without_cycles():
         order += ready
 
 
-def test_field_set_up_multiplies_about_q_times(monkeypatch):
+def test_field_set_up_makes_far_fewer_than_q_products(monkeypatch):
     mod = default_modulus(3, 10)
-    real = fields._pmul
+    real = fields._mulmod
     calls = 0
 
-    def counting(a, b, p):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return real(a, b, p)
+        return real(*args)
 
-    monkeypatch.setattr(fields, "_pmul", counting)
+    monkeypatch.setattr(fields, "_mulmod", counting)
     f = Field(3, 10, mod)
     assert f.primitive_element.code == 34
-    assert calls <= f.q + 10**4
+    # The generator search powers each candidate once per prime factor of
+    # q - 1, at most two products per exponent bit; the walk makes none.
+    bound = 34 * len(f.qm1_factors) * 2 * f.q.bit_length()
+    assert 0 < calls <= bound < f.q
 
 
 def test_two_threads_share_a_fresh_untabled_field():
