@@ -341,15 +341,12 @@ def _add_budget_args(sp):
                     default=linear.DEFAULT_SUPPORT_BUDGET, help="budget of supports examined")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="galcd", description="Galois LCD constacyclic code toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("cosets", help="cyclotomic cosets, census and the all-LCD test")
+def _cosets_args(sp):
     _add_field_args(sp)
     sp.set_defaults(func=cmd_cosets)
 
-    sp = sub.add_parser("classify", help="catalog of all -p^k-stable defining sets")
+
+def _classify_args(sp):
     _add_field_args(sp)
     _add_budget_args(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -358,22 +355,26 @@ def build_parser() -> _Parser:
                     help="compute exact distances (default) or report bound intervals")
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("lcd-check", help="LCD verdict for one defining set")
+
+def _lcd_check_args(sp):
     _add_field_args(sp)
     sp.add_argument("--defining-set", required=True, help="comma-separated exponents")
     sp.set_defaults(func=cmd_lcd_check)
 
-    sp = sub.add_parser("dual", help="Galois dual of a constacyclic code")
+
+def _dual_args(sp):
     _add_field_args(sp)
     sp.add_argument("--defining-set", required=True)
     sp.set_defaults(func=cmd_dual)
 
-    sp = sub.add_parser("genpoly", help="generator polynomial for a defining set")
+
+def _genpoly_args(sp):
     _add_field_args(sp)
     sp.add_argument("--defining-set", required=True)
     sp.set_defaults(func=cmd_genpoly)
 
-    sp = sub.add_parser("mindist", help="exact minimum distance")
+
+def _mindist_args(sp):
     _add_field_args(sp)
     _add_budget_args(sp)
     sp.add_argument("--defining-set", default=None)
@@ -382,25 +383,56 @@ def build_parser() -> _Parser:
     sp.add_argument("--strategy", choices=("auto", "messages", "supports"), default="auto")
     sp.set_defaults(func=cmd_mindist)
 
-    sp = sub.add_parser("extend", help="standard-form LCD extension [I A A] or [I A eta*A]")
+
+def _extend_args(sp):
     _add_field_args(sp, with_n=False, with_lambda=False)
     _add_budget_args(sp)
     sp.add_argument("--mode", choices=("char2", "pmod4"), required=True)
     sp.add_argument("--gen", required=True, help="standard-form generator as JSON or @file")
     sp.set_defaults(func=cmd_extend)
 
-    sp = sub.add_parser("reproduce", help="recompute the bundled worked examples")
+
+def _reproduce_args(sp):
     _add_budget_args(sp)
     sp.add_argument("example", help="example id (e.g. 3.14) or 'all'")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_reproduce)
 
+
+# name -> (help text, function adding the subparser's arguments and func), in help order
+COMMANDS = {
+    "cosets": ("cyclotomic cosets, census and the all-LCD test", _cosets_args),
+    "classify": ("catalog of all -p^k-stable defining sets", _classify_args),
+    "lcd-check": ("LCD verdict for one defining set", _lcd_check_args),
+    "dual": ("Galois dual of a constacyclic code", _dual_args),
+    "genpoly": ("generator polynomial for a defining set", _genpoly_args),
+    "mindist": ("exact minimum distance", _mindist_args),
+    "extend": ("standard-form LCD extension [I A A] or [I A eta*A]", _extend_args),
+    "reproduce": ("recompute the bundled worked examples", _reproduce_args),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The galcd parser with every subcommand, or with only the one named.
+
+    A subcommand's help, usage and error texts do not depend on which
+    other subcommands the parser holds, so ``main`` builds only the one
+    it runs.
+    """
+    parser = _Parser(prog="galcd", description="Galois LCD constacyclic code toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in COMMANDS.items():
+        if command is None or name == command:
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The full parser answers --help, a missing command and an unknown one.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if "k" in args and not 0 <= args.k < args.e:

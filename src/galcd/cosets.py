@@ -217,7 +217,7 @@ class OrbitCensus:
     t: int
     h: int | None
     fixed: tuple[int, ...]            # smallest members of fixed cosets
-    pairs: tuple[tuple[int, int], ...]  # (min(Q), min(-p^k Q)) for non-fixed Q, each unordered pair once
+    pairs: tuple[tuple[int, int], ...]  # (min(Q), min(-p^k Q)) for Q in even cycles, each unordered pair once
     involutive: bool                  # whether -p^k pairs cosets two by two
 
     @property
@@ -274,28 +274,25 @@ def tau_cycles(ctx: CosetContext) -> tuple[tuple[int, ...], ...]:
 def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
     """Partition the cosets into fixed ones and halved non-fixed pairs.
 
-    The pairing exists whenever -p^k squares to a power of q modulo rn
-    (always in the Hermitian case k = e/2), and more generally whenever
-    the non-fixed cosets are even in number; a 3-cycle of cosets, which
-    some non-Hermitian contexts produce, has no (t, h) reading and
-    leaves h and count None.  Stable-set enumeration works regardless
-    via tau_cycles.
+    The pairing exists whenever every cycle of -p^k on the non-fixed
+    cosets has even length, which holds when -p^k squares to a power of
+    q modulo rn (always in the Hermitian case k = e/2).  A cycle of odd
+    length, such as the 3-cycles some non-Hermitian contexts produce, has
+    no (t, h) reading and leaves h and count None; pairs then holds the
+    pairs of the even cycles only.  Stable-set enumeration works
+    regardless via tau_cycles.
     """
     cycles = tau_cycles(ctx)
-    moved = sum(len(c) for c in cycles if len(c) > 1)
-    pairs = []
-    for cyc in (c for c in cycles if len(c) > 1):
-        for i in range(0, len(cyc) - 1, 2):
-            pairs.append((cyc[i], cyc[i + 1]))
-        if len(cyc) % 2:  # odd cycle > 1: close with the wrap pair
-            pairs.append((cyc[-1], cyc[0]))
+    moved = [c for c in cycles if len(c) > 1]
+    pairs = tuple((cyc[i], cyc[i + 1]) for cyc in moved if len(cyc) % 2 == 0
+                  for i in range(0, len(cyc), 2))
     fixed = tuple(c[0] for c in cycles if len(c) == 1)
     return OrbitCensus(
         cycles=cycles,
         t=len(fixed),
-        h=None if moved % 2 else moved // 2,
+        h=None if any(len(c) % 2 for c in moved) else len(pairs),
         fixed=fixed,
-        pairs=tuple(pairs),
+        pairs=pairs,
         involutive=all(len(c) <= 2 for c in cycles),
     )
 

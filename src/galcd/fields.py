@@ -769,28 +769,34 @@ def _build_embedding(src: Field, dst: Field) -> Embedding:
         fwd = {c: c for c in range(src.p)}
         return Embedding(src, dst, fwd, {v: k for k, v in fwd.items()})
     # The subfield of size src.q is the kernel of x -> x^(src.q); its
-    # nonzero part is generated by g^((dst.q - 1) / (src.q - 1)).
-    g = dst.primitive_element
-    w = g ** ((dst.q - 1) // (src.q - 1))
-    mod_consts = [Element(dst, c) for c in src.modulus]  # GF(p) coefficients embed as constants
-    roots = []
-    cand = dst.one
+    # nonzero part is generated by g^((dst.q - 1) / (src.q - 1)).  The
+    # modulus is irreducible of degree e, so its roots there are the e
+    # conjugates beta^(p^j) of the first root beta among the powers of w.
+    add, mul = dst.add_codes, dst.mul_codes
+    w = dst.pow_code(dst.primitive_element.code, (dst.q - 1) // (src.q - 1))
+    beta = 1
     for _ in range(src.q - 1):
-        acc = dst.zero
-        for c in reversed(mod_consts):
-            acc = acc * cand + c
+        acc = 0
+        for c in reversed(src.modulus):  # GF(p) coefficients embed as constants
+            acc = add(mul(acc, beta), c)
         if not acc:
-            roots.append(cand.code)
-        cand = cand * w
-    if len(roots) != src.e:
+            break
+        beta = mul(beta, w)
+    roots = {dst.frob_code(beta, j) for j in range(src.e)}
+    if acc or len(roots) != src.e:
         raise AssertionError("modulus did not split in the target subfield")
-    rho = Element(dst, min(roots))
-    fwd = {}
-    for code in range(src.q):
-        acc = dst.zero
-        for d in reversed(src._decode(code)):
-            acc = acc * rho + Element(dst, d)
-        fwd[code] = acc.code
+    # x -> rho is GF(p)-linear: the image of code + c*p^j is fwd[code] + c*rho^j.
+    rho = min(roots)
+    fwd = [0]
+    rho_j = 1
+    for _ in range(src.e):
+        low = len(fwd)
+        step = 0
+        for _ in range(1, src.p):
+            step = add(step, rho_j)
+            fwd.extend(add(f, step) for f in fwd[:low])
+        rho_j = mul(rho_j, rho)
+    fwd = dict(enumerate(fwd))
     return Embedding(src, dst, fwd, {v: k for k, v in fwd.items()})
 
 

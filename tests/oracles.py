@@ -128,6 +128,36 @@ def naive_axpy(field: Field, xs, f: int, ys) -> list[int]:
     return [digitwise_add(field, x, schoolbook_mul(field, f, y)) for x, y in zip(xs, ys)]
 
 
+def embedding_by_scan(src: Field, dst: Field) -> tuple[dict, dict]:
+    """(fwd, inv) of the embedding GF(p^e) -> GF(p^(e*m)), e >= 2, from every root of the modulus.
+
+    Evaluates src's modulus at every power of the subfield generator
+    w = g^((dst.q - 1) / (src.q - 1)), takes the smallest of its e roots
+    as the image rho of x, and maps each code by Horner's rule in rho.
+    """
+    add, mul = dst.add_codes, dst.mul_codes
+    w = dst.pow_code(dst.primitive_element.code, (dst.q - 1) // (src.q - 1))
+    roots = []
+    cand = 1
+    for _ in range(src.q - 1):
+        acc = 0
+        for c in reversed(src.modulus):
+            acc = add(mul(acc, cand), c)
+        if not acc:
+            roots.append(cand)
+        cand = mul(cand, w)
+    if len(roots) != src.e:
+        raise AssertionError("modulus did not split in the target subfield")
+    rho = min(roots)
+    fwd = {}
+    for code in range(src.q):
+        acc = 0
+        for d in reversed(_digits(code, src.p, src.e)):
+            acc = add(mul(acc, rho), d)
+        fwd[code] = acc
+    return fwd, {v: k for k, v in fwd.items()}
+
+
 def mod_p_kernels(p: int) -> dict:
     """GF(p)'s scalar calls and row kernels as plain integer arithmetic mod p.
 

@@ -1,7 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
-from galcd.cli import main
+import pytest
+
+from galcd import cli
+from galcd.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -34,6 +42,18 @@ def test_cosets_reports_an_unpaired_census_and_goes_on(capsys):
     assert code == 0
     assert "census: t=1 h=n/a (non-fixed cosets do not pair)\nall-LCD: no\n" in out
     assert "orbit pairs" not in out
+
+
+def test_two_odd_cycles_leave_the_census_unpaired(capsys):
+    # cyclic GF(8), n=27, k=1: two 3-cycles of cosets, six moved cosets that do not pair
+    argv = ["-p", "2", "-e", "3", "-k", "1", "-n", "27"]
+    code, out, _ = run(capsys, "cosets", *argv)
+    assert code == 0
+    assert "census: t=2 h=n/a (non-fixed cosets do not pair)\nall-LCD: no\n" in out
+    assert "orbit pairs" not in out
+    code, _, err = run(capsys, "classify", *argv, "--format", "csv")
+    assert code == 0
+    assert err.endswith("census: t=2 h=n/a; 2^(t+h)-1 n/a (non-fixed cosets do not pair)\n")
 
 
 def test_cosets_prints_hermitian_gate_when_applicable(capsys):
@@ -348,3 +368,105 @@ def test_classify_trivial_length_one_context(capsys):
     assert "stable sets: 2" in err
     rows = [ln for ln in out.splitlines() if ln and not ln.startswith("p,")]
     assert len(rows) == 2  # the full space and the zero code
+
+
+# A complete argument list for each command: the parser accepts it, so an extra
+# flag after it reaches the "unrecognized arguments" error.
+_VALID_ARGS = {
+    "cosets": ["-p", "2", "-e", "1", "-n", "1"],
+    "classify": ["-p", "2", "-e", "1", "-n", "1"],
+    "lcd-check": ["-p", "2", "-e", "1", "-n", "1", "--defining-set", "0"],
+    "dual": ["-p", "2", "-e", "1", "-n", "1", "--defining-set", "0"],
+    "genpoly": ["-p", "2", "-e", "1", "-n", "1", "--defining-set", "0"],
+    "mindist": ["-p", "2", "-e", "1", "-n", "1"],
+    "extend": ["-p", "2", "-e", "1", "--mode", "char2", "--gen", "[[1]]"],
+    "reproduce": ["all"],
+}
+
+
+def _choice_flags(name):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in subparsers.choices[name]._actions
+            if a.choices and a.option_strings]
+
+
+def _parser_errors(name):
+    """--help, a missing required argument, bad values and an unrecognized flag for one command."""
+    bad_int = ["--budget-messages", "many"] if name == "reproduce" else ["-p", "two"]
+    vectors = [[name, "--help"], [name], [name, *bad_int],
+               [name, *_VALID_ARGS[name], "--no-such-flag"]]
+    vectors += [[name, flag, "bogus"] for flag in _choice_flags(name)]
+    return vectors
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as ex:  # --help exits from inside argparse
+        code = ex.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_TOP_LEVEL = [[], ["--help"], ["-h", "cosets"], ["bogus"], ["cos"], ["--version"]]
+
+
+def test_every_command_has_valid_args_and_the_choice_flags_are_found():
+    assert set(_VALID_ARGS) == set(COMMANDS)
+    assert _choice_flags("classify") == ["--format"]
+    assert _choice_flags("mindist") == ["--strategy"]
+    assert _choice_flags("extend") == ["--mode"]
+    assert _choice_flags("cosets") == []
+
+
+@pytest.mark.parametrize("argv", [v for name in COMMANDS for v in _parser_errors(name)] + _TOP_LEVEL,
+                         ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    own = _outcome(capsys, argv)
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert own == _outcome(capsys, argv)
+    assert own[0] in (0, cli.USAGE_ERROR) and own[1] + own[2]
+
+
+def test_main_builds_only_the_named_command(monkeypatch, capsys):
+    asked = []
+    full_parser = build_parser
+
+    def spy(command=None):
+        asked.append(command)
+        return full_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "cosets", "-p", "3", "-e", "2", "-k", "1", "-n", "4")[0] == 0
+    assert _outcome(capsys, ["--help"])[0] == 0
+    assert _outcome(capsys, ["cos"])[0] == cli.USAGE_ERROR
+    monkeypatch.setattr(sys, "argv", ["galcd", "genpoly", "-p", "2", "-e", "1", "-n", "1",
+                                      "--defining-set", "0"])
+    assert main() == 0  # the console script passes no argv
+    assert asked == ["cosets", None, None, "genpoly"]
+
+
+def test_bogus_command_lists_every_command(capsys):
+    code, out, err = _outcome(capsys, ["bogus"])
+    assert code == cli.USAGE_ERROR and out == ""
+    assert err == ("usage error: argument command: invalid choice: 'bogus' (choose from "
+                   + ", ".join(f"'{name}'" for name in COMMANDS) + ")\n")
+
+
+def _module_run(*argv):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "galcd.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    argv = ["cosets", "-p", "3", "-e", "2", "-k", "1", "-n", "4"]
+    proc = _module_run(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == run(capsys, *argv)[1]
+    proc = _module_run("--help")
+    assert proc.returncode == 0
+    listed = proc.stdout.split("positional arguments:")[1]
+    assert all(f"    {name} " in listed for name in COMMANDS) and len(COMMANDS) == 8

@@ -28,6 +28,7 @@ from galcd.cosets import (
     act_scale,
     bch_lower_bound,
     cyclotomic_cosets,
+    dual_defining_set,
     enumerate_stable_sets,
     multiplier_orbit_key,
     multipliers,
@@ -43,6 +44,32 @@ from oracles import (
     support_scan,
     support_scan_echelon,
 )
+
+
+@st.composite
+def frame_preserving_codes(draw):
+    """A union of cosets in a small context where -p^k keeps 1 + r*Z_rn, as a code."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(1, 3 if p < 5 else 2))
+    k = draw(st.integers(0, e - 1))
+    n = draw(st.integers(1, 10).filter(lambda n: math.gcd(n, p) == 1))
+    r = draw(st.sampled_from([d for d in range(1, p**e) if (p**e - 1) % d == 0 and (1 + p**k) % d == 0]))
+    field = make_field(p, e)
+    cosets_here = cyclotomic_cosets(CosetContext(p=p, e=e, k=k, n=n, r=r))
+    take = draw(st.lists(st.booleans(), min_size=len(cosets_here), max_size=len(cosets_here)))
+    residues = tuple(sorted(x for t, c in zip(take, cosets_here) if t for x in c))
+    lam = field.primitive_element ** ((field.q - 1) // r)
+    return code_from_defining_set(field, n, lam, residues, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_preserving_codes())
+def test_dualizing_twice_is_the_identity(C):
+    assert cosets.frame_preserved(C.P.ctx)
+    assert dual_defining_set(dual_defining_set(C.P)) == C.P
+    DD = galois_dual_code(galois_dual_code(C))
+    assert (DD.P, DD.g, DD.k) == (C.P, C.g, C.k)
+    assert DD.lam == C.lam
 
 
 def test_full_space_code():

@@ -14,6 +14,7 @@ from galcd.cosets import (
     cyclotomic_cosets,
     dual_defining_set,
     enumerate_stable_sets,
+    frame_preserved,
     hermitian_necessary_check,
     is_lcd_defining_set,
     lcd_closure,
@@ -21,6 +22,7 @@ from galcd.cosets import (
     multipliers,
     q1_fixed_test,
     stable_orbit_census,
+    tau,
     tau_cycles,
     unique_order2_unit,
 )
@@ -427,6 +429,45 @@ def test_census_undefined_for_three_cycled_cosets():
     assert census.cycles == cycles and census.t == 1
     assert census.h is None and census.count is None
     assert not census.involutive
+
+
+def test_census_undefined_for_two_odd_cycles():
+    # cyclic GF(8), n=27, k=1: -2 three-cycles two sets of cosets, so the
+    # moved cosets are even in number and still do not pair
+    ctx = CosetContext(p=2, e=3, k=1, n=27, r=1)
+    census = stable_orbit_census(ctx)
+    assert census.cycles == ((0,), (1, 2, 4), (3, 6, 12), (9,))
+    assert census.t == 2 and census.h is None and census.count is None
+    assert census.pairs == ()
+
+
+def test_census_pairs_each_coset_once_across_a_sweep():
+    """p <= 7, q <= 300, rn <= 60 in the frame: h is set iff every moved cycle is even."""
+    unpaired_even_moved = 0
+    for p in (2, 3, 5, 7):
+        for e in range(1, 9):
+            q = p**e
+            if q > 300:
+                break
+            for r in (d for d in range(1, 61) if (q - 1) % d == 0):
+                for n in (n for n in range(1, 60 // r + 1) if math.gcd(n, p) == 1):
+                    for k in range(e):
+                        ctx = CosetContext(p=p, e=e, k=k, n=n, r=r)
+                        if not frame_preserved(ctx):
+                            continue
+                        census = stable_orbit_census(ctx)
+                        perm = tau(ctx)
+                        members = [key for pair in census.pairs for key in pair]
+                        assert len(members) == len(set(members)), ctx
+                        assert all(perm[a] == b for a, b in census.pairs), ctx
+                        moved = [c for c in census.cycles if len(c) > 1]
+                        odd = any(len(c) % 2 for c in moved)
+                        assert (census.h is None) == odd, ctx
+                        if census.h is not None:
+                            assert len(census.pairs) == census.h, ctx
+                        elif sum(map(len, moved)) % 2 == 0:
+                            unpaired_even_moved += 1
+    assert unpaired_even_moved > 0  # contexts whose odd cycles pair up in number only
 
 
 def test_multipliers_examples():

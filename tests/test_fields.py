@@ -34,6 +34,7 @@ from galcd.fields import (
 from oracles import (
     brute_log_tables,
     digitwise_add,
+    embedding_by_scan,
     mod_p_kernels,
     naive_axpy,
     naive_pow,
@@ -271,6 +272,43 @@ def test_embed_respects_mult_on_random_pairs():
         x = f8.from_code(rng.randrange(8))
         y = f8.from_code(rng.randrange(8))
         assert embed(f8, f64, x * y) == embed(f8, f64, x) * embed(f8, f64, y)
+
+
+def _embedding_pairs(limit=13**6):
+    """(p, e, E) for every source GF(p^e), e >= 2, and extension GF(p^E) with p^E <= limit."""
+    return [(p, e, e * m) for p in range(2, 50) if is_prime(p)
+            for e in range(2, 12) for m in range(2, 12) if p ** (e * m) <= limit]
+
+
+def _irreducible(p, e, rank):
+    """The rank-th monic irreducible of degree e in default_modulus order (rank 0 is the default)."""
+    found = (c for c in (_digits(t, p, e) + [1] for t in range(p**e)) if poly_is_irreducible(c, p))
+    return next(c for i, c in enumerate(found) if i == rank)
+
+
+def _digits(code, p, e):
+    return [code // p**i % p for i in range(e)]
+
+
+# (p, e, E, rank of src's modulus, rank of dst's modulus); E = 16 and E = 6 at p = 7
+# are past the log-table limit, and every E here is past the row-table limit but 3^4.
+_NON_DEFAULT_MODULI = [
+    (2, 3, 6, 1, 0), (2, 3, 6, 0, 1), (3, 2, 4, 1, 1), (5, 2, 6, 1, 2),
+    (7, 3, 6, 1, 1), (2, 4, 16, 2, 1), (13, 2, 4, 3, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "p,e,E,src_rank,dst_rank",
+    [(p, e, E, 0, 0) for p, e, E in _embedding_pairs()] + _NON_DEFAULT_MODULI,
+    ids=lambda v: str(v))
+def test_embedding_tables_match_the_all_roots_scan(p, e, E, src_rank, dst_rank):
+    src = make_field(p, e, _irreducible(p, e, src_rank))
+    dst = make_field(p, E, _irreducible(p, E, dst_rank))
+    emb = embedding(src, dst)
+    fwd, inv = embedding_by_scan(src, dst)
+    assert list(emb.fwd.items()) == list(fwd.items())  # same images, keyed in code order
+    assert list(emb.inv.items()) == list(inv.items())
 
 
 def test_embed_rejects_incompatible_fields():
