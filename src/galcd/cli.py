@@ -321,13 +321,12 @@ def cmd_reproduce(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_field_args(sp, with_n=True, with_lambda=True):
+def _add_field_args(sp, family=True):
     sp.add_argument("-p", type=int, required=True, help="prime characteristic")
     sp.add_argument("-e", type=int, required=True, help="extension degree")
     sp.add_argument("-k", type=int, default=0, help="Galois duality parameter (0 <= k < e)")
-    if with_n:
+    if family:  # the -n and --lambda of a constacyclic family
         sp.add_argument("-n", type=int, required=True, help="code length")
-    if with_lambda:
         sp.add_argument("--lambda", dest="lam", default="1",
                         help="constacyclic constant: signed integer or comma coefficients")
     sp.add_argument("--modulus", default=None,
@@ -385,7 +384,7 @@ def _mindist_args(sp):
 
 
 def _extend_args(sp):
-    _add_field_args(sp, with_n=False, with_lambda=False)
+    _add_field_args(sp, family=False)
     _add_budget_args(sp)
     sp.add_argument("--mode", choices=("char2", "pmod4"), required=True)
     sp.add_argument("--gen", required=True, help="standard-form generator as JSON or @file")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable
 
 from galcd.cosets import (
@@ -63,33 +63,19 @@ class _Family:
     minpolys: dict[int, Poly]        # smallest coset member -> M_Q
 
 
-def build_family(field: Field, n: int, lam: Element, theta: Element | None = None) -> _Family:
+@cache
+def _family(field: Field, n: int, lam: Element) -> _Family:
+    """The one family per (field, n, lambda)."""
     if lam.field != field or not lam:
         raise ValueError("lambda must be a nonzero element of the field")
     ctx = CosetContext(p=field.p, e=field.e, k=0, n=n, r=mult_order(lam))
     ext = splitting_field(field, ctx.rn)
-    if theta is None:
-        lam_ext = embed(field, ext, lam)
-        theta = primitive_rn_root(ext, ctx.rn, n, lam_ext)
-    else:
-        if theta.field != ext:
-            raise ValueError("theta must live in the splitting field")
-        if mult_order(theta) != ctx.rn or theta**n != embed(field, ext, lam):
-            raise ValueError("theta is not a primitive rn-th root with theta^n = lambda")
+    theta = primitive_rn_root(ext, ctx.rn, n, embed(field, ext, lam))
     cosets = cyclotomic_cosets(ctx)
     minpolys = {c[0]: minimal_poly(c, theta, field) for c in cosets}
-    prod = Poly(field, (1,))
-    for mq in minpolys.values():
-        prod = prod * mq
-    if prod != xn_minus_lambda(field, n, lam):
+    if prod(minpolys.values(), start=Poly(field, (1,))) != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
     return _Family(field, n, lam, ext, theta, ctx, cosets, minpolys)
-
-
-@cache
-def _family(field: Field, n: int, lam: Element) -> _Family:
-    """The one family per (field, n, lambda)."""
-    return build_family(field, n, lam)
 
 
 def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], Poly]]:
@@ -401,7 +387,7 @@ def hermitian_mds_family(
     pinned by the consecutive-run bound against the Singleton bound.
     """
     field = make_field(p, 2 * a)
-    lam_el = field.from_int(lam) if isinstance(lam, int) else lam
+    lam_el = lam if isinstance(lam, Element) else field.from_int(lam)
     if lam_el.field != field:
         raise ValueError("lambda must live in GF(p^(2a))")
     r = mult_order(lam_el)

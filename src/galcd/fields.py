@@ -25,15 +25,17 @@ digit and multiply with ``_raw_mul``: both coefficient vectors are
 packed into w-bit slots of one Python int, multiplied once, and the
 high half is folded back through the packed rows x^(e+j) mod modulus
 (Kronecker substitution; ``pow_code`` squares and multiplies the same
-way).  Filled lazily on first use: ``_qm1_factors`` (the factorization
-of q - 1), ``_primitive`` when q > 2^16, ``_packed_rows`` (w and those
-rows, for every extension field: set-up multiplies before any table
-exists) and ``_tables`` (the q*q numpy tables of ``tables()``,
-q <= 2200, which only message enumeration reads).  Sharing a field
-between threads is still safe: each lazy value is deterministic, so
-threads that race compute equal values, and each write is one attribute
-assignment, so no thread can see a partial value.  A race only repeats
-work.
+way).  The kernels read ``__slots__``; the lazy values are
+``functools.cached_property``s, kept in the instance ``__dict__`` from
+their first read: ``qm1_factors`` (the factorization of q - 1),
+``_generator_code`` (the code of ``primitive_element``; a cached
+Element would point back at the field, which only a garbage collection
+pass could then free), ``_packing`` (w and those rows, for every
+extension field: set-up multiplies before any table exists) and
+``_tables`` (the q*q numpy pair of ``tables()``, q <= 2200, which only
+message enumeration reads).  Sharing a field between threads is safe:
+each value is deterministic, so threads that race on a first read
+compute equal values.  A race only repeats work.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -328,38 +330,27 @@ class Field:
     shared.
     """
 
-    __slots__ = (
-        "p", "e", "q", "modulus",
-        "_exp", "_log", "_mul", "_add", "_tables",
-        "_qm1_factors", "_primitive", "_packed_rows",
-    )
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_mul", "_add", "__dict__")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        self._qm1_factors: dict[int, int] | None = None
-        self._primitive: int | None = None
-        self._packed_rows: tuple[int, tuple[int, ...]] | None = None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._mul = self._add = self._tables = None
+        self._exp = self._log = self._mul = self._add = None  # filled below when q is small enough
         if self.q <= _LOG_TABLE_LIMIT:
             self._build_log_tables()
         if self.q <= _ROW_TABLE_LIMIT:
             codes = np.array(range(self.q), dtype=object)  # one int object per code
             self._mul, self._add = (codes[t].tolist() for t in self.tables())
-            self._tables = None  # only message enumeration reads the arrays; tables() rebuilds them
+            del self._tables  # only message enumeration reads the arrays; tables() rebuilds them
 
     # -- construction helpers ------------------------------------------------
 
-    @property
+    @cached_property
     def _packing(self) -> tuple[int, tuple[int, ...]]:
         """``_packing(modulus, p)``, built on first use."""
-        if self._packed_rows is None:
-            self._packed_rows = _packing(self.modulus, self.p)
-        return self._packed_rows
+        return _packing(self.modulus, self.p)
 
     def _raw_mul(self, a: int, b: int) -> int:
         p, e = self.p, self.e
@@ -372,36 +363,30 @@ class Field:
     def _build_log_tables(self) -> None:
         # The powers of the generator g, one block of columns at a time.
         # Multiplication by g is the GF(p)-linear map M on coefficient
-        # vectors.  The block B of g^0 .. g^(d-1) grows by doubling,
-        # B <- [B | M^d B] and M^d <- M^d M^d, up to _WALK_WIDTH columns;
-        # each further block is M^width times the one before.  Entries
-        # stay below p and a product sums e terms below p^2, far inside
-        # int64 for q <= 2^16.
+        # vectors (the 1 x 1 matrix (g) in a prime field).  The block B of
+        # g^0 .. g^(d-1) grows by doubling, B <- [B | M^d B] and
+        # M^d <- M^d M^d, up to _WALK_WIDTH columns; each further block is
+        # M^width times the one before.  Entries stay below p and a product
+        # sums e terms below p^2, far inside int64 for q <= 2^16.
         q, p, e = self.q, self.p, self.e
-        g = self.primitive_element.code
-        if e == 1:
-            exp = [1] * (q - 1)
-            for i in range(1, q - 1):
-                exp[i] = exp[i - 1] * g % p
-            codes = np.array(exp, dtype=np.int64)
-        else:
-            # column j of M holds the digits of g * x^j
-            step = np.array(_x_multiples(self._decode(g), self.modulus, p, e), dtype=np.int64).T
-            width = 1 << (min(q - 1, _WALK_WIDTH).bit_length() - 1)
-            block = np.zeros((e, width), dtype=np.int64)
-            block[0, 0] = 1
-            done = 1
-            while done < width:
-                block[:, done:2 * done] = step @ block[:, :done] % p
-                done *= 2
-                if done < q - 1:  # M^width is needed only for a further block
-                    step = step @ step % p
-            weights = p ** np.arange(e, dtype=np.int64)
-            codes = np.empty(q - 1, dtype=np.int64)
-            for start in range(0, q - 1, width):
-                if start:
-                    block = step @ block % p
-                codes[start:start + width] = (weights @ block)[:q - 1 - start]
+        g = self._generator_code
+        # column j of M holds the digits of g * x^j
+        step = np.array(_x_multiples(self._decode(g), self.modulus, p, e), dtype=np.int64).T
+        width = 1 << (min(q - 1, _WALK_WIDTH).bit_length() - 1)
+        block = np.zeros((e, width), dtype=np.int64)
+        block[0, 0] = 1
+        done = 1
+        while done < width:
+            block[:, done:2 * done] = step @ block[:, :done] % p
+            done *= 2
+            if done < q - 1:  # M^width is needed only for a further block
+                step = step @ step % p
+        weights = p ** np.arange(e, dtype=np.int64)
+        codes = np.empty(q - 1, dtype=np.int64)
+        for start in range(0, q - 1, width):
+            if start:
+                block = step @ block % p
+            codes[start:start + width] = (weights @ block)[:q - 1 - start]
         log = np.zeros(q, dtype=np.int64)
         log[codes] = np.arange(q - 1)
         self._exp, self._log = codes.tolist(), log.tolist()
@@ -484,26 +469,28 @@ class Field:
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Full q*q (mul, add) tables of codes as int64 arrays, q <= TABLE_LIMIT."""
-        if self._tables is None:
-            q, p = self.q, self.p
-            if q > TABLE_LIMIT:
-                raise ValueError(f"GF({q}) exceeds the table limit {TABLE_LIMIT}")
-            exp = np.array(self._exp, dtype=np.int64)
-            log = np.array(self._log, dtype=np.int64)
-            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            # (a0 + p*a') + (b0 + p*b') = (a0 + b0) % p + p*(a' + b'): each pass
-            # puts one more low digit under the table of the higher digits.
-            digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
-            add = np.zeros((1, 1), dtype=np.int64)
-            for _ in range(self.e):
-                m = len(add) * p
-                add = (add[:, None, :, None] * p + digit_sum[None, :, None, :]).reshape(m, m)
-            mul.setflags(write=False)  # shared by every caller
-            add.setflags(write=False)
-            self._tables = (mul, add)
         return self._tables
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        q, p = self.q, self.p
+        if q > TABLE_LIMIT:
+            raise ValueError(f"GF({q}) exceeds the table limit {TABLE_LIMIT}")
+        exp = np.array(self._exp, dtype=np.int64)
+        log = np.array(self._log, dtype=np.int64)
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        # (a0 + p*a') + (b0 + p*b') = (a0 + b0) % p + p*(a' + b'): each pass
+        # puts one more low digit under the table of the higher digits.
+        digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
+        add = np.zeros((1, 1), dtype=np.int64)
+        for _ in range(self.e):
+            m = len(add) * p
+            add = (add[:, None, :, None] * p + digit_sum[None, :, None, :]).reshape(m, m)
+        mul.setflags(write=False)  # shared by every caller
+        add.setflags(write=False)
+        return mul, add
 
     def axpy(self, xs: Sequence[int], f: int, ys: Sequence[int]) -> list[int]:
         """The row xs + f*ys on codes."""
@@ -570,11 +557,9 @@ class Field:
 
     # -- structure -------------------------------------------------------------
 
-    @property
+    @cached_property
     def qm1_factors(self) -> dict[int, int]:
-        if self._qm1_factors is None:
-            self._qm1_factors = factorize(self.q - 1) if self.q > 2 else {}
-        return self._qm1_factors
+        return factorize(self.q - 1) if self.q > 2 else {}
 
     def _code_order(self, a: int) -> int:
         if a == 0:
@@ -588,12 +573,13 @@ class Field:
     @property
     def primitive_element(self) -> "Element":
         """Multiplicative generator with the smallest integer code."""
-        if self._primitive is None:
-            # a generates iff a^((q-1)/l) != 1 for every prime l | q-1.
-            cofactors = [(self.q - 1) // ell for ell in self.qm1_factors]
-            self._primitive = next(a for a in range(1, self.q)
-                                   if all(self.pow_code(a, c) != 1 for c in cofactors))
-        return Element(self, self._primitive)
+        return Element(self, self._generator_code)
+
+    @cached_property
+    def _generator_code(self) -> int:
+        # a generates iff a^((q-1)/l) != 1 for every prime l | q-1.
+        cofactors = [(self.q - 1) // ell for ell in self.qm1_factors]
+        return next(a for a in range(1, self.q) if all(self.pow_code(a, c) != 1 for c in cofactors))
 
     # -- identity ---------------------------------------------------------------
 
@@ -761,7 +747,13 @@ class Embedding:
         return Element(self.dst, self.fwd[x.code])
 
 
-def _build_embedding(src: Field, dst: Field) -> Embedding:
+@cache
+def embedding(src: Field, dst: Field) -> Embedding:
+    """Memoized canonical embedding; requires src.p == dst.p and src.e | dst.e."""
+    if src.p != dst.p:
+        raise ValueError(f"incompatible characteristics {src.p} and {dst.p}")
+    if dst.e % src.e != 0:
+        raise ValueError(f"GF({src.p}^{src.e}) does not embed in GF({dst.p}^{dst.e})")
     if src == dst:
         ident = {c: c for c in range(src.q)}
         return Embedding(src, dst, ident, dict(ident))
@@ -798,16 +790,6 @@ def _build_embedding(src: Field, dst: Field) -> Embedding:
         rho_j = mul(rho_j, rho)
     fwd = dict(enumerate(fwd))
     return Embedding(src, dst, fwd, {v: k for k, v in fwd.items()})
-
-
-@cache
-def embedding(src: Field, dst: Field) -> Embedding:
-    """Memoized canonical embedding; requires src.p == dst.p and src.e | dst.e."""
-    if src.p != dst.p:
-        raise ValueError(f"incompatible characteristics {src.p} and {dst.p}")
-    if dst.e % src.e != 0:
-        raise ValueError(f"GF({src.p}^{src.e}) does not embed in GF({dst.p}^{dst.e})")
-    return _build_embedding(src, dst)
 
 
 def embed(src: Field, dst: Field, x: Element) -> Element:

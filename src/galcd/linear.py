@@ -154,6 +154,11 @@ class CodeParams:
         return f"[{self.n},{self.dim},{d}]"
 
 
+def _check_k(field: Field, k: int) -> None:
+    if not 0 <= k < field.e:
+        raise ValueError(f"need 0 <= k < e, got k={k}, e={field.e}")
+
+
 def galois_inner_product(x: Sequence[Element], y: Sequence[Element], k: int) -> Element:
     """sum_i x_i * y_i^(p^k)."""
     if len(x) != len(y):
@@ -161,6 +166,7 @@ def galois_inner_product(x: Sequence[Element], y: Sequence[Element], k: int) -> 
     if not x:
         raise ValueError("empty vectors")
     field = x[0].field
+    _check_k(field, k)
     add, mul, frob = field.add_codes, field.mul_codes, field.frob_code
     acc = 0
     for xi, yi in zip(x, y):
@@ -179,6 +185,7 @@ def p_power_code(C: LinearCode, j: int) -> LinearCode:
 def galois_dual(C: LinearCode, k: int) -> LinearCode:
     """C^perp_k, the Euclidean dual of the p^(e-k)-powered code."""
     field = C.field
+    _check_k(field, k)
     powered = linalg.frobenius_matrix(field, C.codes_matrix(), (field.e - k) % field.e)
     basis = linalg.nullspace(field, powered, width=C.n)
     return LinearCode._trusted(field, basis, C.n)
@@ -199,6 +206,7 @@ class LcdCheck:
 def galois_gram(C: LinearCode, k: int) -> linalg.Matrix:
     """G times the transpose of the entrywise p^(e-k) power of G."""
     field = C.field
+    _check_k(field, k)
     g = C.codes_matrix()
     powered = linalg.frobenius_matrix(field, g, (field.e - k) % field.e)
     return linalg.matmul(field, g, linalg.transpose(powered))
@@ -218,6 +226,7 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
     2n - l, and the minimum distance does not drop.
     """
     field = C.field
+    _check_k(field, k)
     l, n = C.dim, C.n
     if l == 0:
         raise ValueError("cannot extend a dimension-0 code")

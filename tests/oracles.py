@@ -99,6 +99,19 @@ def walk_log_tables(field: Field, g: int) -> tuple[list[int], list[int]]:
     return exp, _log_of(exp, q)
 
 
+def prime_walk_log_tables(p: int, g: int) -> tuple[list[int], list[int]]:
+    """The exp and log tables of g in GF(p) by p - 2 integer products mod p.
+
+    Raises AssertionError unless g has order p - 1.
+    """
+    exp = [1]
+    for _ in range(p - 2):
+        exp.append(exp[-1] * g % p)
+    if exp[-1] * g % p != 1 or len(set(exp)) != p - 1:
+        raise AssertionError(f"{g} does not generate GF({p})")
+    return exp, _log_of(exp, p)
+
+
 def _log_of(exp: list[int], q: int) -> list[int]:
     log = [0] * q
     for i, v in enumerate(exp):

@@ -3,6 +3,7 @@ import math
 import weakref
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
     _family,
-    build_family,
     classify_all_lcd,
     code_from_defining_set,
     code_params,
@@ -35,7 +35,7 @@ from galcd.cosets import (
 )
 from galcd.fields import make_field, mult_order, embedding
 from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
-from galcd.polys import Poly, splitting_field, xn_minus_lambda
+from galcd.polys import Poly, minimal_poly, splitting_field, xn_minus_lambda
 from oracles import (
     brute_min_distance,
     catalog_per_record,
@@ -400,7 +400,7 @@ def test_theta_labels_are_relative_but_verdicts_invariant():
     f121 = make_field(11, 2)
     lam = f121.one
     ext = splitting_field(f121, 10)
-    default = build_family(f121, 10, lam)
+    default = _family(f121, 10, lam)
     # pick a different admissible theta: another primitive 10th root with theta^10 = 1
     g = ext.primitive_element
     alt = None
@@ -412,10 +412,10 @@ def test_theta_labels_are_relative_but_verdicts_invariant():
                 alt = cand
                 break
     assert alt is not None
-    relabeled = build_family(f121, 10, lam, theta=alt)
+    relabeled = [minimal_poly(c, alt, f121) for c in default.cosets]
     # same factor multiset, different labelling
     assert sorted(m.codes for m in default.minpolys.values()) == \
-        sorted(m.codes for m in relabeled.minpolys.values())
+        sorted(m.codes for m in relabeled)
 
     from galcd.cosets import DefiningSet, is_lcd_defining_set
 
@@ -427,8 +427,8 @@ def test_theta_labels_are_relative_but_verdicts_invariant():
     # find the relabeled defining set with the same generator polynomial
     emb = embedding(f121, ext)
     lifted = Poly.make(ext, [emb.fwd[c] for c in g_default.codes])
-    relabeled_P = tuple(i for i in range(10) if lifted(relabeled.theta**i).code == 0)
-    assert relabeled_P != P or relabeled.theta == default.theta
+    relabeled_P = tuple(i for i in range(10) if lifted(alt**i).code == 0)
+    assert relabeled_P != P or alt == default.theta
     ctx = CosetContext(p=11, e=2, k=1, n=10, r=1)
     assert is_lcd_defining_set(DefiningSet(ctx, P)) == \
         is_lcd_defining_set(DefiningSet(ctx, relabeled_P))
@@ -498,6 +498,13 @@ def test_hermitian_mds_family_hypothesis_failures():
     with pytest.raises(ValueError):
         # rn = 24: units 5,7,11,... give several involutions
         hermitian_mds_family(5, 1, -1, 12, 3)
+
+
+def test_hermitian_mds_family_reads_lambda_as_an_integer():
+    assert hermitian_mds_family(3, 2, np.int64(-1), 5, 3) == hermitian_mds_family(3, 2, -1, 5, 3)
+    for bad in ("1", 1.0, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            hermitian_mds_family(3, 2, bad, 5, 3)
 
 
 def test_exact_distance_never_below_run_bound():

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     mod_p_kernels,
     naive_axpy,
     naive_pow,
+    prime_walk_log_tables,
     schoolbook_mul,
     trial_division_irreducible,
     walk_log_tables,
@@ -392,6 +394,30 @@ def test_log_tables_match_the_sequential_walk_past_2048(p, e, modulus):
     assert f._exp == exp and f._log == log
 
 
+def test_prime_field_log_tables_match_the_integer_walk():
+    primes = [p for p in range(2, 3000) if is_prime(p)] + [7919, 65521]
+    assert len(primes) == 432
+    for p in primes:
+        f = Field(p, 1, default_modulus(p, 1))  # not memoized: the tables go with it
+        exp, log = prime_walk_log_tables(p, f.primitive_element.code)
+        assert f._exp == exp and f._log == log, p
+
+
+def test_lazy_values_are_built_on_first_read_and_kept():
+    f = Field(2, 20, default_modulus(2, 20))  # untabled: nothing reads them at construction
+    for name in ("qm1_factors", "_packing", "_generator_code"):  # the last reads the other two
+        assert name not in vars(f), name
+        value = getattr(f, name)
+        assert name in vars(f) and getattr(f, name) is value, name
+    assert f.primitive_element.code == f._generator_code
+    # no cached value points back at the field, so a dropped field is freed at once
+    assert not any(isinstance(v, Element) for v in vars(f).values())
+    # the kernels read slots, not the instance dict
+    for name in ("_exp", "_log", "_mul", "_add"):
+        assert isinstance(vars(Field)[name], types.MemberDescriptorType), name
+        assert name not in vars(f), name
+
+
 def test_gf3_10_generator_and_sampled_exp_entries():
     f = make_field(3, 10)
     assert f.primitive_element.code == 34
@@ -470,9 +496,9 @@ def test_tables_match_raw_products_and_digitwise_sums_on_every_small_field():
 @pytest.mark.parametrize("p,e", [(5, 3), (23, 2), (7, 1)])
 def test_numpy_tables_are_built_on_first_use_from_the_same_rule(p, e):
     f = Field(p, e, default_modulus(p, e))  # not memoized: a fresh field
-    assert f._tables is None
+    assert "_tables" not in vars(f)
     mul, add = f.tables()
-    assert f._tables is not None
+    assert "_tables" in vars(f)
     assert (mul.tolist(), add.tolist()) == (f._mul, f._add)
     if e == 1:
         assert mul.tolist() == [[a * b % p for b in range(p)] for a in range(p)]
@@ -534,12 +560,20 @@ def test_field_kernels_never_read_the_degree():
                "axpy", "axmy", "scale"}
     tree = ast.parse(pathlib.Path(fields.__file__).read_text())
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Field")
-    methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in kernels}
-    assert set(methods) == kernels
-    readers = sorted(name for name, fn in methods.items() for node in ast.walk(fn)
+    methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    assert set(methods) >= kernels
+    readers = sorted(name for name in kernels for node in ast.walk(methods[name])
                      if isinstance(node, ast.Attribute) and node.attr == "e"
                      and isinstance(node.value, ast.Name) and node.value.id == "self")
     assert readers == []
+    # one log walk builds every field: it never tests e against 1
+    def names_e(node):
+        return isinstance(node, ast.Name) and node.id == "e" or isinstance(node, ast.Attribute) and node.attr == "e"
+
+    forks = [node.lineno for node in ast.walk(methods["_build_log_tables"]) if isinstance(node, ast.Compare)
+             and any(names_e(side) for side in [node.left, *node.comparators])
+             and any(isinstance(side, ast.Constant) and side.value == 1 for side in [node.left, *node.comparators])]
+    assert forks == []
 
 
 def test_tables_are_refused_above_the_limit():

@@ -233,6 +233,39 @@ def test_extend_lcd_validation():
         extend_lcd(LinearCode(f2, [[1, 1]]), 0, "nope")
 
 
+def test_galois_inner_product_refuses_k_outside_0_to_e():
+    f8, _ = _ex24_code()
+    a = f8.gen
+    for k in (3, 7, -1):  # 7 would read as k = 1
+        with pytest.raises(ValueError, match="0 <= k < e"):
+            galois_inner_product([a], [a], k)
+
+
+def test_galois_dual_refuses_k_outside_0_to_e():
+    f9 = make_field(3, 2)
+    C = LinearCode(f9, [[1, 0, 1], [0, 1, 2]])
+    for k in (2, -2):  # both would read as k = 0
+        with pytest.raises(ValueError, match="0 <= k < e"):
+            galois_dual(C, k)
+
+
+def test_is_galois_lcd_refuses_k_outside_0_to_e():
+    _, C = _ex24_code()
+    for k in (3, -1):  # 3 would read as k = 0
+        with pytest.raises(ValueError, match="0 <= k < e"):
+            is_galois_lcd(C, k)
+        with pytest.raises(ValueError, match="0 <= k < e"):
+            linear.galois_gram(C, k)
+
+
+def test_extend_lcd_refuses_k_outside_0_to_e():
+    f2 = make_field(2, 1)
+    rep = LinearCode(f2, [[1, 1]])
+    for k in (1, 99, -1):
+        with pytest.raises(ValueError, match="0 <= k < e"):
+            extend_lcd(rep, k, "char2")
+
+
 def test_extend_lcd_gram_is_identity_and_distance_holds():
     rng = random.Random(5150)
     for pe, mode in [((2, 1), "char2"), ((2, 2), "char2"), ((5, 1), "pmod4"), ((13, 1), "pmod4")]:
