@@ -16,7 +16,7 @@ record theta next to every defining set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from math import gcd, prod
 from typing import Iterable
@@ -97,17 +97,33 @@ def constacyclic_root(base: Field, n: int, lam: Element) -> Element:
     return _family(base, n, lam).theta
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ConstacyclicCode:
-    """A lambda-constacyclic code of length n with Galois parameter k."""
+    """A lambda-constacyclic code of length n with Galois parameter k.
 
-    field: Field
-    n: int
-    lam: Element
-    k: int
+    The field, n and lambda are the family's and k is P's: a catalog
+    holds one code per record, so a code stores nothing twice.
+    """
+
     P: DefiningSet
     g: Poly
-    fam: _Family = dc_field(repr=False, compare=False)
+    fam: _Family
+
+    @property
+    def field(self) -> Field:
+        return self.fam.field
+
+    @property
+    def n(self) -> int:
+        return self.fam.n
+
+    @property
+    def lam(self) -> Element:
+        return self.fam.lam
+
+    @property
+    def k(self) -> int:
+        return self.P.ctx.k
 
     @property
     def r(self) -> int:
@@ -132,6 +148,12 @@ class ConstacyclicCode:
             raise AssertionError("generator does not divide x^n - lambda")
         return q
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstacyclicCode):
+            return NotImplemented
+        # P's context carries n and k
+        return (self.field, self.lam, self.P, self.g) == (other.field, other.lam, other.P, other.g)
+
     def __hash__(self):
         return hash((self.field, self.n, self.lam, self.k, self.P.residues))
 
@@ -148,7 +170,7 @@ def _code(fam: _Family, P: DefiningSet) -> ConstacyclicCode:
     for coset in fam.cosets:
         if coset[0] in P.residues:
             g = g * fam.minpolys[coset[0]]
-    return ConstacyclicCode(fam.field, fam.n, fam.lam, P.ctx.k, P, g, fam)
+    return ConstacyclicCode(P, g, fam)
 
 
 def code_from_defining_set(
@@ -184,7 +206,7 @@ def from_generator_polynomial(
     if rest.degree != 0:
         raise ValueError("generator does not divide x^n - lambda")
     P = DefiningSet(replace(fam.base_ctx, k=k), tuple(roots))
-    return ConstacyclicCode(field, n, lam, k, P, g, fam)
+    return ConstacyclicCode(P, g, fam)
 
 
 def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
@@ -239,13 +261,44 @@ def code_params(
     """
     if C.dim == 0:
         raise ValueError("the zero code has no parameters")
-    return _hinted_params(C, bch_lower_bound(C.P), strategy, budget_messages, budget_supports)
+    return _hinted_params(
+        C, bch_lower_bound(C.P), C.check_poly, strategy, budget_messages, budget_supports
+    )
+
+
+def _parity_check_rows(h: Poly, n: int) -> list[list[int]]:
+    """A Euclidean parity-check matrix of the nonzero code whose check polynomial is h,
+    with no elimination.
+
+    The dual is spanned by the multiples of reverse(h) of degree below n:
+    row j of the generator, x^j g(x), meets x^i reverse(h) in the
+    coefficient of x^(dim + i - j) in g*h = x^n - lambda, and
+    1 <= dim + i - j <= n - 1.  Row t is x^(dim + t) minus its remainder
+    modulo reverse(h): 1 at coordinate dim + t and 0 at every other
+    coordinate from dim on.  So these are the rows that
+    ``linear.euclidean_parity_check`` eliminates its way to from the
+    generator rows x^i g(x), whose pivots are the first dim columns; the
+    identity on the last n - dim columns keeps the support walk's
+    residuals sparse, which the banded shifts of reverse(h) do not.
+    """
+    field, dim = h.field, h.degree
+    rev = h.codes[::-1]
+    low = field.scale(field.inv_code(rev[-1]), rev[:-1])  # reverse(h) made monic, less its x^dim
+    rows = []
+    s = low  # -(x^j mod reverse(h)), starting at j = dim
+    for j in range(dim, n):
+        rows.append(s + [0] * (j - dim) + [1] + [0] * (n - 1 - j))
+        top, s = s[-1], [0] + s[:-1]
+        if top:
+            s = field.axmy(s, top, low)
+    return rows
 
 
 def _hinted_params(
-    C: ConstacyclicCode, bch: int, strategy: str, budget_messages: int, budget_supports: int
+    C: ConstacyclicCode, bch: int, h: Poly, strategy: str, budget_messages: int, budget_supports: int
 ) -> CodeParams:
-    """min_distance of the rows x^i g(x); the shift x*c(x) mod x^n - lambda maps C onto C."""
+    """min_distance of the rows x^i g(x), with the parity-check rows of C's check polynomial h;
+    the shift x*c(x) mod x^n - lambda maps C onto C."""
     return min_distance(
         to_generator_matrix(C),
         strategy,
@@ -253,6 +306,7 @@ def _hinted_params(
         budget_supports=budget_supports,
         lower_bound=bch,
         shift=True,
+        parity_check=_parity_check_rows(h, C.n),
     )
 
 
@@ -319,6 +373,24 @@ class Catalog:
 MAX_STABLE_SETS = 1 << 20
 
 
+def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...], ...]):
+    """(code, check polynomial) of every stable set, in ``_stable_sets``' mask order.
+
+    The generator of mask m is that of m without its top bit times the
+    top cycle's product of coset minimal polynomials: one product per
+    set, equal to ``_code``'s since products are exact.  The check
+    polynomial of m is the generator of the complement mask.
+    """
+    one = Poly(fam.field, (1,))
+    gens = [one]
+    for cyc in cycles:
+        m_cyc = prod((fam.minpolys[key] for key in cyc), start=one)
+        gens += [g * m_cyc for g in gens]
+    full = len(gens) - 1
+    for mask, P in enumerate(_stable_sets(ctx, cycles, fam.cosets)):
+        yield ConstacyclicCode(P, gens[mask], fam), gens[full ^ mask]
+
+
 def classify_all_lcd(
     field: Field,
     n: int,
@@ -346,6 +418,11 @@ def classify_all_lcd(
     enumeration order is searched from the largest of them, and its
     CodeParams goes to every member.  Each record keeps its own bch; with
     exact_distance=False its interval starts there.
+
+    Nothing is eliminated: each generator is one product
+    (``_stable_codes``), and the searched member's parity-check rows come
+    from its check polynomial, the generator of the complementary stable
+    set (``_parity_check_rows``).
     """
     fam = _family(field, n, lam)
     ctx = replace(fam.base_ctx, k=k)
@@ -356,19 +433,21 @@ def classify_all_lcd(
         )
     mults = multipliers(ctx)
     records = []
-    orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int]]] = {}
-    for P in _stable_sets(ctx, census.cycles, fam.cosets):
-        code = _code(fam, P)
+    orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int, Poly]]] = {}
+    for code, h in _stable_codes(fam, ctx, census.cycles):
         if code.dim == 0:
             records.append(CatalogRecord(code, None, is_lcd(code), None))
         else:
             orbit = orbits.setdefault(multiplier_orbit_key(code.P, mults), [])
-            orbit.append((code, bch_lower_bound(code.P)))
+            orbit.append((code, bch_lower_bound(code.P), h))
+    distinct: dict[CodeParams, CodeParams] = {}
     for orbit in orbits.values():
         if exact_distance:
-            best = max(bch for _, bch in orbit)
-            shared = _hinted_params(orbit[0][0], best, "auto", budget_messages, budget_supports)
-        for code, bch in orbit:
+            best = max(bch for _, bch, _ in orbit)
+            lead, _, h = orbit[0]
+            shared = _hinted_params(lead, best, h, "auto", budget_messages, budget_supports)
+            shared = distinct.setdefault(shared, shared)  # equal parameters, one object
+        for code, bch, _ in orbit:
             top = code.n - code.dim + 1
             params = shared if exact_distance else CodeParams(code.n, code.dim, (bch, top), False)
             records.append(CatalogRecord(code, params, is_lcd(code), bch))

@@ -301,9 +301,14 @@ def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
 
 
 def _distance_supports(
-    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False
+    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False, parity_check=None
 ) -> tuple[int | None, int]:
     """Least w with w dependent parity-check columns; returns (d, tests_run).
+
+    The columns are those of parity_check, a basis of the dual that the
+    caller supplies, or else of ``euclidean_parity_check(C)``; every
+    basis of the dual has the same column dependencies, so the result
+    does not depend on which one is read.
 
     The scan starts at w = lower_bound, which must not exceed d.  With
     shift it tests only the supports that contain coordinate 0, which
@@ -332,7 +337,7 @@ def _distance_supports(
     call returns the lex-first dependent support at w = lower_bound.
     """
     field = C.field
-    h = euclidean_parity_check(C)
+    h = euclidean_parity_check(C) if parity_check is None else parity_check
     n, m = C.n, C.n - C.dim
     if m == 0:
         return 1, 0
@@ -424,6 +429,7 @@ def min_distance(
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
     lower_bound: int = 1,
     shift: bool = False,
+    parity_check=None,
 ) -> CodeParams:
     """Exact minimum distance by message enumeration or support search.
 
@@ -437,7 +443,7 @@ def min_distance(
     budget returns [w, n - dim + 1] once it has cleared every weight
     below w.
 
-    Two hints cut the work for callers that know more about C; the
+    Three hints cut the work for callers that know more about C; the
     defaults assume nothing, and budgets count what the hints leave.
 
     - lower_bound: a proven bound d >= lower_bound in [1, n - dim + 1]
@@ -452,6 +458,11 @@ def min_distance(
       needs row 0 to be the only row nonzero in column 0, as in the rows
       x^i g(x) of a constacyclic code, and raises ValueError on any
       other generator.
+    - parity_check: n - dim rows of field codes, each of width n, that
+      span the Euclidean dual of C (ValueError on any other shape).
+      Support search reads its columns instead of eliminating the
+      generator; message enumeration ignores it.  The caller vouches for
+      the rows: a matrix that is not a basis of the dual gives a wrong d.
     """
     if C.dim == 0:
         raise ValueError("the zero code has no minimum distance")
@@ -460,6 +471,10 @@ def min_distance(
         raise ValueError(f"lower_bound {lower_bound} outside [1, n - dim + 1 = {top}]")
     if strategy not in ("auto", "messages", "supports"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if parity_check is not None and (
+        len(parity_check) != C.n - C.dim or any(len(row) != C.n for row in parity_check)
+    ):
+        raise ValueError(f"parity_check needs n - dim = {C.n - C.dim} rows of width n = {C.n}")
     rows = C._rows
     # digit 0 = 1 reaches a multiple of every word nonzero at
     # coordinate 0 only if row 0 alone is nonzero in column 0
@@ -477,7 +492,7 @@ def min_distance(
         else:
             return CodeParams(C.n, C.dim, (lower_bound, top), False)
     if strategy == "supports":
-        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
+        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift, parity_check)
         if d is None:
             return CodeParams(C.n, C.dim, (scanned + 1, top), False)
         return CodeParams(C.n, C.dim, d, True)

@@ -210,6 +210,12 @@ def test_pinned_outputs_keep_their_bytes(capsys):
         ("mindist", "-p", "13", "-e", "1", "-n", "6",
          "--gen", "[[1,0,0,2,3,5],[0,1,0,7,1,4],[0,0,1,9,9,2]]"):
             "f73939c48daceb3317de44ac2f2716695ebd37dd25007b5137bd7d479832d26e",
+        ("mindist", "-p", "5", "-e", "3", "-k", "1", "-n", "13", "--lambda", "-1",
+         "--defining-set", "1,5,21,25"):
+            "7bedb1e5a3bc5841e4eeb9c2c7057be657e02ed56ebf989cdcf2f7c0ff31902b",
+        ("mindist", "-p", "5", "-e", "3", "-k", "1", "-n", "13", "--lambda", "-1",
+         "--defining-set", "1,5,21,25", "--strategy", "supports", "--budget-supports", "40"):
+            "e694296235fb1139275421cbe86d926e8481ba898dfee489296557acfa052b0f",
         ("cosets", "-p", "13", "-e", "3", "-k", "2", "-n", "9", "--lambda", "-1"):
             "0c8b1c4f56f64e493adeea7a0ff9523a5e20f29e02930e674f18662beb5ecff6",
         ("cosets", "-p", "3", "-e", "3", "-k", "1", "-n", "7"):
@@ -221,8 +227,12 @@ def test_pinned_outputs_keep_their_bytes(capsys):
         ("classify", "-p", "13", "-e", "3", "-k", "2", "-n", "9", "--lambda", "-1", "--format", "csv"):
             "ef22ba308591ff66b45bd052b598e649705c4113ad8e575ac40ef3f8af722a14",
     }
-    # the census lines of classify go to stderr; every other pinned command writes none
+    # the census lines of classify and a budget refusal go to stderr; every other pinned
+    # command writes none
     stderr = {
+        ("mindist", "-p", "5", "-e", "3", "-k", "1", "-n", "13", "--lambda", "-1",
+         "--defining-set", "1,5,21,25", "--strategy", "supports", "--budget-supports", "40"):
+            "refused: exact distance exceeds the enumeration budgets\n",
         ("classify", "-p", "11", "-e", "2", "-k", "1", "-n", "10", "--lambda", "1", "--format", "json"):
             "stable sets: 64 including empty and full; 63 excluding the zero code\n"
             "census: t=2 h=4; 2^(t+h)-1 = 63 (matches)\n",

@@ -5,14 +5,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galcd import cosets, linalg, linear
+from galcd import constacyclic, cosets, linalg, linear
 from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
     _family,
+    _parity_check_rows,
+    _stable_codes,
     classify_all_lcd,
     code_from_defining_set,
     code_params,
@@ -34,7 +36,14 @@ from galcd.cosets import (
     multipliers,
 )
 from galcd.fields import make_field, mult_order, embedding
-from galcd.linear import BudgetExceeded, CodeParams, _distance_supports, galois_dual, min_distance
+from galcd.linear import (
+    BudgetExceeded,
+    CodeParams,
+    _distance_supports,
+    euclidean_parity_check,
+    galois_dual,
+    min_distance,
+)
 from galcd.polys import Poly, minimal_poly, splitting_field, xn_minus_lambda
 from oracles import (
     brute_min_distance,
@@ -292,6 +301,21 @@ def test_from_generator_polynomial_matches_root_testing(p, e, k, n, lam_int):
         from_generator_polynomial(field, n, lam, g * g, k)
 
 
+def test_codes_compare_by_family_defining_set_and_k():
+    """field, n and lambda are read from the family and k from P: equality still sees each."""
+    f9 = make_field(3, 2)
+    C = code_from_defining_set(f9, 4, f9.one, (1, 3), k=1)
+    assert (C.field, C.n, C.lam, C.k) == (f9, 4, f9.one, 1)
+    same = from_generator_polynomial(f9, 4, f9.one, C.g, k=1)
+    assert same == C and hash(same) == hash(C) and same is not C
+    assert code_from_defining_set(f9, 4, f9.one, (1, 3), k=0) != C
+    # two lambdas of order 4: g = 1 and equal empty sets, so only lambda tells the codes apart
+    i, j = (x for x in f9.elements() if x and mult_order(x) == 4)
+    full_i, full_j = code_from_defining_set(f9, 2, i, ()), code_from_defining_set(f9, 2, j, ())
+    assert (full_i.P, full_i.g) == (full_j.P, full_j.g) and full_i != full_j
+    assert full_i == code_from_defining_set(f9, 2, i, ())
+
+
 def test_code_params_recorded_values():
     f121 = make_field(11, 2)
     C = code_from_defining_set(f121, 10, f121.one, (4, 5, 6), k=1)
@@ -311,6 +335,30 @@ def small_constacyclic_codes(draw):
     take = draw(st.lists(st.booleans(), min_size=len(cosets_), max_size=len(cosets_)))
     residues = tuple(x for t, c in zip(take, cosets_) if t for x in c)
     return code_from_defining_set(field, n, lam, residues)
+
+
+def _example_code(p, e, n, r, cosets_taken):
+    """The code of the given cosets (by index) of GF(p^e), length n and a lambda of order r."""
+    field = make_field(p, e)
+    lam = field.primitive_element ** ((field.q - 1) // r)
+    cosets_ = _family(field, n, lam).cosets
+    return code_from_defining_set(field, n, lam, [x for i in cosets_taken for x in cosets_[i]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_constacyclic_codes().filter(lambda C: C.dim > 0))
+@example(_example_code(3, 2, 5, 4, (0, 1)))
+@example(_example_code(5, 2, 6, 3, (0,)))
+@example(_example_code(2, 2, 5, 1, ()))       # g = 1: no parity-check rows
+def test_check_polynomial_rows_span_the_dual(C):
+    """The rows from the check polynomial against elimination: G*H^T = 0, rank n - dim,
+    and the very rows of euclidean_parity_check, so also its row space."""
+    G, H = to_generator_matrix(C), _parity_check_rows(C.check_poly, C.n)
+    field = C.field
+    assert len(H) == C.n - C.dim and all(len(row) == C.n for row in H)
+    assert all(not any(row) for row in linalg.matmul(field, G.codes_matrix(), linalg.transpose(H)))
+    assert linalg.rank(field, H) == C.n - C.dim
+    assert H == euclidean_parity_check(G)
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,17 +382,22 @@ def test_hinted_engines_agree_with_bare_engines_and_brute_force(C):
 @settings(max_examples=100, deadline=None)
 @given(small_constacyclic_codes().filter(lambda C: 0 < C.dim < C.n <= 10), st.integers(0, 300))
 def test_shift_walk_matches_both_oracles(C, budget):
-    """With the shift: (d, tests) from every valid bound, the refusal one test short, any budget."""
-    G = to_generator_matrix(C)
+    """With the shift: (d, tests) from every valid bound, the refusal one test short, any budget,
+    with the check polynomial's rows as H or with elimination."""
+    G, H = to_generator_matrix(C), _parity_check_rows(C.check_poly, C.n)
     d = support_scan_echelon(G, 10**9)[0]
     for bound in range(1, d + 1):
         found = support_scan_echelon(G, 10**9, bound, True)
         assert found[0] == d and _distance_supports(G, 10**9, bound, True) == found
+        assert _distance_supports(G, 10**9, bound, True, H) == found
         assert _distance_supports(G, found[1] - 1, bound, True) == (None, d - 1)
+        assert _distance_supports(G, found[1] - 1, bound, True, H) == (None, d - 1)
     if C.field.q**C.dim <= 1024:
         for bound in (1, *range(d + 1, C.n - C.dim + 2)):
             assert _distance_supports(G, 10**9, bound, True) == support_scan(G, bound, shift=True)
     assert _distance_supports(G, budget, 1, True) == support_scan_echelon(G, budget, 1, True)
+    assert _distance_supports(G, budget, 1, True, H) == support_scan_echelon(G, budget, 1, True)
+    assert _distance_supports(G, budget, 1, False, H) == _distance_supports(G, budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,9 +430,14 @@ def test_hinted_engines_match_codeword_oracle(p, e, n, lam, monkeypatch):
         if not 0 < C.dim < n or field.q**C.dim > 1024:
             continue
         G, bch = to_generator_matrix(C), bch_lower_bound(C.P)
+        H = _parity_check_rows(C.check_poly, n)
         d, tests = support_scan(G)
-        assert _distance_supports(G, 10**9) == (d, tests)
+        assert _distance_supports(G, 10**9) == _distance_supports(G, 10**9, 1, False, H) == (d, tests)
         assert _distance_supports(G, 10**9, bch, True) == support_scan(G, bch, shift=True)
+        for bound in range(1, d + 1):
+            found = support_scan(G, bound, shift=True)
+            assert _distance_supports(G, 10**9, bound, True, H) == found
+            assert _distance_supports(G, found[1] - 1, bound, True, H) == (None, d - 1)
         assert support_scan(G, 1, shift=True)[0] == d
         assert min_distance(G, "messages", lower_bound=bch, shift=True).d == d
 
@@ -617,6 +675,30 @@ def test_classify_matches_one_distance_per_record():
         got = [rec.to_json() for rec in classify_all_lcd(field, n, lam, k).records]
         want = [rec.to_json() for rec in catalog_per_record(field, n, lam, k)]
         assert got == want, (field, n, lam, k)
+
+
+def test_catalog_check_polynomials_come_from_the_complement(monkeypatch):
+    """Every generator built one product per stable set is _code's, and every h passed with a
+    searched code, the generator of the complementary set, is that code's check polynomial."""
+    passed = []
+    real = constacyclic._hinted_params
+
+    def recording(C, bch, h, *args):
+        passed.append((C, h))
+        return real(C, bch, h, *args)
+
+    monkeypatch.setattr(constacyclic, "_hinted_params", recording)
+    for field, n, lam, k in _sweep_contexts():
+        fam = _family(field, n, lam)
+        ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))
+        for code, h in _stable_codes(fam, ctx, cosets.tau_cycles(ctx)):
+            assert code.g == constacyclic._code(fam, code.P).g
+            assert h == code.check_poly
+        passed.clear()
+        cat, mults = classify_all_lcd(field, n, lam, k), multipliers(ctx)
+        assert len(passed) == len({multiplier_orbit_key(rec.code.P, mults)
+                                   for rec in cat.records if rec.params})
+        assert all(h == C.check_poly for C, h in passed), (field, n, lam, k)
 
 
 def test_budget_limited_catalog_shares_intervals_per_orbit():

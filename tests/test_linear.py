@@ -478,6 +478,13 @@ def test_min_distance_hints_are_validated():
             with pytest.raises(ValueError, match="column 0"):
                 min_distance(LinearCode(f3, rows), strategy, shift=True)
     assert str(min_distance(LinearCode(f3, eight), "supports")) == "[8,3,2]"
+    # parity_check: n - dim rows of width n, here x^i * reverse(h) for h = x^2 - 1
+    H = [[2, 0, 1, 0], [0, 2, 0, 1]]
+    for strategy in ("auto", "messages", "supports"):
+        assert min_distance(C, strategy, parity_check=H).d == 2
+        for bad in (H[:1], H + [[1, 1, 1, 1]], [row[:3] for row in H], [H[0], H[1] + [0]], []):
+            with pytest.raises(ValueError, match="parity_check"):
+                min_distance(C, strategy, parity_check=bad)
 
 
 @st.composite
