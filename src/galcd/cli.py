@@ -248,7 +248,10 @@ def cmd_genpoly(args) -> int:
 
 def cmd_mindist(args) -> int:
     if args.gen:
-        distance = partial(linear.min_distance, _load_matrix_arg(_field_from_args(args), args.gen))
+        code = _load_matrix_arg(_field_from_args(args), args.gen)
+        if code.n != args.n:
+            raise _UsageError(f"-n {args.n} differs from the --gen row width {code.n}")
+        distance = partial(linear.min_distance, code)
     elif args.defining_set or args.defining_set == "":
         # code_params passes the BCH bound and the shift symmetry as hints
         distance = partial(constacyclic.code_params, _code_from_args(args))
@@ -279,6 +282,9 @@ def cmd_extend(args) -> int:
         ext, budget_messages=args.budget_messages, budget_supports=args.budget_supports
     )
     print(f"params: {params}")
+    if not params.exact:
+        print("refused: exact distance exceeds the enumeration budgets", file=sys.stderr)
+        return BUDGET_REFUSED
     return 0
 
 

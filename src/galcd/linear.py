@@ -10,6 +10,7 @@ extension constructions, and two exact minimum-distance engines
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -33,12 +34,13 @@ class LinearCode:
 
     Rows may be Elements or plain integers below p (read through the
     prime subfield).  A dimension-0 code is allowed as the degenerate
-    dual of the full space; pass rows=() with an explicit length.  Over
-    fields of at most 256 elements the rows are kept as bytes; ``rows``
-    and ``codes_matrix`` unpack them.
+    dual of the full space; pass rows=() with an explicit length.  The
+    generator is kept as one flat block of dim * n field codes, row
+    after row: bytes over fields of at most 256 elements, a tuple above
+    that; ``rows`` and ``codes_matrix`` unpack it.
     """
 
-    __slots__ = ("field", "n", "_rows")
+    __slots__ = ("field", "n", "_flat")
 
     def __init__(self, field: Field, rows, n: int | None = None):
         packed = []
@@ -82,31 +84,38 @@ class LinearCode:
 
     def _set(self, field: Field, rows, n: int) -> None:
         self.field, self.n = field, n
-        # a row of codes below 256 is kept as bytes, an eighth of a tuple's size
-        self._rows = tuple(map(bytes if field.q <= 256 else tuple, rows))
+        # one object for the whole generator: codes below 256 take a byte each
+        if field.q <= 256:
+            self._flat = b"".join(map(bytes, rows))
+        else:
+            self._flat = tuple(chain.from_iterable(rows))
+
+    def _row_tuples(self):
+        # n references to one iterator: zip takes the next n codes per row
+        return zip(*[iter(self._flat)] * self.n)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The generator rows as tuples of field codes."""
-        return self._rows if self.field.q > 256 else tuple(map(tuple, self._rows))
+        return tuple(self._row_tuples())
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._flat) // self.n
 
     def codes_matrix(self) -> linalg.Matrix:
-        return [list(r) for r in self._rows]
+        return list(map(list, self._row_tuples()))
 
     def generator(self) -> list[list[Element]]:
-        return linalg.to_elements(self.field, self._rows)
+        return linalg.to_elements(self.field, self._row_tuples())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return (self.field, self.n, self._rows) == (other.field, other.n, other._rows)
+        return (self.field, self.n, self._flat) == (other.field, other.n, other._flat)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self._rows))
+        return hash((self.field, self.n, self._flat))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.dim}] over {self.field!r})"
@@ -256,47 +265,53 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
-    field, rows = C.field, C.rows
-    q, n = field.q, C.n
-    # with shift, message digit 0 is fixed to 1 (min_distance checked the shape)
-    free, first = (rows[1:], 0) if shift else (rows, 1)
-    l = len(free)
-    total = q**l
+    field, q, n, l = C.field, C.field.q, C.n, C.dim
+    G = np.fromiter(C._flat, dtype=np.int64, count=l * n).reshape(l, n)
+    # The walk is a list of blocks: one row fixed at digit 1 plus every
+    # combination of the free rows.  With shift, row 0 is fixed and rows
+    # 1.. are free (min_distance checked the shape).  Without it, block i
+    # fixes row i and frees rows 0..i-1: these are the messages whose
+    # highest nonzero digit is 1, one per line of the code, since
+    # scaling a word keeps its weight.  Every block's free rows are a
+    # prefix of the last block's, which holds the most.
+    blocks = [(G[0], l - 1)] if shift else [(G[i], i) for i in range(l)]
+    free = G[1:] if shift else G[:l - 1]
     mul, add = field.tables()
     add_flat = add.reshape(-1)
-    # row i's products digit * g_i, one (q, n) table per generator row
-    row_mul = [mul[:, list(row)] for row in free]
+    # free row j's products digit * g_j, one (q, n) table per row
+    row_mul = [mul[:, row] for row in free]
     best = n + 1
-    powers = [q**i for i in range(l)]
-    # one set of buffers per call; a chunk of s messages works on their
-    # first s rows.  take runs in mode "clip" (every index is in range)
-    # because mode "raise" copies into a fresh array before writing out.
-    size = min(_CHUNK, total - first)
-    idx = np.arange(first, first + size, dtype=np.int64)
+    powers = [q**j for j in range(len(free))]
+    # one set of buffers per call, sized for the largest block; a chunk
+    # of s messages works on their first s rows.  take runs in mode
+    # "clip" (every index is in range) because mode "raise" copies into
+    # a fresh array before writing out.
+    size = min(_CHUNK, q ** blocks[-1][1])
+    base = np.arange(size, dtype=np.int64)
+    idx = np.empty(size, dtype=np.int64)
     digit = np.empty(size, dtype=np.int64)
     cw_buf = np.empty((size, n), dtype=np.int64)
     term_buf = np.empty((size, n), dtype=np.int64)
-    for start in range(first, total, _CHUNK):
-        s = min(_CHUNK, total - start)
-        ix, dg, cw, term = idx[:s], digit[:s], cw_buf[:s], term_buf[:s]
-        if shift:
-            cw[:] = rows[0]  # message digit 0 fixed to 1
-        else:
-            cw.fill(0)
-        for i in range(l):
-            np.floor_divide(ix, powers[i], out=dg)
-            np.remainder(dg, q, out=dg)
-            np.take(row_mul[i], dg, axis=0, out=term, mode="clip")
-            np.multiply(cw, q, out=cw)
-            np.add(cw, term, out=cw)
-            np.take(add_flat, cw, out=term, mode="clip")
-            cw, term = term, cw
-        w = int(np.count_nonzero(cw, axis=1).min())
-        if w < best:
-            best = w
-            if best <= lower_bound:
-                break
-        idx += _CHUNK
+    for fixed, k in blocks:
+        total = q**k
+        for start in range(0, total, _CHUNK):
+            s = min(_CHUNK, total - start)
+            ix, dg, cw, term = idx[:s], digit[:s], cw_buf[:s], term_buf[:s]
+            np.add(base[:s], start, out=ix)
+            cw[:] = fixed
+            for j in range(k):
+                np.floor_divide(ix, powers[j], out=dg)
+                np.remainder(dg, q, out=dg)
+                np.take(row_mul[j], dg, axis=0, out=term, mode="clip")
+                np.multiply(cw, q, out=cw)
+                np.add(cw, term, out=cw)
+                np.take(add_flat, cw, out=term, mode="clip")
+                cw, term = term, cw
+            w = int(np.count_nonzero(cw, axis=1).min())
+            if w < best:
+                best = w
+                if best <= lower_bound:
+                    return best
     return best
 
 
@@ -433,10 +448,14 @@ def min_distance(
 ) -> CodeParams:
     """Exact minimum distance by message enumeration or support search.
 
-    "messages" walks all q^dim codewords; "supports" finds the least w
-    such that w columns of a parity-check matrix are dependent.  "auto"
-    picks the cheaper engine that fits its budget, or returns
-    [lower_bound, n - dim + 1] flagged inexact when neither fits; support
+    "messages" walks one message per line of C, the (q^dim - 1)/(q - 1)
+    messages whose highest nonzero digit is 1, since scaling a word
+    keeps its weight; "supports" finds the least w such that w columns
+    of a parity-check matrix are dependent.  The message budget still
+    bounds q^dim (q^(dim-1) with shift), while "auto" prices messages by
+    the count the walk visits.  "auto" picks the cheaper engine that
+    fits its budget, or returns [lower_bound, n - dim + 1] flagged
+    inexact when neither fits; support
     search fits only if every support it could test does, so "auto"
     never returns a partially scanned interval.  Explicit "messages" that
     does not fit raises BudgetExceeded; explicit "supports" over its
@@ -475,17 +494,19 @@ def min_distance(
         len(parity_check) != C.n - C.dim or any(len(row) != C.n for row in parity_check)
     ):
         raise ValueError(f"parity_check needs n - dim = {C.n - C.dim} rows of width n = {C.n}")
-    rows = C._rows
     # digit 0 = 1 reaches a multiple of every word nonzero at
     # coordinate 0 only if row 0 alone is nonzero in column 0
-    if shift and (not rows[0][0] or any(row[0] for row in rows[1:])):
+    column0 = C._flat[::C.n]
+    if shift and (not column0[0] or any(column0[1:])):
         raise ValueError("shift needs a generator whose column 0 is nonzero in row 0 only")
     q = C.field.q
     msg_cost = q ** (C.dim - 1 if shift else C.dim)
     if strategy == "auto":
         msg_ok = msg_cost <= budget_messages and q <= TABLE_LIMIT
         sup_cost = _support_cost(C.n, C.dim, lower_bound, shift)
-        if sup_cost <= budget_supports and (not msg_ok or sup_cost <= msg_cost):
+        # the budget bounds msg_cost; the walk visits one message per line
+        walked = msg_cost if shift else (msg_cost - 1) // (q - 1)
+        if sup_cost <= budget_supports and (not msg_ok or sup_cost <= walked):
             strategy = "supports"
         elif msg_ok:
             strategy = "messages"

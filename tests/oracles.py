@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import numpy as np
+
 from galcd import linalg
 from galcd.constacyclic import CatalogRecord, code_from_defining_set, code_params, is_lcd
 from galcd.cosets import CosetContext, bch_lower_bound, enumerate_stable_sets
@@ -226,6 +228,28 @@ def brute_min_distance(C: LinearCode) -> int:
         w = sum(1 for x in word if x)
         if 0 < w < best:
             best = w
+    return best
+
+
+def full_message_walk(C: LinearCode, lower_bound: int = 1, chunk: int = 1 << 16) -> int:
+    """Least weight of the words of all q^dim - 1 nonzero messages.
+
+    The full walk that ``linear._distance_messages`` ran before it took
+    one message per line: message indices 1, 2, ... in chunks, each word
+    built by gathers in the field's add and mul tables, stopping after
+    the first chunk whose least weight is at most lower_bound.
+    """
+    q, n, rows = C.field.q, C.n, C.codes_matrix()
+    mul, add = C.field.tables()
+    best = n + 1
+    for start in range(1, q ** len(rows), chunk):
+        idx = np.arange(start, min(start + chunk, q ** len(rows)), dtype=np.int64)
+        cw = np.zeros((len(idx), n), dtype=np.int64)
+        for i, row in enumerate(rows):
+            cw = add[cw, mul[(idx // q**i % q)[:, None], np.array(row)[None, :]]]
+        best = min(best, int(np.count_nonzero(cw, axis=1).min()))
+        if best <= lower_bound:
+            break
     return best
 
 

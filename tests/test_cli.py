@@ -159,6 +159,26 @@ def test_budget_refusals_print_what_was_found_and_exit_2(capsys):
     assert err == "refused: message enumeration needs 64 > budget 1\n"
 
 
+def test_mindist_gen_rejects_a_length_other_than_its_width(capsys):
+    gen = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
+    for n in ("99", "6"):
+        assert run(capsys, "mindist", "-p", "2", "-e", "1", "-n", n, "--gen", gen) == (
+            1, "", f"usage error: -n {n} differs from the --gen row width 7\n")
+    code, out, _ = run(capsys, "mindist", "-p", "2", "-e", "1", "-n", "7", "--gen", gen)
+    assert code == 0 and out.startswith("params: [7,3,4]\n")
+
+
+def test_extend_refuses_a_distance_cut_short_by_its_budgets(capsys):
+    args = ("extend", "-p", "5", "-e", "1", "--mode", "pmod4",
+            "--gen", "[[1,0,0,2,3,4,1],[0,1,0,1,1,2,3],[0,0,1,4,4,1,2]]")
+    code, out, err = run(capsys, *args, "--budget-messages", "1", "--budget-supports", "1")
+    assert code == 2 and out.endswith("params: [11,3,1..9]\n")
+    assert err == "refused: exact distance exceeds the enumeration budgets\n"
+    code, exact, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert exact.splitlines()[:-1] == out.splitlines()[:-1]
+
+
 def test_cosets_rejects_a_zero_lambda(capsys):
     code, out, err = run(capsys, "cosets", "-p", "3", "-e", "2", "-n", "4", "--lambda", "0")
     assert (code, out) == (1, "")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -14,7 +15,9 @@ from galcd.linear import (
     BudgetExceeded,
     CodeParams,
     LinearCode,
+    _distance_messages,
     _distance_supports,
+    _support_cost,
     extend_lcd,
     galois_dual,
     galois_inner_product,
@@ -24,6 +27,7 @@ from galcd.linear import (
 )
 from oracles import (
     brute_min_distance,
+    full_message_walk,
     hull_dim,
     literal_intersection_dim,
     support_scan,
@@ -81,6 +85,23 @@ def test_generator_rows_kept_as_bytes_or_tuples():
         assert C.codes_matrix() == [list(r) for r in C.rows]
         assert LinearCode._trusted(field, C.codes_matrix(), 4) == C
         assert hash(LinearCode.from_json(C.to_json())) == hash(C)
+
+
+def test_generator_block_stays_small_per_code():
+    """1000 GF(2) [18,12] codes hold at most 350 B each: one flat block of
+    216 bytes per code, not twelve bytes objects in a tuple (813 B)."""
+    field, rng = make_field(2, 1), random.Random(18)
+    gens = [[[int(i == j) for j in range(12)] + [rng.randrange(2) for _ in range(6)]
+             for i in range(12)] for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        codes = [LinearCode(field, rows) for rows in gens]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [C.dim for C in codes] == [12] * 1000
+    assert held / len(codes) <= 350
 
 
 def test_linear_code_json_round_trip():
@@ -461,6 +482,60 @@ def test_message_buffers_across_chunk_boundaries(chunk, monkeypatch):
             d = brute_min_distance(G)
             for bound in (1, bch_lower_bound(C.P), d):
                 assert min_distance(G, "messages", lower_bound=bound, shift=True).d == d
+
+
+def _in_standard_form(C):
+    return all(row[:C.dim] == tuple(int(i == j) for j in range(C.dim)) for i, row in enumerate(C.rows))
+
+
+# ((p, e), dim, n) with q^dim <= 729, so brute force stays quick
+PROJECTIVE_SHAPES = [((2, 1), 5, 9), ((3, 1), 4, 8), ((2, 2), 3, 7), ((5, 1), 3, 6),
+                     ((7, 1), 3, 6), ((2, 3), 2, 6), ((3, 2), 3, 6)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7])
+def test_projective_walk_matches_the_full_walk(chunk, monkeypatch):
+    """One message per line finds the d of all q^dim messages, from every valid
+    bound, with chunks that end inside and at the edges of the [q^i, 2 q^i) blocks."""
+    monkeypatch.setattr(linear, "_CHUNK", chunk)
+    rng = random.Random(f"projective-{chunk}")
+    for pe, l, n in PROJECTIVE_SHAPES:
+        field = make_field(*pe)
+        for _ in range(3):
+            C = _random_code(rng, field, l, n)
+            while _in_standard_form(C):
+                C = _random_code(rng, field, l, n)
+            d = brute_min_distance(C)
+            assert full_message_walk(C) == full_message_walk(C, chunk=chunk) == d
+            for bound in range(1, d + 1):
+                assert full_message_walk(C, bound, chunk) == d
+                assert _distance_messages(C, bound, False) == d
+                assert min_distance(C, "messages", lower_bound=bound) == CodeParams(n, l, d, True)
+
+
+def test_auto_prices_messages_by_the_projective_walk(monkeypatch):
+    """A bare GF(9) [12,4] code walks 820 messages, fewer than its 4016
+    supports, which are fewer than its 6561 messages: auto runs messages."""
+    field = make_field(3, 2)
+    C = _random_code(random.Random(12), field, 4, 12)
+    walked = (field.q**C.dim - 1) // (field.q - 1)
+    assert walked == 820 < _support_cost(C.n, C.dim, 1, False) == 4016 < field.q**C.dim
+    ran = []
+
+    def recording(name, engine):
+        def run(*args, **kwargs):
+            ran.append(name)
+            return engine(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(linear, "_distance_messages", recording("messages", _distance_messages))
+    monkeypatch.setattr(linear, "_distance_supports", recording("supports", _distance_supports))
+    assert min_distance(C) == min_distance(C, "supports")
+    assert ran == ["messages", "supports"]
+    # the budget still bounds q^dim, so 820 <= budget < 6561 leaves only supports
+    ran.clear()
+    assert min_distance(C, budget_messages=6560) == min_distance(C)
+    assert ran == ["supports", "messages"]
 
 
 def test_min_distance_hints_are_validated():
