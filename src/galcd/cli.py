@@ -248,6 +248,11 @@ def cmd_genpoly(args) -> int:
 
 def cmd_mindist(args) -> int:
     if args.gen:
+        # --gen is a bare matrix: the family options would be silently dropped
+        if args.defining_set is not None:
+            raise _UsageError("--defining-set cannot be combined with --gen")
+        if args.lam != "1":
+            raise _UsageError("--lambda cannot be combined with --gen")
         code = _load_matrix_arg(_field_from_args(args), args.gen)
         if code.n != args.n:
             raise _UsageError(f"-n {args.n} differs from the --gen row width {code.n}")

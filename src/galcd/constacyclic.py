@@ -7,7 +7,9 @@ the deterministic rule in galcd.fields.  The generator polynomial is
 always recomputed from P as the product of the coset minimal
 polynomials; an explicit generator can be supplied only through
 from_generator_polynomial, which validates it and recovers P by
-dividing by the coset minimal polynomials.
+dividing by the coset minimal polynomials.  A Galois dual inside the
+family is built from its defining set, and the polynomial route
+checks it (galois_dual_code).
 
 Defining-set labels are theta-relative.  Parameters and LCD verdicts
 do not depend on the choice of theta, but the labels do, so catalogs
@@ -212,23 +214,26 @@ def from_generator_polynomial(
 def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
     """The Galois dual, a lambda^(-p^(e-k))-constacyclic code.
 
-    Computed from the check polynomial h as the coefficientwise
-    p^(e-k) power of the monic reciprocal of h.  When the dual stays in
-    the same constacyclic family (lambda^(1 + p^(e-k)) = 1) the result
-    is cross-checked against the defining-set route.  The returned
-    code carries the matched Galois parameter (e - k) mod e.
+    Its generator is the coefficientwise p^(e-k) power of the monic
+    reciprocal of the check polynomial h.  When the dual stays in the
+    same constacyclic family (lambda^(1 + p^(e-k)) = 1), the defining
+    set -p^(e-k) times the complement of P (``cosets.dual_defining_set``)
+    builds the dual and that generator checks it.  Outside the family
+    the generator goes to ``from_generator_polynomial``, which recovers
+    the defining set by dividing by the coset minimal polynomials.  The
+    returned code carries the matched Galois parameter (e - k) mod e.
     """
     field = C.field
     e, k = field.e, C.k
     h = C.check_poly
     g_dual = frobenius_poly(reciprocal(h), e - k)
     lam_dual = C.lam ** (-(field.p ** (e - k)))
-    k_dual = (e - k) % e
-    dual = from_generator_polynomial(field, C.n, lam_dual, g_dual, k_dual)
     if lam_dual == C.lam:
-        expected = dual_defining_set(C.P)
-        if dual.P.residues != expected.residues:
+        dual = _code(C.fam, dual_defining_set(C.P))
+        if dual.g != g_dual:
             raise AssertionError("polynomial and defining-set duals disagree")
+    else:
+        dual = from_generator_polynomial(field, C.n, lam_dual, g_dual, (e - k) % e)
     if dual.dim + C.dim != C.n:
         raise AssertionError("dual dimension mismatch")
     return dual

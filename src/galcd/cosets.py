@@ -51,8 +51,8 @@ class CosetContext:
         return self.r * self.n
 
     def exponent_set(self) -> tuple[int, ...]:
-        """The n residues {1 + r*t mod rn : t = 0..n-1}, sorted."""
-        return tuple(sorted((1 + self.r * t) % self.rn for t in range(self.n)))
+        """The n residues {1 + r*t mod rn : t = 0..n-1}, sorted: the x in [0, rn) with x = 1 mod r."""
+        return tuple(range(1 % self.r, self.rn, self.r))
 
     def run_index(self, residue: int) -> int:
         """The t with residue = 1 + r*t mod rn, as a residue mod n."""
@@ -125,10 +125,6 @@ class DefiningSet:
     def is_full(self) -> bool:
         return len(self.residues) == self.ctx.n
 
-    def complement(self) -> "DefiningSet":
-        pool = set(self.residues)
-        return DefiningSet(self.ctx, tuple(x for x in self.ctx.exponent_set() if x not in pool))
-
     def to_json(self) -> dict:
         return {"rn": self.ctx.rn, "r": self.ctx.r, "residues": list(self.residues)}
 
@@ -172,11 +168,13 @@ def dual_defining_set(P: DefiningSet) -> DefiningSet:
     The result is expressed in the context with k replaced by e - k
     (mod e), the parameter under which dualizing again returns P.
     Requires r | 1 + p^(e-k) so that the scaled set stays inside
-    1 + r*Z_rn.
+    1 + r*Z_rn.  The complement is scaled residue by residue; the
+    returned DefiningSet validates the result.
     """
     ctx = P.ctx
     _require_frame(ctx)
-    scaled = act_scale(P.complement(), ctx.minus_pek())
+    s, rn, pool = ctx.minus_pek(), ctx.rn, set(P.residues)
+    scaled = tuple(s * x % rn for x in ctx.exponent_set() if x not in pool)
     return DefiningSet(replace(ctx, k=(ctx.e - ctx.k) % ctx.e), scaled)
 
 

@@ -31,11 +31,13 @@ their first read: ``qm1_factors`` (the factorization of q - 1),
 ``_generator_code`` (the code of ``primitive_element``; a cached
 Element would point back at the field, which only a garbage collection
 pass could then free), ``_packing`` (w and those rows, for every
-extension field: set-up multiplies before any table exists) and
+extension field: set-up multiplies before any table exists),
 ``_tables`` (the q*q numpy pair of ``tables()``, q <= 2200, which only
-message enumeration reads).  Sharing a field between threads is safe:
-each value is deterministic, so threads that race on a first read
-compute equal values.  A race only repeats work.
+message enumeration reads) and ``_frob_tables`` (for q <= 600, the
+table of a -> a^(p^j) per j mod e that ``frob_row`` has read).
+Sharing a field between threads is safe: each value is deterministic,
+so threads that race on a first read compute equal values.  A race
+only repeats work.
 """
 
 from __future__ import annotations
@@ -464,6 +466,28 @@ class Field:
         if a == 0 or j % self.e == 0:
             return a
         return self.pow_code(a, pow(self.p, j, self.q - 1))
+
+    def frob_row(self, xs: Sequence[int], j: int) -> list[int]:
+        """The row of a^(p^j) for a in xs, on codes.
+
+        A field with row lists (q <= 600) reads one table per j mod e,
+        built on first use; a larger one calls ``frob_code`` per entry.
+        """
+        if self._mul is None:
+            frob = self.frob_code
+            return [frob(x, j) for x in xs]
+        j %= self.e
+        if not j:
+            return list(xs)
+        table = self._frob_tables.get(j)
+        if table is None:
+            table = self._frob_tables[j] = [self.frob_code(a, j) for a in range(self.q)]
+        return [table[x] for x in xs]
+
+    @cached_property
+    def _frob_tables(self) -> dict[int, list[int]]:
+        """j -> the codes of a^(p^j) for every code a, filled by ``frob_row``."""
+        return {}
 
     # -- tables and row kernels -----------------------------------------------
 

@@ -43,8 +43,7 @@ def matmul(field: Field, a, b) -> Matrix:
 
 
 def frobenius_matrix(field: Field, mat, j: int) -> Matrix:
-    frob = field.frob_code
-    return [[frob(x, j) for x in row] for row in mat]
+    return [field.frob_row(row, j) for row in mat]
 
 
 def reduce(field: Field, basis, vec):
@@ -82,9 +81,13 @@ def rref(field: Field, mat) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column list."""
     if not mat:
         return [], []
-    basis = [(lead, row) for lead, _, row in echelon(field, mat) if lead is not None]
-    # an echelon row is already 0 at every earlier lead; clear the later ones
-    rows = sorted((lead, list(reduce(field, basis[i + 1:], row))) for i, (lead, row) in enumerate(basis))
+    rows = sorted((lead, row) for lead, _, row in echelon(field, mat) if lead is not None)
+    # An echelon row is 0 before its lead.  Bottom-up, the rows after row i
+    # are already reduced (1 at their lead, 0 at every other), so clearing
+    # row i at their leads is one axmy per nonzero entry and fills in no lead.
+    for i in reversed(range(len(rows))):
+        lead, row = rows[i]
+        rows[i] = lead, list(reduce(field, rows[i + 1:], row))
     zero_rows = [[0] * len(mat[0]) for _ in range(len(mat) - len(rows))]
     return [row for _, row in rows] + zero_rows, [lead for lead, _ in rows]
 

@@ -83,6 +83,8 @@ class Poly:
         a, b = self.codes, other.codes
         if not a or not b:
             return Poly(f, ())
+        if len(a) > len(b):  # one axpy per coefficient of the shorter factor
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         nb = len(b)
         for i, ai in enumerate(a):
@@ -190,8 +192,7 @@ def frobenius_poly(f: Poly, j: int) -> Poly:
     """Apply the j-th Frobenius power to every coefficient."""
     if j < 0:
         raise ValueError("Frobenius exponent must be >= 0")
-    frob = f.field.frob_code
-    return Poly(f.field, tuple(frob(c, j) for c in f.codes))
+    return Poly(f.field, tuple(f.field.frob_row(f.codes, j)))
 
 
 def minimal_poly(coset: Iterable[int], theta: Element, base: Field) -> Poly:

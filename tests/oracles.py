@@ -14,11 +14,17 @@ from itertools import combinations, product
 import numpy as np
 
 from galcd import linalg
-from galcd.constacyclic import CatalogRecord, code_from_defining_set, code_params, is_lcd
+from galcd.constacyclic import (
+    CatalogRecord,
+    code_from_defining_set,
+    code_params,
+    from_generator_polynomial,
+    is_lcd,
+)
 from galcd.cosets import CosetContext, bch_lower_bound, enumerate_stable_sets
 from galcd.fields import Field, embedding, mult_order
 from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
-from galcd.polys import Poly
+from galcd.polys import Poly, frobenius_poly, reciprocal
 
 
 def _digits(code: int, p: int, e: int) -> list[int]:
@@ -341,11 +347,42 @@ def intersection_dim(field: Field, A: LinearCode, B: LinearCode) -> int:
     return A.dim + B.dim - linalg.rank(field, stacked)
 
 
+def rref_top_down(field: Field, mat) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form and pivots, each echelon row reduced top-down.
+
+    Row i, in insertion order, is cleared against the unreduced echelon
+    rows inserted after it, each of which may fill in the leads of the
+    rows after it again; the rows are sorted by lead at the end.
+    """
+    if not mat:
+        return [], []
+    basis = [(lead, row) for lead, _, row in linalg.echelon(field, mat) if lead is not None]
+    rows = sorted((lead, list(linalg.reduce(field, basis[i + 1:], row)))
+                  for i, (lead, row) in enumerate(basis))
+    zero_rows = [[0] * len(mat[0]) for _ in range(len(mat) - len(rows))]
+    return [row for _, row in rows] + zero_rows, [lead for lead, _ in rows]
+
+
 def rref_same_row_space(field: Field, a, b) -> bool:
     """Row-space equality as the nonzero rows of the two reduced echelon forms."""
-    ra = [row for row in linalg.rref(field, a)[0] if any(row)]
-    rb = [row for row in linalg.rref(field, b)[0] if any(row)]
+    ra = [row for row in rref_top_down(field, a)[0] if any(row)]
+    rb = [row for row in rref_top_down(field, b)[0] if any(row)]
     return ra == rb
+
+
+def galois_dual_by_roots(C):
+    """The Galois dual of a constacyclic code by recovering its defining set from its generator.
+
+    The generator is the p^(e-k) power of the monic reciprocal of C's
+    check polynomial; ``from_generator_polynomial`` recovers the defining
+    set by trial division by every coset's minimal polynomial, whichever
+    family the dual lies in.
+    """
+    field = C.field
+    e, k = field.e, C.k
+    g_dual = frobenius_poly(reciprocal(C.check_poly), e - k)
+    lam_dual = C.lam ** (-(field.p ** (e - k)))
+    return from_generator_polynomial(field, C.n, lam_dual, g_dual, (e - k) % e)
 
 
 def hull_dim(C: LinearCode, k: int) -> int:

@@ -29,7 +29,7 @@ from galcd.constacyclic import (
 from galcd.cosets import CosetContext, DefiningSet, act_scale, cyclotomic_cosets
 from galcd.fields import make_field, mult_order, sqrt_minus_one
 from galcd.linear import LinearCode, extend_lcd, galois_dual, is_galois_lcd, min_distance
-from oracles import hull_dim
+from oracles import galois_dual_by_roots, hull_dim
 
 EXHAUSTIVE_COSET_LIMIT = 7   # exhaust the power set up to 2^7 sets per context
 SAMPLE_SIZE = 96             # sampled sets for larger contexts
@@ -262,6 +262,23 @@ def test_criterion_7_duality_suite():
     assert sweep.duality_failures == []
     _report(7, f"dims sum to n, polynomial dual spans the nullspace dual, and "
                f"defining-set duality is an involution on {sweep.sets} codes")
+
+
+def test_criterion_7_defining_set_duals_match_root_recovery():
+    # the dual built from -p^(e-k) times the complement of P against the one
+    # whose defining set is recovered from its generator by trial division
+    rng = random.Random(SWEEP_SEED + 7)
+    checked = 0
+    for field, n, lam, k in _equiv_contexts():
+        ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))
+        sets, _ = _context_sets(ctx, rng)
+        for residues in rng.sample(sets, min(len(sets), 6)):
+            C = code_from_defining_set(field, n, lam, residues, k)
+            D, R = galois_dual_code(C), galois_dual_by_roots(C)
+            assert D == R, (field.q, n, lam.code, k, residues)  # field, lambda, P with its k, g
+            checked += 1
+    assert checked > 600
+    _report(7, f"duals from defining sets equal the root-recovery duals on {checked} sampled codes")
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,17 @@ def test_mindist_gen_rejects_a_length_other_than_its_width(capsys):
     assert code == 0 and out.startswith("params: [7,3,4]\n")
 
 
+def test_mindist_gen_refuses_the_constacyclic_options(capsys):
+    gen = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
+    base = ("mindist", "-p", "2", "-e", "1", "-n", "7")
+    assert run(capsys, *base, "--lambda", "5", "--gen", gen) == (
+        1, "", "usage error: --lambda cannot be combined with --gen\n")
+    assert run(capsys, *base, "--defining-set", "1", "--gen", gen) == (
+        1, "", "usage error: --defining-set cannot be combined with --gen\n")
+    code, out, _ = run(capsys, *base, "--lambda", "1", "--gen", gen)  # the default, spelled out
+    assert code == 0 and out.startswith("params: [7,3,4]\n")
+
+
 def test_extend_refuses_a_distance_cut_short_by_its_budgets(capsys):
     args = ("extend", "-p", "5", "-e", "1", "--mode", "pmod4",
             "--gen", "[[1,0,0,2,3,4,1],[0,1,0,1,1,2,3],[0,0,1,4,4,1,2]]")

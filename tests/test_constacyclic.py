@@ -27,6 +27,7 @@ from galcd.constacyclic import (
 )
 from galcd.cosets import (
     CosetContext,
+    DefiningSet,
     act_scale,
     bch_lower_bound,
     cyclotomic_cosets,
@@ -48,6 +49,7 @@ from galcd.polys import Poly, minimal_poly, splitting_field, xn_minus_lambda
 from oracles import (
     brute_min_distance,
     catalog_per_record,
+    galois_dual_by_roots,
     hull_dim,
     root_test_defining_set,
     support_scan,
@@ -182,6 +184,27 @@ def test_galois_dual_code_recorded_example():
     assert D.P.residues == (1, 9) and D.dim == 3
     assert D.k == (f1331.e - C.k) % f1331.e
     assert galois_dual_code(D).P.residues == C.P.residues
+
+
+def test_a_wrong_defining_set_dual_is_caught_by_the_polynomial_route(monkeypatch):
+    f1331 = make_field(11, 3)
+    C = code_from_defining_set(f1331, 5, f1331.from_int(-1), (3, 5, 7), k=1)
+    true = dual_defining_set(C.P)
+    wrong = DefiningSet(true.ctx, tuple(x for x in true.ctx.exponent_set() if x not in true))
+    monkeypatch.setattr(constacyclic, "dual_defining_set", lambda P: wrong)
+    with pytest.raises(AssertionError, match="polynomial and defining-set duals disagree"):
+        galois_dual_code(C)
+
+
+def test_a_dual_outside_the_family_recovers_its_defining_set():
+    # lambda = x in GF(9) has order 4, and lambda^(1 + 9) != 1: the dual is
+    # lambda^(-9)-constacyclic, so the generator route builds it
+    f9 = make_field(3, 2)
+    lam = f9.gen
+    C = code_from_defining_set(f9, 2, lam, (1,), k=0)
+    D = galois_dual_code(C)
+    assert D.lam == lam ** -9 != lam and D == galois_dual_by_roots(C)
+    assert D.P.residues == root_test_defining_set(D.fam, D.g)
 
 
 def test_dual_polynomial_route_equals_matrix_route():

@@ -26,6 +26,7 @@ from galcd.cosets import (
     tau_cycles,
     unique_order2_unit,
 )
+from galcd.fields import is_prime
 
 CTX_314 = CosetContext(p=5, e=3, k=1, n=13, r=2)
 CTX_38 = CosetContext(p=11, e=3, k=1, n=5, r=2)
@@ -79,6 +80,15 @@ def test_cosets_partition_the_exponent_set(ctx):
     assert len(set(flat)) == len(flat) == ctx.n
     for c in cs:
         assert c == coset_of(ctx, c[0])
+
+
+def test_exponent_set_is_the_residues_one_mod_r_in_order():
+    for r in range(1, 31):
+        # a prime p = 1 mod r above 30 makes GF(p) a valid field for every n <= 30
+        p = next(p for p in range(31, 10**4) if is_prime(p) and p % r == 1 % r)
+        for n in range(1, 31):
+            ctx = CosetContext(p=p, e=1, k=0, n=n, r=r)
+            assert ctx.exponent_set() == tuple(sorted((1 + r * t) % (r * n) for t in range(n))), (r, n)
 
 
 def test_act_scale_examples():

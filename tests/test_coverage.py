@@ -1,9 +1,11 @@
-"""Reproduce-all plus two CLI calls must execute every library operation.
+"""Reproduce-all plus three CLI calls must execute every library operation.
 
-Two operations have no natural surface inside the bundled examples
+Three operations have no natural surface inside the bundled examples
 (the eta-mode extension needs p = 1 mod 4 with a standard-form input,
-and the Hermitian divisibility gate needs even r and n), so the gate
-includes one CLI invocation for each alongside reproduce-all.
+the Hermitian divisibility gate needs even r and n, and recovering a
+defining set from an explicit generator needs a Galois dual outside the
+lambda family, lambda^(1 + p^(e-k)) != 1), so the gate includes one CLI
+invocation for each alongside reproduce-all.
 """
 
 import sys
@@ -68,11 +70,14 @@ def test_reproduce_all_plus_cli_covers_every_operation(capsys):
                   "--mode", "pmod4", "--gen", "[[1,1]]"])
         cli.main(["cosets", "-p", "3", "-e", "2", "-k", "1", "-n", "2",
                   "--lambda", "-1"])
+        # lambda = x in GF(9): the dual is lambda' = [0,2]-constacyclic
+        cli.main(["dual", "-p", "3", "-e", "2", "-k", "0", "-n", "2",
+                  "--lambda", "0,1", "--defining-set", "1"])
         cli.main(["reproduce", "2.4"])
     finally:
         sys.setprofile(None)
     capsys.readouterr()
 
-    # reproduce-all itself must reach everything except the two CLI-only ops
+    # reproduce-all itself must reach everything except the three CLI-only ops
     missing = [fn.__qualname__ for fn in TRACKED_OPS if fn.__code__ not in hit]
     assert missing == [], f"operations never executed: {missing}"

@@ -555,6 +555,32 @@ def test_prime_field_kernels_match_mod_p_arithmetic(primes):
                         assert f.pow_code(a, n) == ref["pow_code"](a, n), (p, a, n)
 
 
+def _frob_row_fields():
+    """The fields of the sweeps above that hold row lists: every q <= 64, every prime below 600."""
+    qs = sorted(set(range(2, 65)) | {p for p in range(65, 600) if is_prime(p)})
+    return [pe for q in qs if len(factors := factorize(q)) == 1 for pe in factors.items()]
+
+
+def test_frob_row_matches_frob_code_on_every_row_list_field():
+    for p, e in _frob_row_fields():
+        f = Field(p, e, default_modulus(p, e))  # not memoized: each field's rows go with it
+        assert f._mul is not None and "_frob_tables" not in vars(f)
+        xs = list(range(f.q))
+        for j in range(2 * e + 1):
+            assert f.frob_row(xs, j) == [f.frob_code(x, j) for x in xs], (p, e, j)
+        assert set(f._frob_tables) == set(range(1, e))  # one table per nonzero j mod e
+
+
+def test_frob_row_of_an_untabled_field_calls_frob_code():
+    f = make_field(3, 7)
+    assert f._mul is None
+    rng = random.Random(37)
+    xs = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(40)]
+    for j in range(2 * f.e + 1):
+        assert f.frob_row(xs, j) == [f.frob_code(x, j) for x in xs], j
+    assert "_frob_tables" not in vars(f)
+
+
 def test_field_kernels_never_read_the_degree():
     kernels = {"add_codes", "neg_code", "sub_codes", "mul_codes", "inv_code", "pow_code",
                "axpy", "axmy", "scale"}

@@ -5,7 +5,7 @@ import pytest
 
 from galcd import linalg
 from galcd.fields import make_field
-from oracles import rref_same_row_space
+from oracles import rref_same_row_space, rref_top_down
 
 
 def _random_matrix(rng, field, m, n):
@@ -79,6 +79,34 @@ def test_rref_is_canonical_and_idempotent():
             for row_idx, c in enumerate(piv):
                 assert r1[row_idx][c] == 1
                 assert all(r1[i][c] == 0 for i in range(len(r1)) if i != row_idx)
+
+
+def _rank_deficient_matrix(rng, field, m, n, r):
+    """An m x n matrix of rank at most r: m random combinations of r random rows."""
+    rows = _random_matrix(rng, field, r, n)
+    return linalg.matmul(field, _random_matrix(rng, field, m, r), rows)
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (3, 7)])
+def test_bottom_up_rref_equals_the_top_down_oracle(pe):
+    # GF(3^7) has no row lists: its kernels take the scalar path
+    field = make_field(*pe)
+    rng = random.Random(1000 * pe[0] + pe[1])
+    for _ in range(25):
+        m, n = rng.randrange(1, 8), rng.randrange(1, 10)
+        mats = [
+            _random_matrix(rng, field, m, n),                                # full rank, mostly
+            _rank_deficient_matrix(rng, field, m, n, rng.randrange(1, m + 1)),
+            _random_matrix(rng, field, n + rng.randrange(1, 4), n),          # more rows than columns
+        ]
+        zeroed = _random_matrix(rng, field, m, n)
+        for i in rng.sample(range(m), rng.randrange(1, m + 1)):
+            zeroed[i] = [0] * n
+        mats.append(zeroed)
+        # sparse rows put leads out of order and leave entries at later leads
+        mats.append([[x if rng.random() < 0.3 else 0 for x in row] for row in _random_matrix(rng, field, m, n)])
+        for mat in mats:
+            assert linalg.rref(field, mat) == rref_top_down(field, mat), mat
 
 
 def test_nullspace_annihilates_and_has_complementary_dim():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,26 @@ def test_poly_degree_adds_on_products():
     a = _poly(f5, [2, 0, 1])
     b = _poly(f5, [3, 4])
     assert (a * b).degree == a.degree + b.degree
+
+
+def _schoolbook_product(field, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = field.add_codes, field.mul_codes
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return Poly.make(field, out)
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 2), (7, 1), (3, 7)])
+def test_product_loops_over_either_factor_like_the_schoolbook_product(pe):
+    field = make_field(*pe)
+    rng = random.Random(pe[0] * 10 + pe[1])
+    for _ in range(40):
+        a, b = (Poly.make(field, [rng.randrange(field.q) for _ in range(rng.randrange(0, 9))])
+                for _ in range(2))
+        expected = _schoolbook_product(field, a.codes, b.codes) if a.codes and b.codes else Poly(field, ())
+        assert a * b == expected and b * a == expected, (a, b)
 
 
 def test_reciprocal_examples():

@@ -11,10 +11,14 @@ added to the repository's ``.git``.  The change is this working tree.
 Pair i of a workload runs ``perfbench/run.py --seed SEED+i`` once on each
 side, one run at a time, for the ``run_seconds`` of ``BENCHMARK.json``;
 the parent runs first in even pairs and the change first in odd ones,
-so a drift in machine speed falls on both sides alike.  The file holds every run, and per workload and metric of
-``BENCHMARK.json`` the medians and quartiles of each side, the relative
-change of the medians, the bound, and how many pairs the change won.  It
-is rewritten after every pair, so a cut session keeps what it measured.
+so a drift in machine speed falls on both sides alike.  The file holds
+every run, and per workload and metric of ``BENCHMARK.json`` the
+medians and quartiles of each side, the relative change of the medians,
+the bound, and how many pairs the change won,
+next to each side's median number of attempted operations.  It is
+rewritten after every pair, so a cut session keeps what it measured.
+After each workload one line per metric goes to stderr: the medians,
+their relative change and the wins.
 """
 
 from __future__ import annotations
@@ -60,15 +64,23 @@ def bench(checkout: str, workload: str, seed: int, seconds: int) -> dict:
 
 
 def summary(runs: list[dict], spec: dict) -> dict:
-    """Per metric: each side's median and quartiles, the median's relative change, the wins."""
+    """Per metric: each side's median and quartiles, the median's relative change, the wins.
+
+    ``attempted`` holds each side's median count of attempted operations:
+    a workload that keeps its outcomes until the end-of-run checks reads a
+    higher ``peak_rss_mb`` the more operations a run completes.
+    """
     pairs: dict[int, dict] = {}
     for run in runs:
         if "metrics" in run:
-            pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+            pairs.setdefault(run["pair"], {})[run["side"]] = run
     pairs = {i: p for i, p in pairs.items() if len(p) == 2}
     out = {"pairs": len(pairs)}
     if not pairs:
         return out
+    out["attempted"] = {side: statistics.median(p[side]["attempted"] for p in pairs.values())
+                        for side in ("parent", "change")}
+    pairs = {i: {side: run["metrics"] for side, run in p.items()} for i, p in pairs.items()}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         sides = {side: [p[side][name] for p in pairs.values()] for side in ("parent", "change")}
@@ -84,6 +96,17 @@ def summary(runs: list[dict], spec: dict) -> dict:
             "change_wins": wins,
         }
     return out
+
+
+def report(workload: str, summ: dict) -> list[str]:
+    """One line per metric: the medians, their relative change and the change's wins."""
+    lines = []
+    for name, m in summ.items():
+        if isinstance(m, dict) and "change_wins" in m:
+            rel = "n/a" if m["relative_change"] is None else f"{m['relative_change']:+.1%}"
+            lines.append(f"{workload} {name}: parent {m['parent_median']:.4g} -> change "
+                         f"{m['change_median']:.4g} ({rel}), change won {m['change_wins']}/{summ['pairs']}")
+    return lines
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -128,6 +151,8 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(result, fh, indent=1, sort_keys=True)
                 fh.write("\n")
+        for line in report(workload, result["workloads"][workload]["summary"]):
+            print(line, file=sys.stderr, flush=True)
     return 0
 
 
