@@ -366,22 +366,13 @@ def _classify_args(sp):
     sp.set_defaults(func=cmd_classify)
 
 
-def _lcd_check_args(sp):
-    _add_field_args(sp)
-    sp.add_argument("--defining-set", required=True, help="comma-separated exponents")
-    sp.set_defaults(func=cmd_lcd_check)
-
-
-def _dual_args(sp):
-    _add_field_args(sp)
-    sp.add_argument("--defining-set", required=True)
-    sp.set_defaults(func=cmd_dual)
-
-
-def _genpoly_args(sp):
-    _add_field_args(sp)
-    sp.add_argument("--defining-set", required=True)
-    sp.set_defaults(func=cmd_genpoly)
+def _defining_set_args(func, help_text=None):
+    """The arguments of a command on the one code that --defining-set picks in a family."""
+    def add_args(sp):
+        _add_field_args(sp)
+        sp.add_argument("--defining-set", required=True, help=help_text)
+        sp.set_defaults(func=func)
+    return add_args
 
 
 def _mindist_args(sp):
@@ -414,9 +405,10 @@ def _reproduce_args(sp):
 COMMANDS = {
     "cosets": ("cyclotomic cosets, census and the all-LCD test", _cosets_args),
     "classify": ("catalog of all -p^k-stable defining sets", _classify_args),
-    "lcd-check": ("LCD verdict for one defining set", _lcd_check_args),
-    "dual": ("Galois dual of a constacyclic code", _dual_args),
-    "genpoly": ("generator polynomial for a defining set", _genpoly_args),
+    "lcd-check": ("LCD verdict for one defining set",
+                  _defining_set_args(cmd_lcd_check, "comma-separated exponents")),
+    "dual": ("Galois dual of a constacyclic code", _defining_set_args(cmd_dual)),
+    "genpoly": ("generator polynomial for a defining set", _defining_set_args(cmd_genpoly)),
     "mindist": ("exact minimum distance", _mindist_args),
     "extend": ("standard-form LCD extension [I A A] or [I A eta*A]", _extend_args),
     "reproduce": ("recompute the bundled worked examples", _reproduce_args),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from math import gcd, prod
+from math import prod
 from typing import Iterable
 
 from galcd.cosets import (
@@ -45,6 +45,7 @@ from galcd.linear import (
     BudgetExceeded,
     CodeParams,
     LinearCode,
+    check_budgets,
     is_galois_lcd,
     min_distance,
 )
@@ -85,12 +86,10 @@ def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], 
 
     Returns (coset, factor) pairs sorted by the smallest coset member,
     where cosets live on the exponent set {1 + r t mod rn} of a fixed
-    primitive rn-th root theta with theta^n = lambda.
+    primitive rn-th root theta with theta^n = lambda.  ``CosetContext``
+    refuses a length that is not coprime to the characteristic.
     """
-    base = lam.field
-    if gcd(n, base.p) != 1:
-        raise ValueError(f"length {n} must be coprime to the characteristic {base.p}")
-    fam = _family(base, n, lam)
+    fam = _family(lam.field, n, lam)
     return [(c, fam.minpolys[c[0]]) for c in fam.cosets]
 
 
@@ -216,7 +215,8 @@ def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
 
     Its generator is the coefficientwise p^(e-k) power of the monic
     reciprocal of the check polynomial h.  When the dual stays in the
-    same constacyclic family (lambda^(1 + p^(e-k)) = 1), the defining
+    same constacyclic family (lambda^(1 + p^(e-k)) = 1, which is
+    ``cosets.frame_preserved``), the defining
     set -p^(e-k) times the complement of P (``cosets.dual_defining_set``)
     builds the dual and that generator checks it.  Outside the family
     the generator goes to ``from_generator_polynomial``, which recovers
@@ -227,12 +227,12 @@ def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
     e, k = field.e, C.k
     h = C.check_poly
     g_dual = frobenius_poly(reciprocal(h), e - k)
-    lam_dual = C.lam ** (-(field.p ** (e - k)))
-    if lam_dual == C.lam:
+    if frame_preserved(C.P.ctx):
         dual = _code(C.fam, dual_defining_set(C.P))
         if dual.g != g_dual:
             raise AssertionError("polynomial and defining-set duals disagree")
     else:
+        lam_dual = C.lam ** (-(field.p ** (e - k)))
         dual = from_generator_polynomial(field, C.n, lam_dual, g_dual, (e - k) % e)
     if dual.dim + C.dim != C.n:
         raise AssertionError("dual dimension mismatch")
@@ -422,13 +422,15 @@ def classify_all_lcd(
     BCH bound bounds the orbit's shared d: the first member in
     enumeration order is searched from the largest of them, and its
     CodeParams goes to every member.  Each record keeps its own bch; with
-    exact_distance=False its interval starts there.
+    exact_distance=False its interval starts there.  The budgets are
+    checked either way (``linear.check_budgets``).
 
     Nothing is eliminated: each generator is one product
     (``_stable_codes``), and the searched member's parity-check rows come
     from its check polynomial, the generator of the complementary stable
     set (``_parity_check_rows``).
     """
+    check_budgets(budget_messages, budget_supports)
     fam = _family(field, n, lam)
     ctx = replace(fam.base_ctx, k=k)
     census = stable_orbit_census(ctx)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from galcd.fields import is_prime, multiplicative_order
+from galcd.fields import as_int, check_galois_parameter, is_prime, multiplicative_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,14 +31,14 @@ class CosetContext:
     r: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 1 or not 0 <= self.k < self.e:
-            raise ValueError(f"need 0 <= k < e, got k={self.k}, e={self.e}")
-        if self.n < 1 or math.gcd(self.n, self.p) != 1:
-            raise ValueError(f"length n = {self.n} must be positive and coprime to p = {self.p}")
-        if self.r < 1 or (self.q - 1) % self.r != 0:
-            raise ValueError(f"r = {self.r} must divide q - 1 = {self.q - 1}")
+        p, e, n, r = as_int(self.p), as_int(self.e), as_int(self.n), as_int(self.r)
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        check_galois_parameter(self.k, e)
+        if n < 1 or math.gcd(n, p) != 1:
+            raise ValueError(f"length n = {n} must be positive and coprime to p = {p}")
+        if r < 1 or (self.q - 1) % r != 0:
+            raise ValueError(f"r = {r} must divide q - 1 = {self.q - 1}")
         if math.gcd(self.q, self.rn) != 1:
             raise ValueError("q must be a unit modulo rn")
 
@@ -206,17 +206,40 @@ def q1_fixed_test(ctx: CosetContext) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class OrbitCensus:
-    """Cosets fixed by -p^k (t of them) and the non-fixed ones halved (h pairs).
+    """The cycles of -p^k on the cosets (``tau_cycles``) and the census read off them.
 
-    h and count are None when the non-fixed cosets do not pair.
+    fixed holds the smallest members of the t cosets that -p^k fixes.
+    pairs holds (min(Q), min(-p^k Q)) for Q in the even cycles, each
+    unordered pair once, and h halves the non-fixed cosets.  The halving
+    exists whenever every cycle on the non-fixed cosets has even length,
+    which holds when -p^k squares to a power of q modulo rn (always in
+    the Hermitian case k = e/2).  A cycle of odd length, such as the
+    3-cycles some non-Hermitian contexts produce, has no (t, h) reading
+    and leaves h and count None.  involutive says whether -p^k pairs
+    cosets two by two.
     """
 
-    cycles: tuple[tuple[int, ...], ...]  # tau_cycles(ctx), which the census reads
-    t: int
-    h: int | None
-    fixed: tuple[int, ...]            # smallest members of fixed cosets
-    pairs: tuple[tuple[int, int], ...]  # (min(Q), min(-p^k Q)) for Q in even cycles, each unordered pair once
-    involutive: bool                  # whether -p^k pairs cosets two by two
+    cycles: tuple[tuple[int, ...], ...]
+
+    @property
+    def fixed(self) -> tuple[int, ...]:
+        return tuple(c[0] for c in self.cycles if len(c) == 1)
+
+    @property
+    def t(self) -> int:
+        return len(self.fixed)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(pair for c in self.cycles if len(c) % 2 == 0 for pair in zip(c[::2], c[1::2]))
+
+    @property
+    def h(self) -> int | None:
+        return None if any(len(c) % 2 for c in self.cycles if len(c) > 1) else len(self.pairs)
+
+    @property
+    def involutive(self) -> bool:
+        return all(len(c) <= 2 for c in self.cycles)
 
     @property
     def count(self) -> int | None:
@@ -270,29 +293,8 @@ def tau_cycles(ctx: CosetContext) -> tuple[tuple[int, ...], ...]:
 
 
 def stable_orbit_census(ctx: CosetContext) -> OrbitCensus:
-    """Partition the cosets into fixed ones and halved non-fixed pairs.
-
-    The pairing exists whenever every cycle of -p^k on the non-fixed
-    cosets has even length, which holds when -p^k squares to a power of
-    q modulo rn (always in the Hermitian case k = e/2).  A cycle of odd
-    length, such as the 3-cycles some non-Hermitian contexts produce, has
-    no (t, h) reading and leaves h and count None; pairs then holds the
-    pairs of the even cycles only.  Stable-set enumeration works
-    regardless via tau_cycles.
-    """
-    cycles = tau_cycles(ctx)
-    moved = [c for c in cycles if len(c) > 1]
-    pairs = tuple((cyc[i], cyc[i + 1]) for cyc in moved if len(cyc) % 2 == 0
-                  for i in range(0, len(cyc), 2))
-    fixed = tuple(c[0] for c in cycles if len(c) == 1)
-    return OrbitCensus(
-        cycles=cycles,
-        t=len(fixed),
-        h=None if any(len(c) % 2 for c in moved) else len(pairs),
-        fixed=fixed,
-        pairs=pairs,
-        involutive=all(len(c) <= 2 for c in cycles),
-    )
+    """The census of ctx's -p^k cycles; stable-set enumeration works regardless via tau_cycles."""
+    return OrbitCensus(tau_cycles(ctx))
 
 
 def enumerate_stable_sets(ctx: CosetContext):
@@ -365,12 +367,9 @@ def hermitian_necessary_check(p: int, a: int, r: int, n: int) -> bool:
 
 
 def lcd_closure(ctx: CosetContext, residues: Iterable[int]) -> DefiningSet:
-    """Smallest q-closed superset of the input that is fixed by -p^k."""
+    """Smallest q-closed superset of the input that is fixed by -p^k:
+    the union of the tau-cycles whose cosets meet it."""
     _require_frame(ctx)
-    current = set(DefiningSet(ctx, tuple(residues)).residues)
-    s = ctx.minus_pk()
-    while True:
-        scaled = set(act_scale(tuple(current), s, rn=ctx.rn))
-        if scaled <= current:
-            return DefiningSet(ctx, tuple(sorted(current)))
-        current |= scaled
+    pool = set(DefiningSet(ctx, tuple(residues)).residues)
+    keys = [key for cyc in tau_cycles(ctx) if not pool.isdisjoint(cyc) for key in cyc]
+    return DefiningSet(ctx, tuple(x for key in keys for x in coset_of(ctx, key)))

@@ -92,6 +92,12 @@ def as_int(x) -> int:
     raise ValueError(f"expected an integer, got {x!r}")
 
 
+def check_galois_parameter(k, e: int) -> None:
+    """Refuse a Galois parameter k outside [0, e), or one that is not an integer."""
+    if not 0 <= as_int(k) < e:
+        raise ValueError(f"need 0 <= k < e, got k={k}, e={e}")
+
+
 def _pollard_rho(m: int) -> int:
     """A nontrivial factor of composite odd m."""
     if m % 2 == 0:
@@ -692,8 +698,10 @@ def make_field(p: int, e: int, modulus: Sequence[int] | None = None) -> Field:
     first; it must be monic of degree e and irreducible over GF(p).
     Two functools.cache memos share the work: ``_make_field`` per
     spelling of the arguments, ``_field`` per canonical (p, e, modulus).
+    p, e and the coefficients are read through ``as_int``.
     """
-    return _make_field(p, e, None if modulus is None else tuple(as_int(c) for c in modulus))
+    mod = None if modulus is None else tuple(as_int(c) for c in modulus)
+    return _make_field(as_int(p), as_int(e), mod)
 
 
 @cache

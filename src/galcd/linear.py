@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from galcd import linalg
-from galcd.fields import TABLE_LIMIT, Element, Field, as_int, sqrt_minus_one
+from galcd.fields import TABLE_LIMIT, Element, Field, as_int, check_galois_parameter, sqrt_minus_one
 
 DEFAULT_MESSAGE_BUDGET = 10**8
 DEFAULT_SUPPORT_BUDGET = 10**7
@@ -27,6 +27,17 @@ _CHUNK = 1 << 16
 
 class BudgetExceeded(RuntimeError):
     """An enumeration was refused because it exceeds its configured budget."""
+
+
+def check_budgets(budget_messages, budget_supports) -> None:
+    """Refuse, naming it, a budget that is not a non-negative integer."""
+    for name, value in (("budget_messages", budget_messages), ("budget_supports", budget_supports)):
+        try:
+            ok = as_int(value) >= 0
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class LinearCode:
@@ -163,11 +174,6 @@ class CodeParams:
         return f"[{self.n},{self.dim},{d}]"
 
 
-def _check_k(field: Field, k: int) -> None:
-    if not 0 <= k < field.e:
-        raise ValueError(f"need 0 <= k < e, got k={k}, e={field.e}")
-
-
 def galois_inner_product(x: Sequence[Element], y: Sequence[Element], k: int) -> Element:
     """sum_i x_i * y_i^(p^k)."""
     if len(x) != len(y):
@@ -175,7 +181,7 @@ def galois_inner_product(x: Sequence[Element], y: Sequence[Element], k: int) -> 
     if not x:
         raise ValueError("empty vectors")
     field = x[0].field
-    _check_k(field, k)
+    check_galois_parameter(k, field.e)
     add, mul, frob = field.add_codes, field.mul_codes, field.frob_code
     acc = 0
     for xi, yi in zip(x, y):
@@ -194,7 +200,7 @@ def p_power_code(C: LinearCode, j: int) -> LinearCode:
 def galois_dual(C: LinearCode, k: int) -> LinearCode:
     """C^perp_k, the Euclidean dual of the p^(e-k)-powered code."""
     field = C.field
-    _check_k(field, k)
+    check_galois_parameter(k, field.e)
     powered = linalg.frobenius_matrix(field, C.codes_matrix(), (field.e - k) % field.e)
     basis = linalg.nullspace(field, powered, width=C.n)
     return LinearCode._trusted(field, basis, C.n)
@@ -215,7 +221,7 @@ class LcdCheck:
 def galois_gram(C: LinearCode, k: int) -> linalg.Matrix:
     """G times the transpose of the entrywise p^(e-k) power of G."""
     field = C.field
-    _check_k(field, k)
+    check_galois_parameter(k, field.e)
     g = C.codes_matrix()
     powered = linalg.frobenius_matrix(field, g, (field.e - k) % field.e)
     return linalg.matmul(field, g, linalg.transpose(powered))
@@ -235,7 +241,7 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
     2n - l, and the minimum distance does not drop.
     """
     field = C.field
-    _check_k(field, k)
+    check_galois_parameter(k, field.e)
     l, n = C.dim, C.n
     if l == 0:
         raise ValueError("cannot extend a dimension-0 code")
@@ -460,7 +466,8 @@ def min_distance(
     never returns a partially scanned interval.  Explicit "messages" that
     does not fit raises BudgetExceeded; explicit "supports" over its
     budget returns [w, n - dim + 1] once it has cleared every weight
-    below w.
+    below w.  A budget that is not a non-negative integer raises
+    ValueError (``check_budgets``).
 
     Three hints cut the work for callers that know more about C; the
     defaults assume nothing, and budgets count what the hints leave.
@@ -483,6 +490,7 @@ def min_distance(
       generator; message enumeration ignores it.  The caller vouches for
       the rows: a matrix that is not a basis of the dual gives a wrong d.
     """
+    check_budgets(budget_messages, budget_supports)
     if C.dim == 0:
         raise ValueError("the zero code has no minimum distance")
     top = C.n - C.dim + 1

@@ -21,7 +21,7 @@ from galcd.constacyclic import (
     from_generator_polynomial,
     is_lcd,
 )
-from galcd.cosets import CosetContext, bch_lower_bound, enumerate_stable_sets
+from galcd.cosets import CosetContext, DefiningSet, act_scale, bch_lower_bound, enumerate_stable_sets
 from galcd.fields import Field, embedding, mult_order
 from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
 from galcd.polys import Poly, frobenius_poly, reciprocal
@@ -399,3 +399,32 @@ def literal_intersection_dim(field: Field, A: LinearCode, B: LinearCode) -> int:
         dim += 1
     assert field.q**dim == size, "intersection is not a subspace?"
     return dim
+
+
+def census_readings(cycles) -> dict:
+    """The (t, h) census of the -p^k cycles on the cosets, computed in one pass.
+
+    Fixed cosets are the 1-cycles; the moved ones pair off along each
+    even cycle, and any odd moved cycle leaves h and count None.
+    """
+    moved = [c for c in cycles if len(c) > 1]
+    pairs = tuple((cyc[i], cyc[i + 1]) for cyc in moved if len(cyc) % 2 == 0
+                  for i in range(0, len(cyc), 2))
+    fixed = tuple(c[0] for c in cycles if len(c) == 1)
+    h = None if any(len(c) % 2 for c in moved) else len(pairs)
+    return {
+        "fixed": fixed, "t": len(fixed), "pairs": pairs, "h": h,
+        "involutive": all(len(c) <= 2 for c in cycles),
+        "count": None if h is None else 2 ** (len(fixed) + h) - 1,
+    }
+
+
+def fixpoint_closure(ctx: CosetContext, residues) -> DefiningSet:
+    """The smallest -p^k-stable q-closed superset: scale by -p^k until nothing new appears."""
+    current = set(DefiningSet(ctx, tuple(residues)).residues)
+    s = ctx.minus_pk()
+    while True:
+        scaled = set(act_scale(tuple(current), s, rn=ctx.rn))
+        if scaled <= current:
+            return DefiningSet(ctx, tuple(sorted(current)))
+        current |= scaled

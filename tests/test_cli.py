@@ -316,6 +316,14 @@ def test_reproduce_json_deterministic(capsys, tmp_path):
     assert payload[0]["example"] == "3.8" and payload[0]["ok"]
 
 
+def test_reproduce_all_json_matches_the_stored_benchmark_digest(capsys):
+    digests = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    want = json.loads(digests.read_text())["cli"]["reference"]["reproduce_all"]
+    code, out, _ = run(capsys, "reproduce", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_mindist_rejects_integer_entries_outside_the_prime_field(capsys):
     code, out, err = run(capsys, "mindist", "-p", "2", "-e", "1", "-n", "2", "--gen", "[[1,2]]")
     assert code == 1 and out == ""

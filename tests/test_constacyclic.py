@@ -18,6 +18,7 @@ from galcd.constacyclic import (
     classify_all_lcd,
     code_from_defining_set,
     code_params,
+    factor_xn_minus_lambda,
     from_generator_polynomial,
     galois_dual_code,
     hermitian_mds_family,
@@ -546,6 +547,33 @@ def test_classify_budget_refusal():
     # 22 tau-cycles: 2^22 stable sets exceed MAX_STABLE_SETS = 2^20
     with pytest.raises(BudgetExceeded, match=r"2\^22 stable sets exceed the enumeration budget 1048576"):
         classify_all_lcd(f121, 40, f121.one, 1)
+
+
+def test_classify_refuses_a_k_that_is_not_an_integer():
+    f9 = make_field(3, 2)
+    with pytest.raises(ValueError, match="expected an integer, got True"):
+        classify_all_lcd(f9, 4, f9.one, True)
+
+
+def test_code_from_defining_set_refuses_a_k_that_is_not_an_integer():
+    f9 = make_field(3, 2)
+    with pytest.raises(ValueError, match="expected an integer, got 1.0"):
+        code_from_defining_set(f9, 4, f9.one, (1,), k=1.0)
+
+
+@pytest.mark.parametrize("exact_distance", [True, False])
+def test_classify_refuses_negative_budgets_even_without_exact_distances(exact_distance):
+    f9 = make_field(3, 2)
+    for budgets, name in (({"budget_messages": -1}, "budget_messages"),
+                          ({"budget_supports": -1}, "budget_supports")):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+            classify_all_lcd(f9, 4, f9.one, 1, exact_distance=exact_distance, **budgets)
+
+
+def test_factor_xn_minus_lambda_refuses_a_length_with_the_context_text():
+    f2 = make_field(2, 1)
+    with pytest.raises(ValueError, match=r"^length n = 4 must be positive and coprime to p = 2$"):
+        factor_xn_minus_lambda(4, f2.one)
 
 
 def test_classify_inexact_mode_reports_intervals():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from galcd.cosets import (
     unique_order2_unit,
 )
 from galcd.fields import is_prime
+from oracles import census_readings, fixpoint_closure
 
 CTX_314 = CosetContext(p=5, e=3, k=1, n=13, r=2)
 CTX_38 = CosetContext(p=11, e=3, k=1, n=5, r=2)
@@ -51,6 +53,26 @@ def _small_contexts():
 
 
 SMALL_CONTEXTS = _small_contexts()
+
+
+def _frame_contexts():
+    """p <= 7, q <= 300, rn <= 60: every context whose -p^k action keeps the exponent set."""
+    out = []
+    for p in (2, 3, 5, 7):
+        for e in range(1, 9):
+            q = p**e
+            if q > 300:
+                break
+            for r in (d for d in range(1, 61) if (q - 1) % d == 0):
+                for n in (n for n in range(1, 60 // r + 1) if math.gcd(n, p) == 1):
+                    for k in range(e):
+                        ctx = CosetContext(p=p, e=e, k=k, n=n, r=r)
+                        if frame_preserved(ctx):
+                            out.append(ctx)
+    return out
+
+
+FRAME_CONTEXTS = _frame_contexts()
 
 
 def test_context_validation():
@@ -409,7 +431,8 @@ def test_every_stability_entry_point_refuses_outside_the_frame_with_one_text():
 
 
 def test_frame_preserved_is_the_lambda_gate():
-    """frame_preserved(ctx) holds iff lambda^(1 + p^(e-k)) = 1 for lambda of order r."""
+    """frame_preserved(ctx) holds iff lambda^(1 + p^(e-k)) = 1 for lambda of order r,
+    that is iff lambda^(-p^(e-k)) = lambda: the Galois dual stays in C's family."""
     from galcd.cosets import frame_preserved
     from galcd.fields import make_field, mult_order
 
@@ -423,6 +446,7 @@ def test_frame_preserved_is_the_lambda_gate():
                 r = mult_order(lam)
                 for k in range(e):
                     expected = lam ** (1 + p ** (e - k)) == field.one
+                    assert expected == (lam ** (-(p ** (e - k))) == lam)
                     for n in range(1, 13):
                         if math.gcd(n, p) == 1:
                             assert frame_preserved(CosetContext(p, e, k, n, r)) == expected
@@ -454,30 +478,54 @@ def test_census_undefined_for_two_odd_cycles():
 def test_census_pairs_each_coset_once_across_a_sweep():
     """p <= 7, q <= 300, rn <= 60 in the frame: h is set iff every moved cycle is even."""
     unpaired_even_moved = 0
-    for p in (2, 3, 5, 7):
-        for e in range(1, 9):
-            q = p**e
-            if q > 300:
-                break
-            for r in (d for d in range(1, 61) if (q - 1) % d == 0):
-                for n in (n for n in range(1, 60 // r + 1) if math.gcd(n, p) == 1):
-                    for k in range(e):
-                        ctx = CosetContext(p=p, e=e, k=k, n=n, r=r)
-                        if not frame_preserved(ctx):
-                            continue
-                        census = stable_orbit_census(ctx)
-                        perm = tau(ctx)
-                        members = [key for pair in census.pairs for key in pair]
-                        assert len(members) == len(set(members)), ctx
-                        assert all(perm[a] == b for a, b in census.pairs), ctx
-                        moved = [c for c in census.cycles if len(c) > 1]
-                        odd = any(len(c) % 2 for c in moved)
-                        assert (census.h is None) == odd, ctx
-                        if census.h is not None:
-                            assert len(census.pairs) == census.h, ctx
-                        elif sum(map(len, moved)) % 2 == 0:
-                            unpaired_even_moved += 1
+    for ctx in FRAME_CONTEXTS:
+        census = stable_orbit_census(ctx)
+        perm = tau(ctx)
+        members = [key for pair in census.pairs for key in pair]
+        assert len(members) == len(set(members)), ctx
+        assert all(perm[a] == b for a, b in census.pairs), ctx
+        moved = [c for c in census.cycles if len(c) > 1]
+        odd = any(len(c) % 2 for c in moved)
+        assert (census.h is None) == odd, ctx
+        if census.h is not None:
+            assert len(census.pairs) == census.h, ctx
+        elif sum(map(len, moved)) % 2 == 0:
+            unpaired_even_moved += 1
     assert unpaired_even_moved > 0  # contexts whose odd cycles pair up in number only
+
+
+def test_census_readings_match_the_one_pass_oracle_across_a_sweep():
+    kinds = set()
+    for ctx in FRAME_CONTEXTS:
+        census = stable_orbit_census(ctx)
+        assert census.cycles == tau_cycles(ctx), ctx
+        want = census_readings(census.cycles)
+        assert {name: getattr(census, name) for name in want} == want, ctx
+        kinds.add((census.h is None, census.involutive))
+    # involutive, even cycles longer than 2, and odd moved cycles all occur
+    assert kinds == {(False, True), (False, False), (True, False)}
+
+
+def test_lcd_closure_matches_the_fixpoint_oracle_across_a_sweep():
+    rng = random.Random(2101)
+    grown_without_involution = 0
+    for ctx in FRAME_CONTEXTS:
+        involutive = stable_orbit_census(ctx).involutive
+        union = [x for c in cyclotomic_cosets(ctx) if rng.random() < 0.3 for x in c]
+        for residues in (coset_of(ctx, 1), union):
+            closed = lcd_closure(ctx, residues)
+            assert closed == fixpoint_closure(ctx, residues), (ctx, residues)
+            grown_without_involution += not involutive and len(closed) > len(set(residues))
+    assert grown_without_involution > 0
+
+
+@pytest.mark.parametrize("field_name", ["p", "e", "k", "n", "r"])
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_context_refuses_parameters_that_are_not_integers(field_name, bad):
+    params = dict(p=3, e=2, k=1, n=4, r=1)
+    params[field_name] = bad if bad is True else float(params[field_name])
+    with pytest.raises(ValueError):
+        CosetContext(**params)
 
 
 def test_multipliers_examples():

@@ -97,6 +97,23 @@ def test_make_field_rejects_bad_input():
         make_field(3, 2, (2.5, 2, 1))  # not truncated to x^2 + 2x + 2
 
 
+@pytest.mark.parametrize("p, e", [(3.0, 2), (3, 2.0), (True, 2), (3, True)])
+def test_make_field_refuses_p_and_e_that_are_not_integers(p, e):
+    with pytest.raises(ValueError, match="expected an integer"):
+        make_field(p, e)
+
+
+def test_galois_parameter_check():
+    for k in range(3):
+        assert fields.check_galois_parameter(k, 3) is None
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^need 0 <= k < e, got k={k}, e=3$"):
+            fields.check_galois_parameter(k, 3)
+    for k in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            fields.check_galois_parameter(k, 3)
+
+
 def test_field_identity_and_memoization():
     a = make_field(2, 3)
     b = make_field(2, 3, (1, 1, 0, 1))

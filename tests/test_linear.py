@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -285,6 +286,43 @@ def test_extend_lcd_refuses_k_outside_0_to_e():
     for k in (1, 99, -1):
         with pytest.raises(ValueError, match="0 <= k < e"):
             extend_lcd(rep, k, "char2")
+
+
+@pytest.mark.parametrize("k", [1.0, True])
+def test_galois_functions_refuse_a_k_that_is_not_an_integer(k):
+    f9 = make_field(3, 2)
+    C = LinearCode(f9, [[1, 0, 1], [0, 1, 2]])
+    calls = [
+        lambda: galois_inner_product([f9.one], [f9.one], k),
+        lambda: galois_dual(C, k),
+        lambda: linear.galois_gram(C, k),
+        lambda: extend_lcd(C, k, "char2"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="expected an integer"):
+            call()
+
+
+_HAMMING_DUAL = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("strategy, budgets, name", [
+    ("messages", {"budget_messages": -1}, "budget_messages"),
+    ("supports", {"budget_supports": 2.5}, "budget_supports"),
+    ("messages", {"budget_messages": True}, "budget_messages"),
+    ("auto", {"budget_supports": "10"}, "budget_supports"),
+    ("messages", {"budget_supports": "10"}, "budget_supports"),
+])
+def test_min_distance_refuses_a_budget_that_is_not_a_nonnegative_integer(strategy, budgets, name):
+    G = LinearCode(make_field(2, 1), _HAMMING_DUAL)
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        min_distance(G, strategy, **budgets)
+
+
+def test_min_distance_takes_zero_and_numpy_budgets():
+    G = LinearCode(make_field(2, 1), _HAMMING_DUAL)
+    # auto prices 119 supports for [7,3]: that budget fits it exactly
+    assert str(min_distance(G, budget_messages=0, budget_supports=np.int64(119))) == "[7,3,4]"
 
 
 def test_extend_lcd_gram_is_identity_and_distance_holds():
