@@ -81,6 +81,8 @@ def _entry_from_json(field: Field, entry):
 
 
 def _matrix_from_json(field: Field, payload) -> LinearCode:
+    if not isinstance(payload, list) or not all(isinstance(row, list) for row in payload):
+        raise ValueError("--gen must be a JSON list of rows, each a list of entries")
     return LinearCode(field, [[_entry_from_json(field, entry) for entry in row] for row in payload])
 
 
@@ -267,12 +269,7 @@ def cmd_mindist(args) -> int:
         budget_messages=args.budget_messages,
         budget_supports=args.budget_supports,
     )
-    print(f"params: {params}")
-    print(_dump_json(params.to_json()).strip())
-    if not params.exact:
-        print("refused: exact distance exceeds the enumeration budgets", file=sys.stderr)
-        return BUDGET_REFUSED
-    return 0
+    return _report_params(params, _dump_json(params.to_json()).strip())
 
 
 def cmd_extend(args) -> int:
@@ -286,7 +283,11 @@ def cmd_extend(args) -> int:
     params = linear.min_distance(
         ext, budget_messages=args.budget_messages, budget_supports=args.budget_supports
     )
-    print(f"params: {params}")
+    return _report_params(params)
+
+
+def _report_params(params: linear.CodeParams, *extra: str) -> int:
+    print(f"params: {params}", *extra, sep="\n")
     if not params.exact:
         print("refused: exact distance exceeds the enumeration budgets", file=sys.stderr)
         return BUDGET_REFUSED

@@ -19,7 +19,7 @@ record theta next to every defining set.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 from math import prod
 from typing import Iterable
 
@@ -38,7 +38,16 @@ from galcd.cosets import (
     stable_orbit_census,
     unique_order2_unit,
 )
-from galcd.fields import Element, Field, embed, make_field, mult_order, multiplicative_order, primitive_rn_root
+from galcd.fields import (
+    Element,
+    Field,
+    as_int,
+    embed,
+    make_field,
+    mult_order,
+    multiplicative_order,
+    primitive_rn_root,
+)
 from galcd.linear import (
     DEFAULT_MESSAGE_BUDGET,
     DEFAULT_SUPPORT_BUDGET,
@@ -66,12 +75,14 @@ class _Family:
     minpolys: dict[int, Poly]        # smallest coset member -> M_Q
 
 
-@cache
+# typed: 4.0 and True must not hit the families of 4 and 1
+@lru_cache(maxsize=None, typed=True)
 def _family(field: Field, n: int, lam: Element) -> _Family:
     """The one family per (field, n, lambda)."""
     if lam.field != field or not lam:
         raise ValueError("lambda must be a nonzero element of the field")
     ctx = CosetContext(p=field.p, e=field.e, k=0, n=n, r=mult_order(lam))
+    n = ctx.n
     ext = splitting_field(field, ctx.rn)
     theta = primitive_rn_root(ext, ctx.rn, n, embed(field, ext, lam))
     cosets = cyclotomic_cosets(ctx)
@@ -472,6 +483,7 @@ def hermitian_mds_family(
     set {1 + r*i : 0 <= i <= d-2} yields an MDS code whose distance is
     pinned by the consecutive-run bound against the Singleton bound.
     """
+    n, d = as_int(n), as_int(d)
     field = make_field(p, 2 * a)
     lam_el = lam if isinstance(lam, Element) else field.from_int(lam)
     if lam_el.field != field:

@@ -31,16 +31,17 @@ class CosetContext:
     r: int
 
     def __post_init__(self):
-        p, e, n, r = as_int(self.p), as_int(self.e), as_int(self.n), as_int(self.r)
+        # keep the ints as_int returns: a numpy int would reach every record's JSON
+        for name in ("p", "e", "n", "r", "k"):
+            object.__setattr__(self, name, as_int(getattr(self, name)))
+        p, n, r = self.p, self.n, self.r
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        check_galois_parameter(self.k, e)
+        check_galois_parameter(self.k, self.e)
         if n < 1 or math.gcd(n, p) != 1:
             raise ValueError(f"length n = {n} must be positive and coprime to p = {p}")
         if r < 1 or (self.q - 1) % r != 0:
             raise ValueError(f"r = {r} must divide q - 1 = {self.q - 1}")
-        if math.gcd(self.q, self.rn) != 1:
-            raise ValueError("q must be a unit modulo rn")
 
     @property
     def q(self) -> int:
@@ -101,7 +102,7 @@ class DefiningSet:
 
     def __post_init__(self):
         rn, q = self.ctx.rn, self.ctx.q
-        res = tuple(sorted(set(x % rn for x in self.residues)))
+        res = tuple(sorted(set(as_int(x) % rn for x in self.residues)))
         object.__setattr__(self, "residues", res)
         marker = 1 % self.ctx.r
         for x in res:

@@ -739,8 +739,6 @@ def frobenius_pow(x: Element, j: int) -> Element:
 
 def mult_order(x: Element) -> int:
     """Order of x in the multiplicative group; requires x != 0."""
-    if x.code == 0:
-        raise ValueError("zero has no multiplicative order")
     return x.field._code_order(x.code)
 
 

@@ -54,6 +54,8 @@ class LinearCode:
     __slots__ = ("field", "n", "_flat")
 
     def __init__(self, field: Field, rows, n: int | None = None):
+        if n is not None:
+            n = as_int(n)
         packed = []
         for row in rows:
             prow = []
@@ -352,8 +354,8 @@ def _distance_supports(
     so the walk counts the nodes before the hit by arithmetic: tests_run
     is the same lex index that a support-by-support scan reports, and
     the budget stops the walk at the same support.  With shift every
-    support starts with column 0, the walk's first branch, so column 0
-    is pivoted at the root.  A zero residual, which only a bound above d
+    support starts with column 0, so the walk's first level takes column
+    0 as its only head.  A zero residual, which only a bound above d
     or a false shift claim can produce, counts as dependent, so such a
     call returns the lex-first dependent support at w = lower_bound.
     """
@@ -365,10 +367,7 @@ def _distance_supports(
     cols = [[row[j] for row in h] for j in range(n)]
     tests = 0
     for w in range(lower_bound, m + 2):
-        if shift:
-            found, count = _support_branch(field, cols, 0, w, budget - tests)
-        else:
-            found, count = _support_scan(field, cols, w, budget - tests)
+        found, count = _support_scan(field, cols, w, budget - tests, shift)
         tests += count
         if tests > budget:
             return None, w - 1
@@ -377,36 +376,32 @@ def _distance_supports(
     raise AssertionError("no dependent support up to the Singleton weight")  # unreachable
 
 
-def _support_scan(field: Field, vs, k: int, limit: int) -> tuple[bool, int]:
-    """The lex-first k-subset of the residual columns vs that is linearly
-    dependent: (True, its lex index), or (False, comb(len(vs), k)).
-    Stops with a count above limit once the count passes it."""
+def _support_scan(field: Field, vs, k: int, limit: int, shift: bool = False) -> tuple[bool, int]:
+    """The lex-first linearly dependent k-subset of the residual columns
+    vs, or of those that contain vs[0] with shift: (True, its lex index
+    among them), or (False, their number).  Each head is pivoted and the
+    later residuals recurse; a zero head is dependent, and the walk over
+    every head ends in ``_parallel_pair`` at k = 2.  Stops with a count
+    above limit once the count passes it."""
     r = len(vs)
-    if k == 1:
-        zero = next((j for j, v in enumerate(vs) if not any(v)), None)
-        return (False, r) if zero is None else (True, zero + 1)
-    if k == 2:
+    if k == 2 and not shift:
         return _parallel_pair(field, vs)
     done = 0
-    for i in range(r - k + 1):
-        found, count = _support_branch(field, vs, i, k, limit - done)
+    for i in range(1 if shift else r - k + 1):
+        head = vs[i]
+        c = next(filter(None, head), 0)
+        if not c:
+            return True, done + 1
+        if k == 1:
+            done += 1
+            continue
+        basis = [(head.index(c), field.scale(field.inv_code(c), head))]
+        rest = [linalg.reduce(field, basis, v) for v in vs[i + 1:]]
+        found, count = _support_scan(field, rest, k - 1, limit - done)
         done += count
         if found or done > limit:
             return found, done
     return False, done
-
-
-def _support_branch(field: Field, vs, i: int, k: int, limit: int) -> tuple[bool, int]:
-    """``_support_scan`` over the k-subsets whose first member is vs[i]."""
-    head = vs[i]
-    c = next(filter(None, head), 0)
-    if not c:
-        return True, 1
-    if k == 1:
-        return False, 1
-    basis = [(head.index(c), field.scale(field.inv_code(c), head))]
-    rest = [linalg.reduce(field, basis, v) for v in vs[i + 1:]]
-    return _support_scan(field, rest, k - 1, limit)
 
 
 def _parallel_pair(field: Field, vs) -> tuple[bool, int]:
@@ -473,9 +468,10 @@ def min_distance(
     defaults assume nothing, and budgets count what the hints leave.
 
     - lower_bound: a proven bound d >= lower_bound in [1, n - dim + 1]
-      (ValueError outside it).  Support search starts at that weight;
-      message enumeration stops at the first word of that weight.  A
-      bound above the true d gives a wrong d.
+      (ValueError outside it or if it is not an integer).  Support
+      search starts at that weight; message enumeration stops at the
+      first word of that weight.  A bound above the true d gives a
+      wrong d.
     - shift: the caller asserts that a monomial automorphism of C moves
       every support by +1 mod n, as the constacyclic shift does, so some
       minimum-weight word is nonzero at coordinate 0.  Support search
@@ -494,6 +490,7 @@ def min_distance(
     if C.dim == 0:
         raise ValueError("the zero code has no minimum distance")
     top = C.n - C.dim + 1
+    lower_bound = as_int(lower_bound)
     if not 1 <= lower_bound <= top:
         raise ValueError(f"lower_bound {lower_bound} outside [1, n - dim + 1 = {top}]")
     if strategy not in ("auto", "messages", "supports"):

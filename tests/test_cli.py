@@ -341,6 +341,17 @@ def test_mindist_rejects_gen_values_that_are_not_prime_field_integers(capsys):
     assert code == 0 and "[2,1,2]" in out
 
 
+@pytest.mark.parametrize("gen", ["[1,0,1]", "5", "null", '{"a":1}', '"101"', "[[1,0,1],1]"])
+@pytest.mark.parametrize("command", [
+    ["mindist", "-p", "2", "-e", "1", "-n", "3"],
+    ["extend", "-p", "2", "-e", "1", "-k", "0", "--mode", "char2"],
+])
+def test_gen_payloads_that_are_not_a_list_of_rows_are_one_error_line(capsys, command, gen):
+    code, out, err = run(capsys, *command, "--gen", gen)
+    assert (code, out) == (1, "")
+    assert err == "error: --gen must be a JSON list of rows, each a list of entries\n"
+
+
 def test_modulus_and_lambda_coefficients_outside_the_prime_field_are_rejected(capsys):
     ctx = ["cosets", "-p", "3", "-e", "2", "-k", "1", "-n", "2"]
     for extra, flag, bad in [(["--lambda", "5,3"], "--lambda", 5),

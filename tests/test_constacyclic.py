@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from itertools import product
@@ -561,6 +562,24 @@ def test_code_from_defining_set_refuses_a_k_that_is_not_an_integer():
         code_from_defining_set(f9, 4, f9.one, (1,), k=1.0)
 
 
+def test_the_family_memo_keeps_integer_lengths_apart_from_floats_and_bools():
+    """A length of 4.0 or True raises even after the families of 4 and 1 are built."""
+    f9 = make_field(3, 2)
+    code_from_defining_set(f9, 4, f9.one, [1], 1)
+    code_from_defining_set(f9, 1, f9.one, [], 0)
+    for n in (4.0, True):
+        with pytest.raises(ValueError, match=f"expected an integer, got {n}"):
+            classify_all_lcd(f9, n, f9.one, 1)
+        with pytest.raises(ValueError, match=f"expected an integer, got {n}"):
+            factor_xn_minus_lambda(n, f9.one)
+    # numpy integers are read as the ints they stand for, so the records dump
+    want = [rec.to_json() for rec in classify_all_lcd(f9, 4, f9.one, 1).records]
+    for n, k in ((4, np.int64(1)), (np.int64(4), 1)):
+        records = [rec.to_json() for rec in classify_all_lcd(f9, n, f9.one, k).records]
+        assert json.dumps(records) == json.dumps(want)
+    assert type(_family(f9, np.int64(4), f9.one).n) is int
+
+
 @pytest.mark.parametrize("exact_distance", [True, False])
 def test_classify_refuses_negative_budgets_even_without_exact_distances(exact_distance):
     f9 = make_field(3, 2)
@@ -614,6 +633,18 @@ def test_hermitian_mds_family_reads_lambda_as_an_integer():
     for bad in ("1", 1.0, True):
         with pytest.raises(ValueError, match="expected an integer"):
             hermitian_mds_family(3, 2, bad, 5, 3)
+
+
+@pytest.mark.parametrize("n, d", [(5.0, 3), (5, 3.0), (True, 3), (5, True)])
+def test_hermitian_mds_family_refuses_a_length_or_distance_that_is_not_an_integer(n, d):
+    with pytest.raises(ValueError, match="expected an integer"):
+        hermitian_mds_family(3, 2, -1, n, d)
+
+
+def test_hermitian_mds_family_reads_numpy_lengths_and_distances_as_ints():
+    C = hermitian_mds_family(3, 2, -1, np.int64(5), np.int64(3))
+    assert C == hermitian_mds_family(3, 2, -1, 5, 3)
+    assert type(C.n) is int and type(C.P.residues[0]) is int
 
 
 def test_exact_distance_never_below_run_bound():

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -526,6 +528,28 @@ def test_context_refuses_parameters_that_are_not_integers(field_name, bad):
     params[field_name] = bad if bad is True else float(params[field_name])
     with pytest.raises(ValueError):
         CosetContext(**params)
+
+
+@pytest.mark.parametrize("field_name", ["p", "e", "k", "n", "r"])
+def test_context_stores_numpy_parameters_as_ints(field_name):
+    params = dict(p=3, e=2, k=1, n=4, r=1)
+    params[field_name] = np.int64(params[field_name])
+    ctx = CosetContext(**params)
+    assert ctx == CosetContext(p=3, e=2, k=1, n=4, r=1)
+    assert type(getattr(ctx, field_name)) is int
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_defining_set_refuses_residues_that_are_not_integers(bad):
+    ctx = CosetContext(p=3, e=2, k=1, n=4, r=1)
+    with pytest.raises(ValueError, match="expected an integer"):
+        DefiningSet(ctx, (bad,))
+
+
+def test_defining_set_stores_numpy_residues_as_ints():
+    P = DefiningSet(CosetContext(p=3, e=2, k=1, n=4, r=1), (np.int64(1), np.int64(5)))
+    assert P.residues == (1,) and type(P.residues[0]) is int
+    assert json.dumps(P.to_json()) == '{"rn": 4, "r": 1, "residues": [1]}'
 
 
 def test_multipliers_examples():

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from itertools import product
@@ -319,6 +320,31 @@ def test_min_distance_refuses_a_budget_that_is_not_a_nonnegative_integer(strateg
         min_distance(G, strategy, **budgets)
 
 
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_linear_code_refuses_a_length_that_is_not_an_integer(bad):
+    f3 = make_field(3, 1)
+    with pytest.raises(ValueError, match=f"expected an integer, got {bad}"):
+        LinearCode(f3, [], n=bad)
+    with pytest.raises(ValueError, match=f"expected an integer, got {bad}"):
+        LinearCode(f3, [[1, 2]], n=bad)
+    assert type(LinearCode(f3, [], n=np.int64(2)).n) is int
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_min_distance_refuses_a_lower_bound_that_is_not_an_integer(bad):
+    G = LinearCode(make_field(2, 1), _HAMMING_DUAL)
+    with pytest.raises(ValueError, match=f"expected an integer, got {bad}"):
+        min_distance(G, lower_bound=bad)
+
+
+def test_min_distance_stores_a_numpy_lower_bound_as_an_int():
+    G = LinearCode(make_field(2, 1), _HAMMING_DUAL)
+    assert min_distance(G, lower_bound=np.int64(2)) == CodeParams(7, 3, 4, True)
+    # auto's refusal is the whole [lower_bound, n - dim + 1]
+    out = min_distance(G, lower_bound=np.int64(2), budget_messages=0, budget_supports=0)
+    assert json.dumps(out.to_json()) == '{"n": 7, "dim": 3, "d": [2, 5], "exact": false, "mds": false}'
+
+
 def test_min_distance_takes_zero_and_numpy_budgets():
     G = LinearCode(make_field(2, 1), _HAMMING_DUAL)
     # auto prices 119 supports for [7,3]: that budget fits it exactly
@@ -471,6 +497,16 @@ def test_support_walk_edge_cases():
     assert _distance_supports(g, 10**9, 2, True) == (2, 2) == support_scan(g, 2, shift=True)
     assert _distance_supports(g, 10**9, 1, True) == (2, 3) == support_scan(g, 1, shift=True)
     assert _distance_supports(g, 2, 1, True) == (None, 1)
+    # a zero column past the budget, on the walk's last level
+    assert _distance_supports(zero_col, 2) == (None, 0) == support_scan_echelon(zero_col, 2)
+    # with shift, e_0 a word: column 0, the only head at w = 1, is zero
+    e0 = LinearCode(f3, [[1, 0, 0], [0, 1, 1]])
+    assert _distance_supports(e0, 1, 1, True) == (1, 1) == support_scan(e0, 1, shift=True)
+    assert _distance_supports(e0, 0, 1, True) == (None, 0) == support_scan_echelon(e0, 0, 1, True)
+    # with shift, e_3 a word: the third residual below column 0 at w = 2 is zero
+    late = LinearCode(f3, [[1, 0, 1, 0, 1], [0, 0, 0, 1, 0]])
+    assert _distance_supports(late, 10**9, 1, True) == (2, 4) == support_scan(late, 1, shift=True)
+    assert _distance_supports(late, 3, 1, True) == (None, 1) == support_scan_echelon(late, 3, 1, True)
 
 
 def test_support_walk_stops_at_its_budget(monkeypatch):
