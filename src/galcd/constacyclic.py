@@ -19,7 +19,7 @@ record theta next to every defining set.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 from math import prod
 from typing import Iterable
 
@@ -75,14 +75,11 @@ class _Family:
     minpolys: dict[int, Poly]        # smallest coset member -> M_Q
 
 
-# typed: 4.0 and True must not hit the families of 4 and 1
-@lru_cache(maxsize=None, typed=True)
-def _family(field: Field, n: int, lam: Element) -> _Family:
-    """The one family per (field, n, lambda)."""
+@cache
+def _family_memo(field: Field, n: int, lam: Element) -> _Family:
     if lam.field != field or not lam:
         raise ValueError("lambda must be a nonzero element of the field")
     ctx = CosetContext(p=field.p, e=field.e, k=0, n=n, r=mult_order(lam))
-    n = ctx.n
     ext = splitting_field(field, ctx.rn)
     theta = primitive_rn_root(ext, ctx.rn, n, embed(field, ext, lam))
     cosets = cyclotomic_cosets(ctx)
@@ -90,6 +87,19 @@ def _family(field: Field, n: int, lam: Element) -> _Family:
     if prod(minpolys.values(), start=Poly(field, (1,))) != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
     return _Family(field, n, lam, ext, theta, ctx, cosets, minpolys)
+
+
+def _family(field: Field, n: int, lam: Element) -> _Family:
+    """The one family per (field, n, lambda).
+
+    n is read through ``as_int`` before the memo, so every key is an int:
+    a numpy 4 finds the family of 4, and 4.0 and True raise.
+    """
+    return _family_memo(field, as_int(n), lam)
+
+
+# the memo's report and reset, under the name every caller uses
+_family.cache_info, _family.cache_clear = _family_memo.cache_info, _family_memo.cache_clear
 
 
 def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], Poly]]:

@@ -22,17 +22,23 @@ so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
 generator), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
 lists that share one int object per code.  Larger fields add digit by
 digit and multiply with ``_raw_mul``: both coefficient vectors are
-packed into w-bit slots of one Python int, multiplied once, and the
-high half is folded back through the packed rows x^(e+j) mod modulus
-(Kronecker substitution; ``pow_code`` squares and multiplies the same
-way).  The kernels read ``__slots__``; the lazy values are
+packed into w-bit slots of one Python int and multiplied once
+(Kronecker substitution), every slot is reduced mod p in one step by a
+multiply-and-shift (Granlund-Montgomery), and the high half is folded
+back by a Barrett quotient, three bigint products in all, whose result
+again has reduced slots.  ``pow_code`` squares and multiplies on those
+packed ints, packing and unpacking once per power.  Slots of
+w = v + s bits, v the bit length of max(e*(p-1)^2, 2p) and
+s = v + bits(p-1), keep every slot apart (see the comment above
+``_packing``).  The kernels read ``__slots__``; the lazy values are
 ``functools.cached_property``s, kept in the instance ``__dict__`` from
 their first read: ``qm1_factors`` (the factorization of q - 1),
 ``_generator_code`` (the code of ``primitive_element``; a cached
 Element would point back at the field, which only a garbage collection
-pass could then free), ``_packing`` (w and those rows, for every
-extension field: set-up multiplies before any table exists),
-``_tables`` (the q*q numpy pair of ``tables()``, q <= 2200, which only
+pass could then free), ``_packing`` (w, the reduction constants and
+the packed x^(2e) div modulus, for every extension field: set-up
+multiplies before any table exists), ``_tables`` (the q*q numpy pair
+of ``tables()``, q <= 2200, which only
 message enumeration reads) and ``_frob_tables`` (for q <= 600, the
 table of a -> a^(p^j) per j mod e that ``frob_row`` has read).
 Sharing a field between threads is safe: each value is deterministic,
@@ -162,11 +168,21 @@ def multiplicative_order(a: int, m: int) -> int:
 #
 # A packed polynomial holds coefficient i in bits [w*i, w*(i + 1)) of one
 # Python int (Kronecker substitution; D. Harvey, J. Symbolic Comput.,
-# 2009), so one bigint product multiplies two polynomials.  With reduced
-# inputs a product slot is at most e*(p-1)^2, and folding the high half
-# back through the rows x^(e+j) mod m adds at most (e-1)*(p-1)^2 more,
-# so w bits with 2^w > 2e*(p-1)^2 keep every slot apart, for every p
-# and e.
+# 2009), so one bigint product multiplies two polynomials.  Every slot
+# the kernel forms is below 2^v, v the bit length of max(e*(p-1)^2, 2p):
+# a product of polynomials with reduced slots sums at most e terms per
+# slot.  One step reduces every slot mod p (T. Granlund and
+# P. Montgomery, PLDI 1994): with s = v + bits(p - 1) and
+# c = ceil(2^s / p), (x*c) >> s = x // p for every x < 2^v, so slots of
+# w = v + s bits hold x*c, and x - p*((x*c >> s) & low) reduces them all
+# with no carry across a slot.  The high half folds back through
+# Barrett's quotient (P. Barrett, CRYPTO 1986): with mu = x^(2e) div m,
+# a product A = A1*x^e + A0 of degree <= 2e - 2 has
+# A div m = (A1*mu) div x^e exactly, since x^2e = mu*m + rho and
+# A1*mu = Q*x^e + T give x^e*(A - Q*m) = x^e*A0 + A1*rho + T*m, of degree
+# below 2e.  The remainder is the low e slots of A + p - Q*m.  So
+# ``_mulmod`` makes three bigint products and four reductions, and its
+# result has reduced slots, ready for the next product.
 # ---------------------------------------------------------------------------
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -199,11 +215,25 @@ def _x_multiples(r: list[int], m: Sequence[int], p: int, count: int) -> list[lis
     return out
 
 
-def _packing(m: Sequence[int], p: int) -> tuple[int, tuple[int, ...]]:
-    """The slot width w and the packed rows x^(e+j) mod m, j = 0..e-2, for monic m."""
+def _packing(m: Sequence[int], p: int) -> tuple[int, ...]:
+    """The constants of ``_mulmod`` for monic m of degree e over GF(p).
+
+    (p, w, e*w, s, c, low, emask, mu, m0, pp): p, the slot width, the
+    shift to the high half, the reduction's shift and multiplier, v
+    one-bits in each of 2e slots, the mask of the low e slots,
+    mu = x^(2e) div m and m - x^e packed, and p in each of e slots.
+    """
     e = len(m) - 1
-    w = (2 * e * (p - 1) ** 2).bit_length() + 1
-    return w, tuple(_pack(r, w) for r in _x_multiples([-c % p for c in m[:e]], m, p, e - 1))
+    v = max(e * (p - 1) ** 2, 2 * p).bit_length()
+    s = v + (p - 1).bit_length()
+    w = v + s
+    mu, r = [0] * (e + 1), [0] * (2 * e) + [1]  # long division of x^(2e) by m
+    for i in range(e, -1, -1):
+        mu[i] = lead = r[i + e]
+        for j in range(e + 1):
+            r[i + j] = (r[i + j] - lead * m[j]) % p
+    return (p, w, e * w, s, -(-(1 << s) // p), _pack([(1 << v) - 1] * (2 * e), w), (1 << e * w) - 1,
+            _pack(mu, w), _pack(m[:e], w), _pack([p] * e, w))
 
 
 def _pack(coeffs: Sequence[int], w: int) -> int:
@@ -213,42 +243,44 @@ def _pack(coeffs: Sequence[int], w: int) -> int:
     return out
 
 
-def _mulmod(x: int, y: int, p: int, e: int, w: int, rows: tuple[int, ...]) -> int:
-    """x*y mod m on packed polynomials with reduced slots; the result's slots are not reduced mod p."""
-    prod = x * y
-    low = prod & ((1 << e * w) - 1)
-    prod >>= e * w
-    mask = (1 << w) - 1
-    for row in rows:
-        low += (prod & mask) % p * row
-        prod >>= w
-    return low
+def _mulmod(x: int, y: int, packing: tuple[int, ...]) -> int:
+    """x*y mod m on packed polynomials with reduced slots; the result's slots are reduced too."""
+    p, w, ew, s, c, low, emask, mu, m0, pp = packing
+    a = x * y
+    a -= p * ((a * c >> s) & low)
+    quo = (a >> ew) * mu >> ew
+    quo -= p * ((quo * c >> s) & low)
+    qm = quo * m0 & emask
+    qm -= p * ((qm * c >> s) & low)
+    r = (a & emask) + pp - qm
+    return r - p * ((r * c >> s) & low)
 
 
-def _unpack(x: int, p: int, e: int, w: int) -> list[int]:
-    """The e slots of a packed polynomial, each reduced mod p."""
+def _unpack(x: int, e: int, w: int) -> list[int]:
+    """The e slots of a packed polynomial."""
     mask = (1 << w) - 1
     out = []
     for _ in range(e):
-        out.append((x & mask) % p)
+        out.append(x & mask)
         x >>= w
     return out
 
 
-def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int,
-             packing: tuple[int, tuple[int, ...]]) -> list[int]:
-    """a^n mod m over GF(p) for monic m; packing is ``_packing(m, p)``."""
-    e = len(m) - 1
-    w, rows = packing
+def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int, packing: tuple[int, ...]) -> list[int]:
+    """a^n mod m over GF(p) for monic m; packing is ``_packing(m, p)``.
+
+    The power runs on packed ints, packed and unpacked once.
+    """
+    w = packing[1]
     base = _pack([c % p for c in _pmod(a, m, p)], w)
     result = 1
     while n:
         if n & 1:
-            result = _pack(_unpack(_mulmod(result, base, p, e, w, rows), p, e, w), w)
+            result = _mulmod(result, base, packing)
         n >>= 1
         if n:
-            base = _pack(_unpack(_mulmod(base, base, p, e, w, rows), p, e, w), w)
-    return _ptrim(_unpack(result, p, e, w))
+            base = _mulmod(base, base, packing)
+    return _ptrim(_unpack(result, len(m) - 1, w))
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -356,7 +388,7 @@ class Field:
     # -- construction helpers ------------------------------------------------
 
     @cached_property
-    def _packing(self) -> tuple[int, tuple[int, ...]]:
+    def _packing(self) -> tuple[int, ...]:
         """``_packing(modulus, p)``, built on first use."""
         return _packing(self.modulus, self.p)
 
@@ -364,9 +396,10 @@ class Field:
         p, e = self.p, self.e
         if e == 1:
             return a * b % p
-        w, rows = self._packing
-        prod = _mulmod(_pack(self._decode(a), w), _pack(self._decode(b), w), p, e, w, rows)
-        return self._encode(_unpack(prod, p, e, w))
+        packing = self._packing
+        w = packing[1]
+        prod = _mulmod(_pack(self._decode(a), w), _pack(self._decode(b), w), packing)
+        return self._encode(_unpack(prod, e, w))
 
     def _build_log_tables(self) -> None:
         # The powers of the generator g, one block of columns at a time.
@@ -847,8 +880,8 @@ def primitive_rn_root(ext: Field, rn: int, n: int, lam: Element) -> Element:
     for u in range(1, rn + 1):
         cand = cand * step
         if math.gcd(u, rn) == 1 and cand ** n == lam:
-            theta = cand
-            if mult_order(theta) != rn:
+            # order rn: theta^rn = 1 and theta^(rn/l) != 1 for each prime l | rn
+            if cand ** rn != ext.one or any(cand ** (rn // ell) == ext.one for ell in factorize(rn)):
                 raise AssertionError("candidate root has wrong order")  # unreachable
-            return theta
+            return cand
     raise ValueError(f"no primitive {rn}-th root with theta^{n} = {lam!r}")

@@ -580,6 +580,18 @@ def test_the_family_memo_keeps_integer_lengths_apart_from_floats_and_bools():
     assert type(_family(f9, np.int64(4), f9.one).n) is int
 
 
+def test_a_numpy_length_finds_the_family_of_the_int():
+    f9 = make_field(3, 2)
+    _family.cache_clear()
+    fam = _family(f9, 4, f9.one)
+    assert _family(f9, np.int64(4), f9.one) is fam
+    assert _family.cache_info().currsize == 1
+    for n in (4.0, True):
+        with pytest.raises(ValueError, match=f"expected an integer, got {n}"):
+            _family(f9, n, f9.one)
+    assert _family.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("exact_distance", [True, False])
 def test_classify_refuses_negative_budgets_even_without_exact_distances(exact_distance):
     f9 = make_field(3, 2)

@@ -353,11 +353,17 @@ def test_primitive_rn_root_gf1331_by_exhaustive_scan():
     assert th.code in valid
 
 
-def test_primitive_rn_root_in_gf5_pow12():
+def test_primitive_rn_root_in_gf5_pow12(monkeypatch):
     f125 = make_field(5, 3)
     big = make_field(5, 12)
     lam = embed(f125, big, f125.from_int(-1))
-    th = primitive_rn_root(big, 26, 13, lam)
+
+    def refuse(self, a):
+        raise AssertionError("theta's order checked over q - 1")
+
+    with monkeypatch.context() as patch:  # the order is checked over the primes of rn = 26 only
+        patch.setattr(Field, "_code_order", refuse)
+        th = primitive_rn_root(big, 26, 13, lam)
     assert mult_order(th) == 26 and th**13 == lam
 
 
@@ -445,7 +451,8 @@ def test_gf3_10_generator_and_sampled_exp_entries():
         assert f._log[f._exp[i]] == i
 
 
-@pytest.mark.parametrize("p,e", [(3, 12), (2, 20), (5, 8), (65537, 1), (7, 22), (257, 3)])
+@pytest.mark.parametrize("p,e", [(3, 12), (2, 20), (5, 8), (65537, 1), (7, 22), (257, 3),
+                                 (3, 22), (5, 22), (65537, 2)])
 def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
     f = make_field(p, e)
     assert f._exp is None
@@ -464,7 +471,7 @@ def test_untabled_pow_code_matches_repeated_raw_mul(p, e):
     assert f.pow_code(0, 0) == 1 and f.pow_code(0, 7) == 0
 
 
-@pytest.mark.parametrize("p,e", [(2, 20), (3, 12), (5, 8), (7, 22), (257, 3)])
+@pytest.mark.parametrize("p,e", [(2, 20), (3, 12), (5, 8), (7, 22), (257, 3), (3, 22), (5, 22), (65537, 2)])
 def test_untabled_products_match_the_schoolbook_oracle(p, e):
     f = make_field(p, e)
     assert f._exp is None
@@ -477,6 +484,57 @@ def test_untabled_products_match_the_schoolbook_oracle(p, e):
             assert schoolbook_mul(f, a, f.inv_code(a)) == 1, a
             n1, n2 = rng.randrange(f.q, 10 * f.q), rng.randrange(f.q, 10 * f.q)
             assert f.pow_code(a, n1 + n2) == schoolbook_mul(f, f.pow_code(a, n1), f.pow_code(a, n2)), a
+
+
+def test_packed_kernel_constants_reduce_every_slot_and_fold_exactly():
+    """The one-step slot reduction, mu = x^(2e) div m, and reduced slots out of ``_mulmod``.
+
+    Every p <= 13 with every e <= 24 has each value below the slot bound
+    2^v checked; p = 65537 has its boundary values.  The moduli are
+    random monic polynomials: the fold needs m monic, not irreducible.
+    """
+    def times(a, b, p):  # the product of two coefficient lists, reduced mod p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    rng = random.Random(23)
+    checked = set()
+    cases = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 25)] + [(65537, e) for e in (1, 2, 3, 22)]
+    for p, e in cases:
+        m = [rng.randrange(p) for _ in range(e)] + [1]
+        packing = fields._packing(m, p)
+        assert packing[0] == p
+        _, w, ew, s, c, low, emask, mu, m0, pp = packing
+        v = w - s
+        assert ew == e * w and 2 ** v > max(e * (p - 1) ** 2, 2 * p) >= 2 ** (v - 1)
+        assert low == sum(((1 << v) - 1) << w * i for i in range(2 * e)) and emask == (1 << ew) - 1
+        if p < 65537:
+            if (p, v) not in checked:
+                checked.add((p, v))
+                assert all(x - p * (x * c >> s) == x % p for x in range(2 ** v)), (p, v)
+        else:
+            tops = {k * p + d for k in ((2 ** v - 1) // p - 1, (2 ** v - 1) // p) for d in (-1, 0, 1)}
+            for x in {0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 ** v - 1, *tops}:
+                assert x >= 2 ** v or x - p * (x * c >> s) == x % p, (p, e, x)
+        # mu * m + rho = x^(2e) with deg rho < e, rho = x^(2e) mod m
+        mu_c = fields._unpack(mu, e + 1, w)
+        rho = fields._pmod([0] * (2 * e) + [1], m, p)
+        assert len(rho) <= e
+        full = times(mu_c, m, p)
+        for i, r in enumerate(rho):
+            full[i] = (full[i] + r) % p
+        assert full == [0] * (2 * e) + [1], (p, e)
+        assert fields._unpack(m0, e, w) == m[:e] and fields._unpack(pp, e, w) == [p] * e
+        # products of reduced slots, the all-(p - 1) inputs among them, come back reduced and exact
+        top = [p - 1] * e
+        for a, b in [(top, top)] + [([rng.randrange(p) for _ in range(e)], [rng.randrange(p) for _ in range(e)])
+                                    for _ in range(3)]:
+            out = fields._mulmod(fields._pack(a, w), fields._pack(b, w), packing)
+            assert out >> ew == 0 and all(slot < p for slot in fields._unpack(out, e, w)), (p, e)
+            assert fields._ptrim(fields._unpack(out, e, w)) == fields._pmod(times(a, b, p), m, p), (p, e)
 
 
 @pytest.mark.parametrize("p,e", [(65537, 1), (2, 20), (3, 12)])

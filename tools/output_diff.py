@@ -24,7 +24,8 @@ _GEN_7_3 = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
 
 # Worked examples, catalogs, the census inside and outside the frame
 # (GF(9) with lambda = x of order 4 leaves it at k = 0), duals on both
-# sides of it, single-code queries, help texts and two refusals.
+# sides of it, single-code queries, help texts, two refusals, and two
+# generators from splitting fields above the log-table limit.
 VECTORS = [
     ["reproduce", "all"],
     ["reproduce", "all", "--format", "json"],
@@ -48,6 +49,9 @@ VECTORS = [
     ["classify", "-p", "3", "-e", "2", "-k", "0", "-n", "2", "--lambda", "0,1"],
     ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "messages",
      "--budget-messages", "1", "--gen", _GEN_7_3],
+    # generators read off theta in the untabled splitting fields GF(3^22) and GF(7^22)
+    ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
+    ["genpoly", "-p", "7", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
 ]
 
 
