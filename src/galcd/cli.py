@@ -307,7 +307,7 @@ def cmd_reproduce(args) -> int:
                 budget_supports=args.budget_supports,
             )]
         except KeyError as ex:
-            raise _UsageError(str(ex)) from None
+            raise _UsageError(ex.args[0]) from None
     if args.format == "json":
         _emit(_dump_json([rep.to_json() for rep in reports]), args.out)
     else:

@@ -5,7 +5,8 @@ A code is carried by its defining set P: the exponents i in the set
 is the canonical primitive rn-th root with theta^n = lambda chosen by
 the deterministic rule in galcd.fields.  The generator polynomial is
 always recomputed from P as the product of the coset minimal
-polynomials; an explicit generator can be supplied only through
+polynomials, and the check polynomial as the product over the cosets
+outside P; an explicit generator can be supplied only through
 from_generator_polynomial, which validates it and recovers P by
 dividing by the coset minimal polynomials.  A Galois dual inside the
 family is built from its defining set, and the polynomial route
@@ -165,10 +166,8 @@ class ConstacyclicCode:
 
     @property
     def check_poly(self) -> Poly:
-        q, rem = divmod(xn_minus_lambda(self.field, self.n, self.lam), self.g)
-        if not rem.is_zero:
-            raise AssertionError("generator does not divide x^n - lambda")
-        return q
+        """h = (x^n - lambda)/g, the product of the minimal polynomials of the cosets outside P."""
+        return _coset_product(self.fam, (key for key in self.fam.minpolys if key not in self.P.residues))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstacyclicCode):
@@ -186,12 +185,14 @@ class ConstacyclicCode:
         )
 
 
+def _coset_product(fam: _Family, keys: Iterable[int]) -> Poly:
+    """The product of the minimal polynomials M_Q of the cosets Q whose smallest member is in keys."""
+    return prod((fam.minpolys[key] for key in keys), start=Poly(fam.field, (1,)))
+
+
 def _code(fam: _Family, P: DefiningSet) -> ConstacyclicCode:
     """The code of a validated defining set: g is the product of its coset minimal polynomials."""
-    g = Poly(fam.field, (1,))
-    for coset in fam.cosets:
-        if coset[0] in P.residues:
-            g = g * fam.minpolys[coset[0]]
+    g = _coset_product(fam, (key for key in fam.minpolys if key in P.residues))
     return ConstacyclicCode(P, g, fam)
 
 
@@ -407,10 +408,9 @@ def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...]
     set, equal to ``_code``'s since products are exact.  The check
     polynomial of m is the generator of the complement mask.
     """
-    one = Poly(fam.field, (1,))
-    gens = [one]
+    gens = [Poly(fam.field, (1,))]
     for cyc in cycles:
-        m_cyc = prod((fam.minpolys[key] for key in cyc), start=one)
+        m_cyc = _coset_product(fam, cyc)
         gens += [g * m_cyc for g in gens]
     full = len(gens) - 1
     for mask, P in enumerate(_stable_sets(ctx, cycles, fam.cosets)):

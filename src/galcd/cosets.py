@@ -131,7 +131,7 @@ class DefiningSet:
 
 
 def act_scale(P: "DefiningSet | Iterable[int]", s: int, *, rn: int | None = None) -> tuple[int, ...]:
-    """Elementwise s*x mod rn.  s must be a unit modulo rn."""
+    """Elementwise s*x mod rn.  s must be a unit modulo rn; s and rn are read through ``as_int``."""
     if isinstance(P, DefiningSet):
         residues = P.residues
         rn = P.ctx.rn
@@ -139,6 +139,8 @@ def act_scale(P: "DefiningSet | Iterable[int]", s: int, *, rn: int | None = None
         residues = tuple(P)
         if rn is None:
             raise ValueError("rn is required when P is a plain residue collection")
+        rn = as_int(rn)
+    s = as_int(s)
     if math.gcd(s, rn) != 1:
         raise ValueError(f"{s} is not a unit modulo {rn}")
     return tuple(sorted(s * x % rn for x in residues))
@@ -345,6 +347,7 @@ def bch_lower_bound(P: DefiningSet) -> int:
 
 def unique_order2_unit(rn: int) -> bool:
     """True iff -1 is the only unit of order 2 modulo rn."""
+    rn = as_int(rn)
     if rn < 2:
         raise ValueError("rn must be at least 2")
     hits = [u for u in range(2, rn) if math.gcd(u, rn) == 1 and u * u % rn == 1]
@@ -355,8 +358,10 @@ def hermitian_necessary_check(p: int, a: int, r: int, n: int) -> bool:
     """Divisibility conditions r | p^a + 1 and 2^(b1+b2) | p^a + 1.
 
     Here r = 2^b1 * r' and n = 2^b2 * n' with b1, b2 > 0; even r and n
-    are a hypothesis, not an input to validate silently.
+    are a hypothesis, not an input to validate silently.  Every
+    parameter is read through ``as_int``.
     """
+    p, a, r, n = map(as_int, (p, a, r, n))
     if r % 2 or n % 2:
         raise ValueError("hypotheses not met: r and n must both be even")
     if math.gcd(n, p) != 1:

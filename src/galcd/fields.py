@@ -19,15 +19,18 @@ other modules use the scalar calls and the row kernels ``axpy``,
 ``axmy`` and ``scale``.  The field size q alone picks the arithmetic,
 so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
 (q <= 2^16, from a blocked numpy walk over the powers of the
-generator), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
+generator, whose step matrix of columns g * x^j comes from the packed
+kernel), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
 lists that share one int object per code.  Larger fields add digit by
 digit and multiply with ``_raw_mul``: both coefficient vectors are
 packed into w-bit slots of one Python int and multiplied once
 (Kronecker substitution), every slot is reduced mod p in one step by a
 multiply-and-shift (Granlund-Montgomery), and the high half is folded
 back by a Barrett quotient, three bigint products in all, whose result
-again has reduced slots.  ``pow_code`` squares and multiplies on those
-packed ints, packing and unpacking once per power.  Slots of
+again has reduced slots.  ``_ppowmod`` squares and multiplies on those
+packed ints and returns one, so ``pow_code`` (through ``_raw_pow``)
+packs and unpacks once per power, and ``poly_is_irreducible`` keeps
+its iterated p-th powers packed.  Slots of
 w = v + s bits, v the bit length of max(e*(p-1)^2, 2p) and
 s = v + bits(p-1), keep every slot apart (see the comment above
 ``_packing``).  The kernels read ``__slots__``; the lazy values are
@@ -36,8 +39,8 @@ their first read: ``qm1_factors`` (the factorization of q - 1),
 ``_generator_code`` (the code of ``primitive_element``; a cached
 Element would point back at the field, which only a garbage collection
 pass could then free), ``_packing`` (w, the reduction constants and
-the packed x^(2e) div modulus, for every extension field: set-up
-multiplies before any table exists), ``_tables`` (the q*q numpy pair
+the packed x^(2e) div modulus, for every field: set-up and the log
+walk multiply before any table exists), ``_tables`` (the q*q numpy pair
 of ``tables()``, q <= 2200, which only
 message enumeration reads) and ``_frob_tables`` (for q <= 600, the
 table of a -> a^(p^j) per j mod e that ``frob_row`` has read).
@@ -104,6 +107,14 @@ def check_galois_parameter(k, e: int) -> None:
         raise ValueError(f"need 0 <= k < e, got k={k}, e={e}")
 
 
+def check_frobenius_exponent(j) -> int:
+    """j as an int; refuse a Frobenius exponent that is negative or not an integer."""
+    j = as_int(j)
+    if j < 0:
+        raise ValueError(f"Frobenius exponent must be >= 0, got {j}")
+    return j
+
+
 def _pollard_rho(m: int) -> int:
     """A nontrivial factor of composite odd m."""
     if m % 2 == 0:
@@ -164,7 +175,8 @@ def multiplicative_order(a: int, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p) as plain int lists, constant term first, for
-# modulus bookkeeping; products modulo a monic m run on packed ints.
+# modulus bookkeeping (``_pdivmod``, the one long division, and
+# ``_pgcd``); products and powers modulo a monic m run on packed ints.
 #
 # A packed polynomial holds coefficient i in bits [w*i, w*(i + 1)) of one
 # Python int (Kronecker substitution; D. Harvey, J. Symbolic Comput.,
@@ -191,28 +203,17 @@ def _ptrim(c: list[int]) -> list[int]:
     return c
 
 
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m must be monic
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
+def _pdivmod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(a div m, a mod m) over GF(p) for monic m, the remainder trimmed."""
+    e = len(m) - 1
+    r = [c % p for c in a]
+    quo = [0] * max(len(r) - e, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = lead = r[i + e]
         if lead:
-            shift = len(r) - 1 - dm
-            for i in range(dm):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-    return _ptrim(r)
-
-
-def _x_multiples(r: list[int], m: Sequence[int], p: int, count: int) -> list[list[int]]:
-    """r, x*r, ..., x^(count-1)*r mod m, for r of e digits and monic m of degree e."""
-    out = []
-    for _ in range(count):
-        out.append(r)
-        top = r[-1]  # shift up and fold top * x^e back in
-        r = [(lo - top * c) % p for lo, c in zip([0] + r[:-1], m)]
-    return out
+            for j in range(e + 1):
+                r[i + j] = (r[i + j] - lead * m[j]) % p
+    return quo, _ptrim(r[:e])
 
 
 def _packing(m: Sequence[int], p: int) -> tuple[int, ...]:
@@ -227,11 +228,7 @@ def _packing(m: Sequence[int], p: int) -> tuple[int, ...]:
     v = max(e * (p - 1) ** 2, 2 * p).bit_length()
     s = v + (p - 1).bit_length()
     w = v + s
-    mu, r = [0] * (e + 1), [0] * (2 * e) + [1]  # long division of x^(2e) by m
-    for i in range(e, -1, -1):
-        mu[i] = lead = r[i + e]
-        for j in range(e + 1):
-            r[i + j] = (r[i + j] - lead * m[j]) % p
+    mu, _ = _pdivmod([0] * (2 * e) + [1], m, p)
     return (p, w, e * w, s, -(-(1 << s) // p), _pack([(1 << v) - 1] * (2 * e), w), (1 << e * w) - 1,
             _pack(mu, w), _pack(m[:e], w), _pack([p] * e, w))
 
@@ -266,21 +263,16 @@ def _unpack(x: int, e: int, w: int) -> list[int]:
     return out
 
 
-def _ppowmod(a: Sequence[int], n: int, m: Sequence[int], p: int, packing: tuple[int, ...]) -> list[int]:
-    """a^n mod m over GF(p) for monic m; packing is ``_packing(m, p)``.
-
-    The power runs on packed ints, packed and unpacked once.
-    """
-    w = packing[1]
-    base = _pack([c % p for c in _pmod(a, m, p)], w)
+def _ppowmod(x: int, n: int, packing: tuple[int, ...]) -> int:
+    """x^n mod m on a packed polynomial with reduced slots, n >= 0; packing is ``_packing(m, p)``."""
     result = 1
     while n:
         if n & 1:
-            result = _mulmod(result, base, packing)
+            result = _mulmod(result, x, packing)
         n >>= 1
         if n:
-            base = _mulmod(base, base, packing)
-    return _ptrim(_unpack(result, len(m) - 1, w))
+            x = _mulmod(x, x, packing)
+    return result
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -289,7 +281,7 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         # make b monic before reducing
         inv = pow(b[-1], -1, p)
         bm = [c * inv % p for c in b]
-        a, b = b, _pmod(a, bm, p)
+        a, b = b, _pdivmod(a, bm, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -310,20 +302,16 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     # x^(p^e) == x mod f, and gcd(x^(p^(e/l)) - x, f) == 1 for prime l | e
     proper = {e // ell for ell in factorize(e)}
     packing = _packing(c, p)
-    h = [0, 1]
+    w = packing[1]
+    x = h = 1 << w  # x packed; e >= 2, so it is reduced mod f
     for i in range(1, e + 1):
-        h = _ppowmod(h, p, c, p, packing)
+        h = _ppowmod(h, p, packing)
         if i in proper:
-            diff = list(h)
-            while len(diff) < 2:
-                diff.append(0)
+            diff = _unpack(h, e, w)
             diff[1] = (diff[1] - 1) % p
-            if len(_pgcd(diff, c, p)) != 1:
+            if len(_pgcd(_ptrim(diff), c, p)) != 1:
                 return False
-    x_again = list(h)
-    while len(x_again) < 2:
-        x_again.append(0)
-    return x_again[1] == 1 and all(v == 0 for i, v in enumerate(x_again) if i != 1)
+    return h == x
 
 
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -393,13 +381,16 @@ class Field:
         return _packing(self.modulus, self.p)
 
     def _raw_mul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return a * b % p
         packing = self._packing
         w = packing[1]
         prod = _mulmod(_pack(self._decode(a), w), _pack(self._decode(b), w), packing)
-        return self._encode(_unpack(prod, e, w))
+        return self._encode(_unpack(prod, self.e, w))
+
+    def _raw_pow(self, a: int, n: int) -> int:
+        """a^n on codes for n >= 0, packed once and unpacked once."""
+        packing = self._packing
+        w = packing[1]
+        return self._encode(_unpack(_ppowmod(_pack(self._decode(a), w), n, packing), self.e, w))
 
     def _build_log_tables(self) -> None:
         # The powers of the generator g, one block of columns at a time.
@@ -410,9 +401,11 @@ class Field:
         # M^width times the one before.  Entries stay below p and a product
         # sums e terms below p^2, far inside int64 for q <= 2^16.
         q, p, e = self.q, self.p, self.e
-        g = self._generator_code
+        packing = self._packing
+        w = packing[1]
+        g = _pack(self._decode(self._generator_code), w)
         # column j of M holds the digits of g * x^j
-        step = np.array(_x_multiples(self._decode(g), self.modulus, p, e), dtype=np.int64).T
+        step = np.array([_unpack(_mulmod(g, 1 << j * w, packing), e, w) for j in range(e)], dtype=np.int64).T
         width = 1 << (min(q - 1, _WALK_WIDTH).bit_length() - 1)
         block = np.zeros((e, width), dtype=np.int64)
         block[0, 0] = 1
@@ -498,7 +491,7 @@ class Field:
             return self._exp[self._log[a] * n % (self.q - 1)]
         if a < self.p:  # the constants are the prime subfield, closed under powers
             return pow(a, n, self.p)
-        return self._encode(_ppowmod(self._decode(a), n, self.modulus, self.p, self._packing))
+        return self._raw_pow(a, n)
 
     def frob_code(self, a: int, j: int) -> int:
         """a^(p^j) on codes."""
@@ -765,9 +758,7 @@ def _field(p: int, e: int, mod: tuple[int, ...]) -> Field:
 
 def frobenius_pow(x: Element, j: int) -> Element:
     """x^(p^j), the j-th iterate of the Frobenius automorphism."""
-    if j < 0:
-        raise ValueError("Frobenius exponent must be >= 0")
-    return Element(x.field, x.field.frob_code(x.code, j))
+    return Element(x.field, x.field.frob_code(x.code, check_frobenius_exponent(j)))
 
 
 def mult_order(x: Element) -> int:

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from galcd import linalg
-from galcd.fields import TABLE_LIMIT, Element, Field, as_int, check_galois_parameter, sqrt_minus_one
+from galcd.fields import (TABLE_LIMIT, Element, Field, as_int, check_frobenius_exponent,
+                          check_galois_parameter, sqrt_minus_one)
 
 DEFAULT_MESSAGE_BUDGET = 10**8
 DEFAULT_SUPPORT_BUDGET = 10**7
@@ -195,7 +196,7 @@ def galois_inner_product(x: Sequence[Element], y: Sequence[Element], k: int) -> 
 
 def p_power_code(C: LinearCode, j: int) -> LinearCode:
     """The code generated by the entrywise p^j-th power of the generator."""
-    rows = linalg.frobenius_matrix(C.field, C.codes_matrix(), j)
+    rows = linalg.frobenius_matrix(C.field, C.codes_matrix(), check_frobenius_exponent(j))
     return LinearCode._trusted(C.field, rows, C.n)
 
 
@@ -275,42 +276,39 @@ def extend_lcd(C: LinearCode, k: int, mode: str) -> LinearCode:
 def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
     field, q, n, l = C.field, C.field.q, C.n, C.dim
     G = np.fromiter(C._flat, dtype=np.int64, count=l * n).reshape(l, n)
-    # The walk is a list of blocks: one row fixed at digit 1 plus every
-    # combination of the free rows.  With shift, row 0 is fixed and rows
-    # 1.. are free (min_distance checked the shape).  Without it, block i
-    # fixes row i and frees rows 0..i-1: these are the messages whose
-    # highest nonzero digit is 1, one per line of the code, since
-    # scaling a word keeps its weight.  Every block's free rows are a
-    # prefix of the last block's, which holds the most.
-    blocks = [(G[0], l - 1)] if shift else [(G[i], i) for i in range(l)]
-    free = G[1:] if shift else G[:l - 1]
+    # Block i fixes row i at digit 1 and frees the rows after it: these
+    # are the messages whose lowest nonzero digit is 1, one per line of
+    # the code, since scaling a word keeps its weight.  With shift only
+    # block 0 runs (min_distance checked the shape).  Block 0 frees the
+    # most rows, and every later block's free rows are a suffix of its.
     mul, add = field.tables()
     add_flat = add.reshape(-1)
-    # free row j's products digit * g_j, one (q, n) table per row
-    row_mul = [mul[:, row] for row in free]
+    # row j's products digit * g_j, one (q, n) table per row after row 0
+    row_mul = [mul[:, row] for row in G[1:]]
     best = n + 1
-    powers = [q**j for j in range(len(free))]
-    # one set of buffers per call, sized for the largest block; a chunk
-    # of s messages works on their first s rows.  take runs in mode
-    # "clip" (every index is in range) because mode "raise" copies into
-    # a fresh array before writing out.
-    size = min(_CHUNK, q ** blocks[-1][1])
+    powers = [q**j for j in range(l - 1)]
+    # one set of buffers per call, sized for block 0; a chunk of s
+    # messages works on their first s rows.  take runs in mode "clip"
+    # (every index is in range) because mode "raise" copies into a fresh
+    # array before writing out.
+    size = min(_CHUNK, q ** (l - 1))
     base = np.arange(size, dtype=np.int64)
     idx = np.empty(size, dtype=np.int64)
     digit = np.empty(size, dtype=np.int64)
     cw_buf = np.empty((size, n), dtype=np.int64)
     term_buf = np.empty((size, n), dtype=np.int64)
-    for fixed, k in blocks:
-        total = q**k
+    for i in range(1 if shift else l):
+        free = row_mul[i:]
+        total = q ** len(free)
         for start in range(0, total, _CHUNK):
             s = min(_CHUNK, total - start)
             ix, dg, cw, term = idx[:s], digit[:s], cw_buf[:s], term_buf[:s]
             np.add(base[:s], start, out=ix)
-            cw[:] = fixed
-            for j in range(k):
+            cw[:] = G[i]
+            for j, products in enumerate(free):
                 np.floor_divide(ix, powers[j], out=dg)
                 np.remainder(dg, q, out=dg)
-                np.take(row_mul[j], dg, axis=0, out=term, mode="clip")
+                np.take(products, dg, axis=0, out=term, mode="clip")
                 np.multiply(cw, q, out=cw)
                 np.add(cw, term, out=cw)
                 np.take(add_flat, cw, out=term, mode="clip")
@@ -450,7 +448,7 @@ def min_distance(
     """Exact minimum distance by message enumeration or support search.
 
     "messages" walks one message per line of C, the (q^dim - 1)/(q - 1)
-    messages whose highest nonzero digit is 1, since scaling a word
+    messages whose lowest nonzero digit is 1, since scaling a word
     keeps its weight; "supports" finds the least w such that w columns
     of a parity-check matrix are dependent.  The message budget still
     bounds q^dim (q^(dim-1) with shift), while "auto" prices messages by

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from galcd.fields import Element, Field, embedding, make_field, multiplicative_order
+from galcd.fields import Element, Field, check_frobenius_exponent, embedding, make_field, multiplicative_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,9 +190,7 @@ def reciprocal(f: Poly) -> Poly:
 
 def frobenius_poly(f: Poly, j: int) -> Poly:
     """Apply the j-th Frobenius power to every coefficient."""
-    if j < 0:
-        raise ValueError("Frobenius exponent must be >= 0")
-    return Poly(f.field, tuple(f.field.frob_row(f.codes, j)))
+    return Poly(f.field, tuple(f.field.frob_row(f.codes, check_frobenius_exponent(j))))
 
 
 def minimal_poly(coset: Iterable[int], theta: Element, base: Field) -> Poly:

@@ -24,7 +24,7 @@ from galcd.constacyclic import (
 from galcd.cosets import CosetContext, DefiningSet, act_scale, bch_lower_bound, enumerate_stable_sets
 from galcd.fields import Field, embedding, mult_order
 from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
-from galcd.polys import Poly, frobenius_poly, reciprocal
+from galcd.polys import Poly, frobenius_poly, reciprocal, xn_minus_lambda
 
 
 def _digits(code: int, p: int, e: int) -> list[int]:
@@ -368,6 +368,13 @@ def rref_same_row_space(field: Field, a, b) -> bool:
     ra = [row for row in rref_top_down(field, a)[0] if any(row)]
     rb = [row for row in rref_top_down(field, b)[0] if any(row)]
     return ra == rb
+
+
+def check_poly_by_division(C) -> Poly:
+    """(x^n - lambda) // g, a constacyclic code's check polynomial by long division."""
+    h, rem = divmod(xn_minus_lambda(C.field, C.n, C.lam), C.g)
+    assert rem.is_zero, "generator does not divide x^n - lambda"
+    return h
 
 
 def galois_dual_by_roots(C):

@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 import random
 import time
+from itertools import islice
 
 import pytest
 
 from galcd import constacyclic, cosets, linalg, linear, registry
 from galcd.constacyclic import (
+    _family,
+    _stable_codes,
     classify_all_lcd,
     code_from_defining_set,
     code_params,
@@ -29,7 +32,7 @@ from galcd.constacyclic import (
 from galcd.cosets import CosetContext, DefiningSet, act_scale, cyclotomic_cosets
 from galcd.fields import make_field, mult_order, sqrt_minus_one
 from galcd.linear import LinearCode, extend_lcd, galois_dual, is_galois_lcd, min_distance
-from oracles import galois_dual_by_roots, hull_dim
+from oracles import check_poly_by_division, galois_dual_by_roots, hull_dim
 
 EXHAUSTIVE_COSET_LIMIT = 7   # exhaust the power set up to 2^7 sets per context
 SAMPLE_SIZE = 96             # sampled sets for larger contexts
@@ -279,6 +282,32 @@ def test_criterion_7_defining_set_duals_match_root_recovery():
             checked += 1
     assert checked > 600
     _report(7, f"duals from defining sets equal the root-recovery duals on {checked} sampled codes")
+
+
+def test_check_polynomials_equal_the_long_division():
+    """check_poly, the product over the cosets outside P, is (x^n - lambda) // g on the
+    stable codes of the criterion-6 contexts and on a dual outside the frame.
+
+    205 of the 212 contexts have at most 2^10 stable sets and are
+    exhausted; the other 7 (up to 2^16 sets) are read with a stride that
+    leaves about 2^10 codes each."""
+    checked = exhausted = 0
+    for field, n, lam, k in _equiv_contexts():
+        ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))
+        cycles = cosets.tau_cycles(ctx)
+        stride = max(1, 2 ** len(cycles) >> 10)
+        exhausted += stride == 1
+        for code, h in islice(_stable_codes(_family(field, n, lam), ctx, cycles), None, None, stride):
+            assert code.check_poly == check_poly_by_division(code) == h, (field.q, n, lam.code, k)
+            checked += 1
+    assert exhausted == 205 and checked > 15000
+    # lambda = x in GF(9) has order 4 and leaves the frame at k = 0: the
+    # dual is built by from_generator_polynomial in another family
+    f9 = make_field(3, 2)
+    C = code_from_defining_set(f9, 2, f9.gen, (1,), k=0)
+    D = galois_dual_code(C)
+    assert not cosets.frame_preserved(C.P.ctx) and D.lam != C.lam and D.dim == 1
+    assert D.check_poly == check_poly_by_division(D)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,11 @@ def test_reproduce_single_and_all(capsys):
     assert "MISMATCH" not in out
 
 
+def test_reproduce_names_an_unknown_example_in_plain_text(capsys):
+    assert run(capsys, "reproduce", "9.9") == (
+        1, "", "usage error: unknown example id '9.9'; known: 2.4, 3.8, 3.14, 3.15, 4.5, 4.8\n")
+
+
 def test_pinned_outputs_keep_their_bytes(capsys):
     pinned = {
         ("reproduce", "all", "--format", "json"):

@@ -326,6 +326,37 @@ def test_hermitian_necessary_check_examples():
         hermitian_necessary_check(3, 2, 2, 6)  # gcd(n, p) != 1
 
 
+@pytest.mark.parametrize("args", [(3, 1.0, 2, 2), (3, 1, 2.0, 2), (3.0, 1, 2, 2), (3, 1, 2, True),
+                                  (3, 1, 2, 2.0), (True, 1, 2, 2)])
+def test_hermitian_necessary_check_refuses_parameters_that_are_not_integers(args):
+    with pytest.raises(ValueError, match="expected an integer"):
+        hermitian_necessary_check(*args)
+
+
+def test_hermitian_necessary_check_reads_numpy_parameters_as_ints():
+    for args in [(3, 1, 2, 2), (3, 2, 2, 2)]:
+        assert hermitian_necessary_check(*map(np.int64, args)) is hermitian_necessary_check(*args)
+
+
+@pytest.mark.parametrize("bad", [10.0, True, "10"])
+def test_unique_order2_unit_refuses_a_modulus_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        unique_order2_unit(bad)
+    assert unique_order2_unit(np.int64(10)) is True
+
+
+@pytest.mark.parametrize("bad", [1.5, 9.0, True])
+def test_act_scale_refuses_a_multiplier_that_is_not_an_integer(bad):
+    P = DefiningSet(CTX_38, (3, 5, 7))
+    with pytest.raises(ValueError, match="expected an integer"):
+        act_scale(P, bad)
+    with pytest.raises(ValueError, match="expected an integer"):
+        act_scale((1,), bad, rn=10)
+    with pytest.raises(ValueError, match="expected an integer"):
+        act_scale((1,), 3, rn=float(10))
+    assert act_scale(P, np.int64(9)) == act_scale(P, 9) == (3, 5, 7)
+
+
 def test_lcd_closure_examples():
     stable = DefiningSet(CTX_38, (3, 5, 7))
     assert lcd_closure(CTX_38, stable.residues).residues == (3, 5, 7)

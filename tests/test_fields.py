@@ -18,7 +18,6 @@ from galcd.fields import (
     TABLE_LIMIT,
     Element,
     Field,
-    _ppowmod,
     default_modulus,
     element_from_json,
     embed,
@@ -32,6 +31,8 @@ from galcd.fields import (
     primitive_rn_root,
     sqrt_minus_one,
 )
+from galcd.linear import LinearCode, p_power_code
+from galcd.polys import Poly, frobenius_poly
 from oracles import (
     brute_log_tables,
     digitwise_add,
@@ -82,6 +83,22 @@ def test_default_modulus_is_irreducible_by_trial_division():
                 t //= p
             cand.append(1)
             assert not trial_division_irreducible(cand, p)
+
+
+def test_irreducibility_matches_trial_division_on_every_small_monic_polynomial():
+    """Every monic polynomial of degree 1-4 over GF(2), GF(3) and GF(5), and of degree 5-6
+    over GF(2): the reducible ones reach both the gcd step and the final x^(p^e) == x."""
+    cases = [(p, e) for p in (2, 3, 5) for e in range(1, 5)] + [(2, 5), (2, 6)]
+    for p, e in cases:
+        found = 0
+        for tail in range(p**e):
+            cand = [tail // p**i % p for i in range(e)] + [1]
+            verdict = poly_is_irreducible(cand, p)
+            assert verdict == trial_division_irreducible(cand, p), (p, cand)
+            found += verdict
+        # Gauss: the count of monic irreducibles of degree e is (1/e) sum_{d | e} mu(d) p^(e/d)
+        assert found == {1: p, 2: (p * p - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p * p) // 4,
+                         5: (p**5 - p) // 5, 6: (p**6 - p**3 - p * p + p) // 6}[e], (p, e)
 
 
 def test_make_field_rejects_bad_input():
@@ -220,6 +237,23 @@ def test_frobenius_rejects_negative_exponent():
     f = make_field(3, 1)
     with pytest.raises(ValueError):
         frobenius_pow(f.one, -1)
+
+
+def test_frobenius_exponents_have_one_check():
+    """frobenius_pow, frobenius_poly and p_power_code refuse -1, 1.5 and True with one
+    ValueError, and read a numpy 2 as 2."""
+    f27 = make_field(3, 3)
+    a = f27.gen
+    calls = [lambda j: frobenius_pow(a, j),
+             lambda j: frobenius_poly(Poly.from_elements(f27, [a, f27.one]), j),
+             lambda j: p_power_code(LinearCode(f27, [[f27.one, a, a * a]]), j)]
+    for call in calls:
+        assert call(np.int64(2)) == call(2) != call(0)
+        with pytest.raises(ValueError, match=r"^Frobenius exponent must be >= 0, got -1$"):
+            call(-1)
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(bad)
 
 
 def test_mult_order_examples():
@@ -444,10 +478,9 @@ def test_lazy_values_are_built_on_first_read_and_kept():
 def test_gf3_10_generator_and_sampled_exp_entries():
     f = make_field(3, 10)
     assert f.primitive_element.code == 34
-    g = f._decode(34)
     rng = random.Random(310)
     for i in rng.sample(range(f.q - 1), 100):
-        assert f._exp[i] == f._encode(_ppowmod(g, i, f.modulus, f.p, f._packing)), i
+        assert f._exp[i] == f._raw_pow(34, i), i
         assert f._log[f._exp[i]] == i
 
 
@@ -521,12 +554,13 @@ def test_packed_kernel_constants_reduce_every_slot_and_fold_exactly():
                 assert x >= 2 ** v or x - p * (x * c >> s) == x % p, (p, e, x)
         # mu * m + rho = x^(2e) with deg rho < e, rho = x^(2e) mod m
         mu_c = fields._unpack(mu, e + 1, w)
-        rho = fields._pmod([0] * (2 * e) + [1], m, p)
+        mu_d, rho = fields._pdivmod([0] * (2 * e) + [1], m, p)
         assert len(rho) <= e
         full = times(mu_c, m, p)
         for i, r in enumerate(rho):
             full[i] = (full[i] + r) % p
         assert full == [0] * (2 * e) + [1], (p, e)
+        assert mu_d == mu_c, (p, e)
         assert fields._unpack(m0, e, w) == m[:e] and fields._unpack(pp, e, w) == [p] * e
         # products of reduced slots, the all-(p - 1) inputs among them, come back reduced and exact
         top = [p - 1] * e
@@ -534,7 +568,7 @@ def test_packed_kernel_constants_reduce_every_slot_and_fold_exactly():
                                     for _ in range(3)]:
             out = fields._mulmod(fields._pack(a, w), fields._pack(b, w), packing)
             assert out >> ew == 0 and all(slot < p for slot in fields._unpack(out, e, w)), (p, e)
-            assert fields._ptrim(fields._unpack(out, e, w)) == fields._pmod(times(a, b, p), m, p), (p, e)
+            assert fields._ptrim(fields._unpack(out, e, w)) == fields._pdivmod(times(a, b, p), m, p)[1], (p, e)
 
 
 @pytest.mark.parametrize("p,e", [(65537, 1), (2, 20), (3, 12)])
@@ -735,7 +769,8 @@ def test_field_set_up_makes_far_fewer_than_q_products(monkeypatch):
     f = Field(3, 10, mod)
     assert f.primitive_element.code == 34
     # The generator search powers each candidate once per prime factor of
-    # q - 1, at most two products per exponent bit; the walk makes none.
+    # q - 1, at most two products per exponent bit; the walk adds e, one
+    # per column of its step matrix.
     bound = 34 * len(f.qm1_factors) * 2 * f.q.bit_length()
     assert 0 < calls <= bound < f.q
 

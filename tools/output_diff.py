@@ -52,6 +52,14 @@ VECTORS = [
     # generators read off theta in the untabled splitting fields GF(3^22) and GF(7^22)
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
     ["genpoly", "-p", "7", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
+    # a check polynomial through code_params, the message walk over all three
+    # projective blocks and over the shifted block 0, a degree-1 default
+    # modulus with the prime-field embedding, and a log-table base field
+    ["mindist", "-p", "11", "-e", "2", "-k", "1", "-n", "10", "--lambda", "1", "--defining-set", "2,3,4,5,6,7,8"],
+    ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "messages", "--gen", _GEN_7_3],
+    ["mindist", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--strategy", "messages"],
+    ["classify", "-p", "2", "-e", "1", "-k", "0", "-n", "7"],
+    ["dual", "-p", "11", "-e", "3", "-k", "1", "-n", "5", "--lambda", "-1", "--defining-set", "3,5,7"],
 ]
 
 
