@@ -55,6 +55,7 @@ from galcd.polys import (
     Poly,
     frobenius_poly,
     minimal_poly,
+    minimal_polys,
     reciprocal,
 )
 

@@ -59,7 +59,7 @@ from galcd.linear import (
     is_galois_lcd,
     min_distance,
 )
-from galcd.polys import Poly, frobenius_poly, minimal_poly, reciprocal, splitting_field, xn_minus_lambda
+from galcd.polys import Poly, frobenius_poly, minimal_polys, reciprocal, splitting_field, xn_minus_lambda
 
 
 @dataclass(eq=False)
@@ -84,7 +84,7 @@ def _family_memo(field: Field, n: int, lam: Element) -> _Family:
     ext = splitting_field(field, ctx.rn)
     theta = primitive_rn_root(ext, ctx.rn, n, embed(field, ext, lam))
     cosets = cyclotomic_cosets(ctx)
-    minpolys = {c[0]: minimal_poly(c, theta, field) for c in cosets}
+    minpolys = {c[0]: m for c, m in zip(cosets, minimal_polys(cosets, theta, field))}
     if prod(minpolys.values(), start=Poly(field, (1,))) != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
     return _Family(field, n, lam, ext, theta, ctx, cosets, minpolys)

@@ -30,7 +30,14 @@ back by a Barrett quotient, three bigint products in all, whose result
 again has reduced slots.  ``_ppowmod`` squares and multiplies on those
 packed ints and returns one, so ``pow_code`` (through ``_raw_pow``)
 packs and unpacks once per power, and ``poly_is_irreducible`` keeps
-its iterated p-th powers packed.  Slots of
+its iterated p-th powers packed.  ``_to_packed`` and ``_from_packed``
+are the one code <-> packed conversion, a loop each way that moves k
+base-p digits per step through the ``_chunks`` tables.  Family set-up
+runs on packed values from start to end as well, in every field:
+``embedding``'s search for a root of the source modulus,
+``primitive_rn_root``'s candidate scan and ``root_products`` (the
+products prod (x - theta^i) behind ``polys.minimal_polys``) each
+unpack only what they return.  Slots of
 w = v + s bits, v the bit length of max(e*(p-1)^2, 2p) and
 s = v + bits(p-1), keep every slot apart (see the comment above
 ``_packing``).  The kernels read ``__slots__``; the lazy values are
@@ -40,7 +47,8 @@ their first read: ``qm1_factors`` (the factorization of q - 1),
 Element would point back at the field, which only a garbage collection
 pass could then free), ``_packing`` (w, the reduction constants and
 the packed x^(2e) div modulus, for every field: set-up and the log
-walk multiply before any table exists), ``_tables`` (the q*q numpy pair
+walk multiply before any table exists), ``_chunks`` (the conversion
+tables), ``_tables`` (the q*q numpy pair
 of ``tables()``, q <= 2200, which only
 message enumeration reads) and ``_frob_tables`` (for q <= 600, the
 table of a -> a^(p^j) per j mod e that ``frob_row`` has read).
@@ -63,6 +71,7 @@ _LOG_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field size
 TABLE_LIMIT = 2200          # tables() serves full q*q tables up to this field size
 _ROW_TABLE_LIMIT = 600      # every field keeps them as row lists up to this size
 _WALK_WIDTH = 4096          # columns per block of the log-table walk
+_CHUNK_LIMIT = 512          # most k-digit codes one step of a code <-> packed conversion tables
 
 
 def is_prime(m: int) -> bool:
@@ -133,14 +142,14 @@ def _pollard_rho(m: int) -> int:
 
 
 def factorize(m: int) -> dict[int, int]:
-    """Prime factorization: trial division for small factors, rho beyond."""
+    """Prime factorization in ascending primes: trial division for factors below 2^10, rho beyond."""
     out: dict[int, int] = {}
     for d in (2, 3, 5, 7, 11, 13):
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
     d = 17
-    while d * d <= m and d < 100_000:
+    while d * d <= m and d < 1 << 10:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
@@ -155,11 +164,17 @@ def factorize(m: int) -> dict[int, int]:
             continue
         f = _pollard_rho(v)
         stack.extend((f, v // f))
-    return out
+    return dict(sorted(out.items()))
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in Z_m^*.  Requires gcd(a, m) = 1; order mod 1 is 1."""
+    """Order of a in Z_m^*.  Requires m >= 1 and gcd(a, m) = 1; order mod 1 is 1.
+
+    a and m are read through ``as_int``.
+    """
+    a, m = as_int(a), as_int(m)
+    if m < 1:
+        raise ValueError(f"need a modulus m >= 1, got {m}")
     if m == 1:
         return 1
     a %= m
@@ -194,7 +209,11 @@ def multiplicative_order(a: int, m: int) -> int:
 # A1*mu = Q*x^e + T give x^e*(A - Q*m) = x^e*A0 + A1*rho + T*m, of degree
 # below 2e.  The remainder is the low e slots of A + p - Q*m.  So
 # ``_mulmod`` makes three bigint products and four reductions, and its
-# result has reduced slots, ready for the next product.
+# result has reduced slots, ready for the next product.  A sum of two
+# reduced values has slots below 2p <= 2^v, so ``_preduce`` (one
+# reduction) makes it a reduced value again; p - x in every slot, then
+# ``_preduce``, negates.  Reduced slots are canonical, so two packed
+# values are equal exactly when their elements are.
 # ---------------------------------------------------------------------------
 
 def _ptrim(c: list[int]) -> list[int]:
@@ -251,6 +270,11 @@ def _mulmod(x: int, y: int, packing: tuple[int, ...]) -> int:
     qm -= p * ((qm * c >> s) & low)
     r = (a & emask) + pp - qm
     return r - p * ((r * c >> s) & low)
+
+
+def _preduce(x: int, packing: tuple[int, ...]) -> int:
+    """x with every slot reduced mod p, for slots below 2^v (a sum of two reduced values, say)."""
+    return x - packing[0] * ((x * packing[4] >> packing[3]) & packing[5])
 
 
 def _unpack(x: int, e: int, w: int) -> list[int]:
@@ -380,17 +404,55 @@ class Field:
         """``_packing(modulus, p)``, built on first use."""
         return _packing(self.modulus, self.p)
 
+    @cached_property
+    def _chunks(self) -> tuple:
+        """(p^k, k*w, packed, codes): the k base-p digits a conversion step moves.
+
+        k is the most digits, at least 1 and at most e, with
+        p^k <= _CHUNK_LIMIT; packed[r] is the packed polynomial of a
+        k-digit code r and codes maps it back.  With k = 1 both maps are
+        the identity on one slot.
+        """
+        p, w = self.p, self._packing[1]
+        k = 1
+        while k < self.e and p ** (k + 1) <= _CHUNK_LIMIT:
+            k += 1
+        if k == 1:
+            slot = range(1 << w)
+            return p, w, slot, slot
+        packed = [0]
+        for j in range(k):
+            packed = [x | digit << j * w for digit in range(p) for x in packed]
+        return p**k, k * w, packed, {x: r for r, x in enumerate(packed)}
+
+    def _to_packed(self, code: int) -> int:
+        """The packed polynomial of a code: base-p digit i goes to slot i."""
+        pk, kw, packed, _ = self._chunks
+        out = shift = 0
+        while code:
+            code, r = divmod(code, pk)
+            out |= packed[r] << shift
+            shift += kw
+        return out
+
+    def _from_packed(self, x: int) -> int:
+        """The code of a packed polynomial with reduced slots."""
+        pk, kw, _, codes = self._chunks
+        mask = (1 << kw) - 1
+        code = 0
+        place = 1
+        while x:
+            code += codes[x & mask] * place
+            x >>= kw
+            place *= pk
+        return code
+
     def _raw_mul(self, a: int, b: int) -> int:
-        packing = self._packing
-        w = packing[1]
-        prod = _mulmod(_pack(self._decode(a), w), _pack(self._decode(b), w), packing)
-        return self._encode(_unpack(prod, self.e, w))
+        return self._from_packed(_mulmod(self._to_packed(a), self._to_packed(b), self._packing))
 
     def _raw_pow(self, a: int, n: int) -> int:
         """a^n on codes for n >= 0, packed once and unpacked once."""
-        packing = self._packing
-        w = packing[1]
-        return self._encode(_unpack(_ppowmod(_pack(self._decode(a), w), n, packing), self.e, w))
+        return self._from_packed(_ppowmod(self._to_packed(a), n, self._packing))
 
     def _build_log_tables(self) -> None:
         # The powers of the generator g, one block of columns at a time.
@@ -403,7 +465,7 @@ class Field:
         q, p, e = self.q, self.p, self.e
         packing = self._packing
         w = packing[1]
-        g = _pack(self._decode(self._generator_code), w)
+        g = self._to_packed(self._generator_code)
         # column j of M holds the digits of g * x^j
         step = np.array([_unpack(_mulmod(g, 1 << j * w, packing), e, w) for j in range(e)], dtype=np.int64).T
         width = 1 << (min(q - 1, _WALK_WIDTH).bit_length() - 1)
@@ -818,31 +880,33 @@ def embedding(src: Field, dst: Field) -> Embedding:
     # nonzero part is generated by g^((dst.q - 1) / (src.q - 1)).  The
     # modulus is irreducible of degree e, so its roots there are the e
     # conjugates beta^(p^j) of the first root beta among the powers of w.
-    add, mul = dst.add_codes, dst.mul_codes
-    w = dst.pow_code(dst.primitive_element.code, (dst.q - 1) // (src.q - 1))
+    # Every value stays packed; GF(p) coefficients embed as constants.
+    packing = dst._packing
+    w = _ppowmod(dst._to_packed(dst._generator_code), (dst.q - 1) // (src.q - 1), packing)
     beta = 1
     for _ in range(src.q - 1):
         acc = 0
-        for c in reversed(src.modulus):  # GF(p) coefficients embed as constants
-            acc = add(mul(acc, beta), c)
+        for c in reversed(src.modulus):
+            acc = _preduce(_mulmod(acc, beta, packing) + c, packing)
         if not acc:
             break
-        beta = mul(beta, w)
+        beta = _mulmod(beta, w, packing)
+    beta = dst._from_packed(beta)
     roots = {dst.frob_code(beta, j) for j in range(src.e)}
     if acc or len(roots) != src.e:
         raise AssertionError("modulus did not split in the target subfield")
     # x -> rho is GF(p)-linear: the image of code + c*p^j is fwd[code] + c*rho^j.
-    rho = min(roots)
+    rho = dst._to_packed(min(roots))
     fwd = [0]
     rho_j = 1
     for _ in range(src.e):
         low = len(fwd)
         step = 0
         for _ in range(1, src.p):
-            step = add(step, rho_j)
-            fwd.extend(add(f, step) for f in fwd[:low])
-        rho_j = mul(rho_j, rho)
-    fwd = dict(enumerate(fwd))
+            step = _preduce(step + rho_j, packing)
+            fwd.extend(_preduce(f + step, packing) for f in fwd[:low])
+        rho_j = _mulmod(rho_j, rho, packing)
+    fwd = {code: dst._from_packed(x) for code, x in enumerate(fwd)}
     return Embedding(src, dst, fwd, {v: k for k, v in fwd.items()})
 
 
@@ -859,20 +923,64 @@ def primitive_rn_root(ext: Field, rn: int, n: int, lam: Element) -> Element:
 
     Deterministic: with g the smallest-code primitive element of ext,
     candidates g^(u*(q-1)/rn) are scanned for u = 1, 2, ... coprime to
-    rn and the first one whose n-th power is lam is returned.
+    rn and the first one whose n-th power is lam is returned.  rn and n
+    are read through ``as_int``; the scan runs on packed values.
     """
+    rn, n = as_int(rn), as_int(n)
     if lam.field != ext:
         raise ValueError("lam must be given inside the extension field")
     if rn < 1 or (ext.q - 1) % rn != 0:
         raise ValueError(f"{rn} does not divide |{ext!r}*| = {ext.q - 1}")
-    g = ext.primitive_element
-    step = g ** ((ext.q - 1) // rn)
-    cand = ext.one
+    packing = ext._packing
+    step = _ppowmod(ext._to_packed(ext._generator_code), (ext.q - 1) // rn, packing)
+    target = ext._to_packed(lam.code)
+    cand = 1
     for u in range(1, rn + 1):
-        cand = cand * step
-        if math.gcd(u, rn) == 1 and cand ** n == lam:
+        cand = _mulmod(cand, step, packing)
+        # cand is a power of step, of order rn, so cand^n = cand^(n mod rn)
+        if math.gcd(u, rn) == 1 and _ppowmod(cand, n % rn, packing) == target:
             # order rn: theta^rn = 1 and theta^(rn/l) != 1 for each prime l | rn
-            if cand ** rn != ext.one or any(cand ** (rn // ell) == ext.one for ell in factorize(rn)):
+            if _ppowmod(cand, rn, packing) != 1 or any(
+                    _ppowmod(cand, rn // ell, packing) == 1 for ell in factorize(rn)):
                 raise AssertionError("candidate root has wrong order")  # unreachable
-            return cand
+            return Element(ext, ext._from_packed(cand))
     raise ValueError(f"no primitive {rn}-th root with theta^{n} = {lam!r}")
+
+
+def root_products(theta: Element, exponent_sets: Iterable[Iterable[int]]) -> list[list[int]]:
+    """For each set S, the codes of prod_{i in S} (x - theta^i), constant term first; theta != 0.
+
+    Exponents are read through ``as_int`` and taken mod q - 1, so a
+    negative i gives a power of theta's inverse.  One walk over the
+    sorted exponents of all the sets gives theta's powers, each step a
+    product by theta^gap with one power per distinct gap, so the
+    exponent set 1 + r*Z_rn of a family costs one product per exponent.
+    Every coefficient stays packed through the products and is
+    unpacked once at the end.
+    """
+    field = theta.field
+    if not theta:
+        raise ValueError("theta must be nonzero")
+    packing, qm1 = field._packing, field.q - 1
+    sets = [{as_int(i) % qm1 for i in s} for s in exponent_sets]
+    t = field._to_packed(theta.code)
+    powers, steps = {}, {}
+    last, power = 0, 1
+    for i in sorted(set().union(*sets)):
+        gap = i - last
+        if gap not in steps:
+            steps[gap] = _ppowmod(t, gap, packing)
+        powers[i] = power = _mulmod(power, steps[gap], packing)
+        last = i
+    out = []
+    for s in sets:
+        low = []  # the product's coefficients below its leading 1, packed
+        for i in s:
+            neg = _preduce(packing[-1] - powers[i], packing)  # -theta^i: p - slot in each slot
+            prev = 0
+            for j, c in enumerate(low):  # times x - theta^i
+                low[j] = _preduce(prev + _mulmod(neg, c, packing), packing)
+                prev = c
+            low.append(_preduce(prev + neg, packing))
+        out.append([field._from_packed(c) for c in low] + [1])
+    return out

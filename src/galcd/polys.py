@@ -7,10 +7,20 @@ arithmetic is exact, so polynomial equality is coefficient equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from galcd.fields import Element, Field, check_frobenius_exponent, embedding, make_field, multiplicative_order
+from galcd.fields import (
+    Element,
+    Field,
+    as_int,
+    check_frobenius_exponent,
+    embedding,
+    make_field,
+    multiplicative_order,
+    root_products,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,31 +203,34 @@ def frobenius_poly(f: Poly, j: int) -> Poly:
     return Poly(f.field, tuple(f.field.frob_row(f.codes, check_frobenius_exponent(j))))
 
 
-def minimal_poly(coset: Iterable[int], theta: Element, base: Field) -> Poly:
-    """prod_{i in coset} (x - theta^i), descended to the base field.
+def minimal_polys(cosets: Iterable[Iterable[int]], theta: Element, base: Field) -> list[Poly]:
+    """prod_{i in Q} (x - theta^i) for each coset Q, descended to the base field.
 
-    The coset must be closed under multiplication by |base|; otherwise
-    the product has a coefficient outside the base field and a
-    ValueError is raised.
+    The residues are read through ``as_int``; one walk over theta's
+    powers serves every coset.  Each coset must be closed under
+    multiplication by |base|; otherwise its product has a coefficient
+    outside the base field and a ValueError is raised.
     """
-    ext = theta.field
-    emb = embedding(base, ext)
-    prod = Poly(ext, (1,))
-    for i in sorted(set(coset)):
-        root = theta**i
-        prod = prod * Poly.make(ext, [ext.neg_code(root.code), 1])
+    inv = embedding(base, theta.field).inv
     try:
-        codes = [emb.inv[c] for c in prod.codes]
+        return [Poly(base, tuple(inv[c] for c in codes)) for codes in root_products(theta, cosets)]
     except KeyError:
         raise ValueError(
             "coset is not closed under multiplication by the base field size"
         ) from None
-    return Poly(base, tuple(codes))
+
+
+def minimal_poly(coset: Iterable[int], theta: Element, base: Field) -> Poly:
+    """prod_{i in coset} (x - theta^i), descended to the base field (see ``minimal_polys``)."""
+    return minimal_polys([coset], theta, base)[0]
 
 
 def splitting_field(base: Field, rn: int) -> Field:
-    """GF(q^m) for the least m with rn | q^m - 1."""
-    m = 1 if rn == 1 else multiplicative_order(base.q % rn, rn)
+    """GF(q^m) for the least m with rn | q^m - 1; rn >= 1 with gcd(rn, p) = 1, read through ``as_int``."""
+    rn = as_int(rn)
+    if rn < 1 or math.gcd(rn, base.p) != 1:
+        raise ValueError(f"need rn >= 1 with gcd(rn, p) = 1, got rn={rn}, p={base.p}")
+    m = multiplicative_order(base.q, rn)
     if m == 1:
         return base
     return make_field(base.p, base.e * m)

@@ -2,6 +2,8 @@
 
 These deliberately avoid the production decision paths: field products
 are schoolbook digit products reduced one leading term at a time,
+minimal polynomials, theta and embeddings come from ``Element`` and
+``Poly`` arithmetic where the library runs on packed values,
 irreducibility is checked by literal trial division, intersections by
 rank counting or literal codeword enumeration, and distances by walking
 the whole codebook in pure Python.
@@ -9,6 +11,7 @@ the whole codebook in pure Python.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -22,7 +25,7 @@ from galcd.constacyclic import (
     is_lcd,
 )
 from galcd.cosets import CosetContext, DefiningSet, act_scale, bch_lower_bound, enumerate_stable_sets
-from galcd.fields import Field, embedding, mult_order
+from galcd.fields import Element, Field, embedding, mult_order
 from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
 from galcd.polys import Poly, frobenius_poly, reciprocal, xn_minus_lambda
 
@@ -177,6 +180,39 @@ def embedding_by_scan(src: Field, dst: Field) -> tuple[dict, dict]:
             acc = add(mul(acc, rho), d)
         fwd[code] = acc
     return fwd, {v: k for k, v in fwd.items()}
+
+
+def minimal_poly_by_products(coset, theta: Element, base: Field) -> Poly:
+    """prod (x - theta^i) over the coset by ``Poly`` products of ``Element`` powers in theta's field.
+
+    The product is descended to base through the embedding's inverse
+    table; a coefficient outside base raises ValueError.
+    """
+    ext = theta.field
+    emb = embedding(base, ext)
+    prod = Poly(ext, (1,))
+    for i in sorted(set(coset)):
+        prod = prod * Poly.make(ext, [ext.neg_code((theta**i).code), 1])
+    try:
+        return Poly(base, tuple(emb.inv[c] for c in prod.codes))
+    except KeyError:
+        raise ValueError("coset is not closed under multiplication by the base field size") from None
+
+
+def rn_root_by_scan(ext: Field, rn: int, n: int, lam: Element) -> Element:
+    """The first g^(u*(q-1)/rn), u = 1, 2, ... coprime to rn, whose n-th power is lam, by ``Element`` arithmetic.
+
+    g is ext's smallest-code primitive element; the root's order rn is
+    checked with ``mult_order``.
+    """
+    step = ext.primitive_element ** ((ext.q - 1) // rn)
+    cand = ext.one
+    for u in range(1, rn + 1):
+        cand = cand * step
+        if math.gcd(u, rn) == 1 and cand**n == lam:
+            assert mult_order(cand) == rn
+            return cand
+    raise ValueError(f"no primitive {rn}-th root with theta^{n} = {lam!r}")
 
 
 def mod_p_kernels(p: int) -> dict:

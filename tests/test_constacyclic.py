@@ -114,6 +114,34 @@ def test_clearing_the_family_memo_frees_the_family():
     assert ref() is None
 
 
+def test_a_family_split_above_the_log_table_limit_makes_no_code_products(monkeypatch):
+    """Family set-up (theta, the embedding, the minimal polynomials) runs on packed values.
+
+    GF(49) under a modulus no other test uses, so its embedding and
+    family are built here, with n = 23: x^23 - 1 splits in GF(7^22).
+    """
+    from galcd.fields import Field
+
+    calls = {"_raw_mul": 0, "add_codes": 0}
+
+    def counting(name):
+        real = getattr(Field, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Field, name, counting(name))
+    f49 = make_field(7, 2, (3, 1, 1))
+    assert f49 != make_field(7, 2)
+    fam = _family(f49, 23, f49.one)
+    assert (fam.ext.p, fam.ext.e) == (7, 22) and fam.ext.q > 1 << 16
+    assert sorted(m.degree for m in fam.minpolys.values()) == [1, 11, 11]
+    assert calls == {"_raw_mul": 0, "add_codes": 0}
+
+
 def test_code_from_defining_set_recorded_examples():
     f2197 = make_field(13, 3)
     C = code_from_defining_set(f2197, 9, f2197.from_int(-1), (9,), k=2)

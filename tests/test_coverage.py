@@ -21,7 +21,7 @@ TRACKED_OPS = [
     fields.primitive_rn_root,
     polys.reciprocal,
     polys.frobenius_poly,
-    polys.minimal_poly,
+    polys.minimal_polys,
     constacyclic.factor_xn_minus_lambda,
     cosets.cyclotomic_cosets,
     cosets.act_scale,

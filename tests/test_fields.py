@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import pathlib
 import random
 import re
@@ -26,13 +27,15 @@ from galcd.fields import (
     is_prime,
     make_field,
     mult_order,
+    multiplicative_order,
     frobenius_pow,
     poly_is_irreducible,
     primitive_rn_root,
+    root_products,
     sqrt_minus_one,
 )
 from galcd.linear import LinearCode, p_power_code
-from galcd.polys import Poly, frobenius_poly
+from galcd.polys import Poly, frobenius_poly, splitting_field
 from oracles import (
     brute_log_tables,
     digitwise_add,
@@ -266,6 +269,29 @@ def test_mult_order_examples():
         mult_order(f5.zero)
 
 
+def test_factorize_gives_ascending_primes_that_multiply_back():
+    big = [7**22 - 1, 5**22 - 1, 3**22 - 1, 2**64 - 1, 1031**2, 1031 * 1033 * 65537, 2 * 10007**3,
+           1000003 * 999983]
+    for m in list(range(1, 3000)) + big:
+        f = factorize(m)
+        assert list(f) == sorted(f) and all(is_prime(p) for p in f), m
+        assert math.prod(p**k for p, k in f.items()) == m
+    assert factorize(7**22 - 1) == {2: 4, 3: 1, 23: 1, 1123: 1, 293459: 1, 10746341: 1}
+
+
+def test_multiplicative_order_reads_integers_and_refuses_moduli_below_1():
+    for m in (0, -4, -1):
+        with pytest.raises(ValueError, match="m >= 1"):
+            multiplicative_order(9, m)  # -4 used to loop forever
+    for a, m in [(9, 4.0), (True, 5), (2.0, 5), (3, True)]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            multiplicative_order(a, m)
+    assert multiplicative_order(np.int64(9), np.int64(10)) == 2
+    assert multiplicative_order(-1, 10) == 2 and multiplicative_order(5, 1) == 1
+    with pytest.raises(ValueError, match="not a unit"):
+        multiplicative_order(4, 10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(2, 3), (3, 2), (5, 2), (7, 1)]), st.integers(1, 200))
 def test_mult_order_divides_group_order(pe, code):
@@ -364,6 +390,28 @@ def test_embedding_tables_match_the_all_roots_scan(p, e, E, src_rank, dst_rank):
     assert list(emb.inv.items()) == list(inv.items())
 
 
+def _verify_pairs():
+    """The 22 (base, splitting field) pairs of the criterion-6 families: GF(p^2) in GF(p^E), rn <= 26."""
+    out = set()
+    for p in (3, 5, 7):
+        base = make_field(p, 2)
+        out |= {(base, splitting_field(base, rn)) for rn in range(1, 27) if rn % p}
+    return sorted(out, key=lambda pair: (pair[1].p, pair[1].e))
+
+
+def test_embedding_matches_the_all_roots_scan_on_the_verify_pairs():
+    pairs = _verify_pairs()
+    assert len(pairs) == 22 and {(dst.p, dst.e) for _, dst in pairs} >= {(3, 22), (5, 22), (7, 22)}
+    for src, dst in pairs:
+        emb = embedding(src, dst)
+        if src == dst:
+            assert emb.fwd == emb.inv == {c: c for c in range(src.q)}
+            continue
+        fwd, inv = embedding_by_scan(src, dst)
+        assert list(emb.fwd.items()) == list(fwd.items()), (src, dst)
+        assert list(emb.inv.items()) == list(inv.items()), (src, dst)
+
+
 def test_embed_rejects_incompatible_fields():
     with pytest.raises(ValueError):
         embedding(make_field(2, 3), make_field(3, 3))
@@ -399,6 +447,37 @@ def test_primitive_rn_root_in_gf5_pow12(monkeypatch):
         patch.setattr(Field, "_code_order", refuse)
         th = primitive_rn_root(big, 26, 13, lam)
     assert mult_order(th) == 26 and th**13 == lam
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (3, 10), (2, 20), (7, 22)])
+def test_root_products_match_poly_products_of_element_powers(p, e):
+    f = make_field(p, e)
+    rng = random.Random(p * e)
+    theta = f.from_code(rng.randrange(1, f.q))
+    sets = [(), (0,), (5, 5 + f.q - 1), (-1, 1), tuple(range(1, 40, 3)),
+            tuple(rng.randrange(-f.q, 2 * f.q) for _ in range(7)), (np.int64(9), 2 * f.q + 3)]
+    got = root_products(theta, sets)
+    for s, codes in zip(sets, got):
+        expected = Poly(f, (1,))
+        for i in {int(i) % (f.q - 1) for i in s}:  # a set of powers of theta
+            expected = expected * Poly.make(f, [(-(theta**i)).code, 1])
+        assert codes == list(expected.codes), s
+    with pytest.raises(ValueError, match="expected an integer"):
+        root_products(theta, [(1, 2.0)])
+    with pytest.raises(ValueError, match="nonzero"):
+        root_products(f.zero, [(1,)])
+
+
+def test_primitive_rn_root_reads_rn_and_n_through_as_int():
+    f125 = make_field(5, 3)
+    big = make_field(5, 12)
+    lam = embed(f125, big, f125.from_int(-1))
+    th = primitive_rn_root(big, 26, 13, lam)
+    assert primitive_rn_root(big, np.int64(26), np.int64(13), lam) == th
+    assert primitive_rn_root(big, 26, 13 - 26, lam) == th  # theta^26 = 1
+    for rn, n in [(26.0, 13), (26, 13.0), (True, 1), (26, "13")]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            primitive_rn_root(big, rn, n, lam)
 
 
 def test_primitive_rn_root_rejects_impossible_requests():
@@ -482,6 +561,17 @@ def test_gf3_10_generator_and_sampled_exp_entries():
     for i in rng.sample(range(f.q - 1), 100):
         assert f._exp[i] == f._raw_pow(34, i), i
         assert f._log[f._exp[i]] == i
+
+
+@pytest.mark.parametrize("p,e", [(2, 20), (3, 10), (3, 22), (7, 22), (23, 3), (65537, 1), (65537, 2)])
+def test_code_and_packed_conversions_are_inverse_and_match_the_digits(p, e):
+    f = make_field(p, e)
+    w = f._packing[1]
+    rng = random.Random(p * 100 + e)
+    for code in [0, 1, p - 1, p % f.q, f.q - 1] + [rng.randrange(f.q) for _ in range(200)]:
+        x = f._to_packed(code)
+        assert x == fields._pack(f._decode(code), w)
+        assert f._from_packed(x) == code
 
 
 @pytest.mark.parametrize("p,e", [(3, 12), (2, 20), (5, 8), (65537, 1), (7, 22), (257, 3),

@@ -1,11 +1,13 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galcd.constacyclic import constacyclic_root, factor_xn_minus_lambda
-from galcd.fields import make_field, embedding
+from galcd.constacyclic import _family, constacyclic_root, factor_xn_minus_lambda
+from galcd.fields import embed, embedding, make_field, mult_order
 from galcd.polys import (
     Poly,
     frobenius_poly,
@@ -15,6 +17,7 @@ from galcd.polys import (
     splitting_field,
     xn_minus_lambda,
 )
+from oracles import minimal_poly_by_products, rn_root_by_scan
 
 
 def _poly(field, ints):
@@ -154,6 +157,57 @@ def test_minimal_poly_degree_four_coset():
     assert roots_in_ext2 == 0  # degree-4 irreducible has no roots in GF(125^2)
 
 
+def _families():
+    """The 118 families (field, n, lambda) of the 212 criterion-6 contexts, and example 3.14's.
+
+    The criterion-6 contexts are p in {3, 5, 7}, e = 2, rn <= 26 and
+    lambda the smallest element of each order r dividing
+    gcd(1 + p^(2-k), q - 1) for k in {0, 1}; example 3.14 is
+    GF(125), n = 13, lambda = -1, split in GF(5^12).
+    """
+    out = {}
+    for p in (3, 5, 7):
+        field = make_field(p, 2)
+        orders = {r for k in (0, 1) for r in range(1, field.q) if math.gcd(1 + p ** (2 - k), field.q - 1) % r == 0}
+        for r in orders:
+            lam = next(x for x in field.elements() if x and mult_order(x) == r)
+            for n in range(1, 26 // r + 1):
+                if n % p:
+                    out[field, n, lam] = None
+    f125 = make_field(5, 3)
+    out[f125, 13, f125.from_int(-1)] = None
+    return [_family(*key) for key in out]
+
+
+def test_packed_minimal_polys_and_theta_match_the_element_oracles_on_every_family():
+    families = _families()
+    assert len(families) == 119
+    assert {(fam.ext.p, fam.ext.e) for fam in families} >= {(5, 12), (3, 22), (5, 22), (7, 22)}
+    cosets = 0
+    for fam in families:
+        lam = embed(fam.field, fam.ext, fam.lam)
+        assert rn_root_by_scan(fam.ext, fam.base_ctx.rn, fam.n, lam) == fam.theta, fam.base_ctx
+        for coset in fam.cosets:
+            expected = minimal_poly_by_products(coset, fam.theta, fam.field)
+            assert minimal_poly(coset, fam.theta, fam.field) == fam.minpolys[coset[0]] == expected
+            cosets += 1
+    assert cosets == 603 + 4
+
+
+def test_minimal_poly_reads_residues_through_as_int():
+    f125 = make_field(5, 3)
+    th = constacyclic_root(f125, 13, f125.from_int(-1))
+    m = minimal_poly((1, 5, 21, 25), th, f125)
+    assert minimal_poly([np.int64(i) for i in (25, 21, 5, 1)], th, f125) == m
+    assert minimal_poly((1 - 26, 5, 21, 25 + 26), th, f125) == m  # theta^26 = 1
+    assert minimal_poly((), th, f125) == Poly(f125, (1,))
+    for bad in [(True,), (1.0, 5, 21, 25), ("13",)]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            minimal_poly(bad, th, f125)
+    with pytest.raises(ValueError, match="nonzero"):
+        minimal_poly((1,), th.field.zero, f125)
+
+
 def test_minimal_poly_rejects_non_closed_sets():
     f125 = make_field(5, 3)
     th = constacyclic_root(f125, 13, f125.from_int(-1))
@@ -211,6 +265,18 @@ def test_splitting_field_orders():
     assert splitting_field(f125, 26).e == 12  # ord_26(125) = 4
     f121 = make_field(11, 2)
     assert splitting_field(f121, 10) is f121  # 121 = 1 mod 10
+
+
+def test_splitting_field_refuses_rn_outside_the_rule():
+    f9 = make_field(3, 2)
+    for rn in (0, -1, -4, 3, 6):
+        with pytest.raises(ValueError, match=r"rn >= 1 with gcd\(rn, p\) = 1"):
+            splitting_field(f9, rn)  # -4 used to loop forever
+    for rn in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            splitting_field(f9, rn)
+    assert splitting_field(f9, np.int64(4)) is f9 and splitting_field(f9, 1) is f9
+    assert splitting_field(f9, 23).e == 22
 
 
 def test_poly_json_round_trip():

@@ -49,8 +49,9 @@ VECTORS = [
     ["classify", "-p", "3", "-e", "2", "-k", "0", "-n", "2", "--lambda", "0,1"],
     ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "messages",
      "--budget-messages", "1", "--gen", _GEN_7_3],
-    # generators read off theta in the untabled splitting fields GF(3^22) and GF(7^22)
+    # generators read off theta in the untabled splitting fields GF(3^22), GF(5^22) and GF(7^22)
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
+    ["genpoly", "-p", "5", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
     ["genpoly", "-p", "7", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
     # a check polynomial through code_params, the message walk over all three
     # projective blocks and over the shifted block 0, a degree-1 default
