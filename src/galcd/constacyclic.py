@@ -187,7 +187,8 @@ class ConstacyclicCode:
 
 def _coset_product(fam: _Family, keys: Iterable[int]) -> Poly:
     """The product of the minimal polynomials M_Q of the cosets Q whose smallest member is in keys."""
-    return prod((fam.minpolys[key] for key in keys), start=Poly(fam.field, (1,)))
+    factors = [fam.minpolys[key] for key in keys]
+    return prod(factors[1:], start=factors[0]) if factors else Poly(fam.field, (1,))
 
 
 def _code(fam: _Family, P: DefiningSet) -> ConstacyclicCode:

@@ -16,8 +16,8 @@ the generator a satisfies a^3 = 1 + a.
 
 Fields and elements are immutable.  Only this module reads the tables;
 other modules use the scalar calls and the row kernels ``axpy``,
-``axmy`` and ``scale``.  The field size q alone picks the arithmetic,
-so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
+``axmy``, ``scale`` and ``dots``.  The field size q alone picks the
+arithmetic, so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
 (q <= 2^16, from a blocked numpy walk over the powers of the
 generator, whose step matrix of columns g * x^j comes from the packed
 kernel), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
@@ -633,6 +633,31 @@ class Field:
             return [fmul[x] for x in xs]
         mul = self.mul_codes
         return [mul(f, x) if x else 0 for x in xs]
+
+    def dots(self, xs: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
+        """sum_t xs[t]*row[t] on codes for each row, skipping zeros on both sides."""
+        nonzero = [(t, x) for t, x in enumerate(xs) if x]
+        out = []
+        if self._mul is not None:
+            add, mul = self._add, self._mul
+            nonzero = [(t, mul[x]) for t, x in nonzero]
+            for row in rows:
+                acc = 0
+                for t, xmul in nonzero:
+                    y = row[t]
+                    if y:
+                        acc = add[acc][xmul[y]]
+                out.append(acc)
+            return out
+        add, mul = self.add_codes, self.mul_codes
+        for row in rows:
+            acc = 0
+            for t, x in nonzero:
+                y = row[t]
+                if y:
+                    acc = add(acc, mul(x, y))
+            out.append(acc)
+        return out
 
     # -- element constructors -------------------------------------------------
 

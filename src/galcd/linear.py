@@ -227,7 +227,7 @@ def galois_gram(C: LinearCode, k: int) -> linalg.Matrix:
     check_galois_parameter(k, field.e)
     g = C.codes_matrix()
     powered = linalg.frobenius_matrix(field, g, (field.e - k) % field.e)
-    return linalg.matmul(field, g, linalg.transpose(powered))
+    return linalg.mul_transpose(field, g, powered)
 
 
 def is_galois_lcd(C: LinearCode, k: int) -> LcdCheck:

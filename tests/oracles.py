@@ -383,6 +383,25 @@ def intersection_dim(field: Field, A: LinearCode, B: LinearCode) -> int:
     return A.dim + B.dim - linalg.rank(field, stacked)
 
 
+def transpose(mat) -> list[list[int]]:
+    return [list(col) for col in zip(*mat)] if mat else []
+
+
+def matmul(field: Field, a, b) -> list[list[int]]:
+    """The matrix product a*b, one ``axpy`` per nonzero entry of a."""
+    if not a:
+        return []
+    axpy = field.axpy
+    out = []
+    for row in a:
+        acc = [0] * len(b[0]) if b else []
+        for x, brow in zip(row, b):
+            if x:
+                acc = axpy(acc, x, brow)
+        out.append(acc)
+    return out
+
+
 def rref_top_down(field: Field, mat) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form and pivots, each echelon row reduced top-down.
 

@@ -53,9 +53,11 @@ from oracles import (
     catalog_per_record,
     galois_dual_by_roots,
     hull_dim,
+    matmul,
     root_test_defining_set,
     support_scan,
     support_scan_echelon,
+    transpose,
 )
 
 
@@ -409,7 +411,7 @@ def test_check_polynomial_rows_span_the_dual(C):
     G, H = to_generator_matrix(C), _parity_check_rows(C.check_poly, C.n)
     field = C.field
     assert len(H) == C.n - C.dim and all(len(row) == C.n for row in H)
-    assert all(not any(row) for row in linalg.matmul(field, G.codes_matrix(), linalg.transpose(H)))
+    assert all(not any(row) for row in matmul(field, G.codes_matrix(), transpose(H)))
     assert linalg.rank(field, H) == C.n - C.dim
     assert H == euclidean_parity_check(G)
 

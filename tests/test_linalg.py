@@ -2,10 +2,13 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galcd import linalg
 from galcd.fields import make_field
-from oracles import rref_same_row_space, rref_top_down
+from galcd.linear import LinearCode, galois_gram, is_galois_lcd
+from oracles import matmul, rref_same_row_space, rref_top_down, transpose
 
 
 def _random_matrix(rng, field, m, n):
@@ -84,7 +87,7 @@ def test_rref_is_canonical_and_idempotent():
 def _rank_deficient_matrix(rng, field, m, n, r):
     """An m x n matrix of rank at most r: m random combinations of r random rows."""
     rows = _random_matrix(rng, field, r, n)
-    return linalg.matmul(field, _random_matrix(rng, field, m, r), rows)
+    return matmul(field, _random_matrix(rng, field, m, r), rows)
 
 
 @pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (3, 7)])
@@ -120,7 +123,7 @@ def test_nullspace_annihilates_and_has_complementary_dim():
             if ns:
                 assert linalg.rank(field, ns) == len(ns)
             for vec in ns:
-                prod = linalg.matmul(field, mat, linalg.transpose([vec]))
+                prod = matmul(field, mat, transpose([vec]))
                 assert all(x == [0] for x in prod)
 
 
@@ -133,7 +136,7 @@ def test_matmul_matches_manual():
     f4 = make_field(2, 2)
     a = [[2, 1], [0, 3]]
     b = [[1, 0], [2, 2]]
-    out = linalg.matmul(f4, a, b)
+    out = matmul(f4, a, b)
     mul, add = f4.mul_codes, f4.add_codes
     expect = [
         [add(mul(2, 1), mul(1, 2)), add(mul(2, 0), mul(1, 2))],
@@ -170,7 +173,7 @@ def test_same_row_space():
             a = _random_matrix(rng, field, rng.randrange(0, 5), n)
             # b: random combinations of a's rows (its space or a subspace), or unrelated rows
             if a and rng.random() < 0.7:
-                b = linalg.matmul(field, _random_matrix(rng, field, rng.randrange(1, 6), len(a)), a)
+                b = matmul(field, _random_matrix(rng, field, rng.randrange(1, 6), len(a)), a)
             else:
                 b = _random_matrix(rng, field, rng.randrange(0, 5), n)
             for x, y in ((a, b), (b, a), (a, a), (b, b)):
@@ -184,6 +187,135 @@ def test_det_multiplicative():
         for _ in range(20):
             a = _random_matrix(rng, field, 3, 3)
             b = _random_matrix(rng, field, 3, 3)
-            ab = linalg.matmul(field, a, b)
+            ab = matmul(field, a, b)
             assert linalg.det(field, ab) == field.mul_codes(
                 linalg.det(field, a), linalg.det(field, b))
+
+
+# one field per arithmetic regime: row lists (q <= 600), log tables (q <= 2^16), packed products
+ROW_LISTS, LOG_TABLES, PACKED = [(3, 2), (7, 2)], [(11, 3), (7, 4)], [(5, 12), (257, 2)]
+
+
+def _sparse_matrix(rng, field, m, n):
+    """Random entries, about a third of them 0, and now and then a zero row."""
+    return [[0] * n if rng.random() < 0.1 else
+            [rng.randrange(1, field.q) if rng.random() < 0.65 else 0 for _ in range(n)]
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("pe", ROW_LISTS + LOG_TABLES + PACKED)
+def test_dots_and_mul_transpose_match_matmul_in_every_regime(pe):
+    field = make_field(*pe)
+    regime = "rows" if field._add is not None else "logs" if field._exp is not None else "packed"
+    assert regime == ("rows" if pe in ROW_LISTS else "logs" if pe in LOG_TABLES else "packed")
+    rng = random.Random(pe[0] * 100 + pe[1])
+    for _ in range(20):
+        m, r, n = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(1, 8)
+        a, b = _sparse_matrix(rng, field, m, n), _sparse_matrix(rng, field, r, n)
+        expect = matmul(field, a, transpose(b))
+        assert linalg.mul_transpose(field, a, b) == expect
+        for xs, row in zip(a, expect):
+            assert field.dots(xs, b) == row
+    assert field.dots([0, 0, 0], [[1, 2, 3]]) == [0]
+    assert field.dots([1, 2, 3], [[0, 0, 0], [1, 0, 0]]) == [0, 1]
+    assert field.dots([], [[], []]) == [0, 0] and field.dots([1, 1], []) == []
+    assert linalg.mul_transpose(field, [], [[1, 2]]) == []
+
+
+@pytest.mark.parametrize("pe", ROW_LISTS + LOG_TABLES + PACKED)
+def test_the_gram_of_a_zero_dimension_code_is_empty_with_determinant_1(pe):
+    field = make_field(*pe)
+    C = LinearCode(field, [], n=3)
+    for k in range(field.e):
+        assert galois_gram(C, k) == [] and linalg.det(field, []) == 1
+        check = is_galois_lcd(C, k)
+        assert check.lcd and check.det == field.one
+
+
+def _elimination_count(field, mat):
+    return sum(1 for lead, _, _ in linalg.echelon(field, mat) if lead is not None)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Rows from five sources: random, zero, a copy of an earlier row, and rows whose
+    first (or last) nonzero column is drawn without repeats, so some matrices take
+    rank's shortcut and others fall just short of it."""
+    field = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (11, 3), (5, 12)])))
+    n = draw(st.integers(1, 7))
+    entries = st.integers(0, field.q - 1)
+    ends = iter(draw(st.permutations(range(n))))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from("rzdfl"), max_size=n + 2)):
+        if kind == "r" or (kind == "d" and not rows):
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+        elif kind == "z":
+            rows.append([0] * n)
+        elif kind == "d":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            end = next(ends, None)
+            if end is None:
+                continue
+            row = draw(st.lists(entries, min_size=n, max_size=n))
+            row[end] = draw(st.integers(1, field.q - 1))
+            zeros = range(end) if kind == "f" else range(end + 1, n)
+            rows.append([0 if i in zeros else x for i, x in enumerate(row)])
+    return field, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+@example((make_field(3, 1), [[1, 2, 0], [0, 1, 1], [0, 0, 2]]))   # distinct first columns
+@example((make_field(3, 1), [[1, 0, 0], [2, 1, 0], [1, 1, 1]]))   # distinct last columns
+@example((make_field(3, 1), [[1, 2, 0], [2, 1, 0], [0, 0, 1]]))   # neither: rank 2
+@example((make_field(3, 1), [[1, 2, 0], [0, 0, 0], [0, 0, 1]]))   # a zero row
+@example((make_field(3, 1), []))
+def test_rank_equals_the_elimination_count(case):
+    field, mat = case
+    assert linalg.rank(field, mat) == _elimination_count(field, mat)
+
+
+def _shifts(g, n):
+    """The rows x^i * g for i = 0 .. n - len(g), as a constacyclic generator matrix lays them out."""
+    return [[0] * i + g + [0] * (n - len(g) - i) for i in range(n - len(g) + 1)]
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (3, 2), (7, 2), (11, 3), (5, 12)])
+def test_same_row_space_matches_comparing_rrefs_on_nullspace_pairs(pe):
+    # a against nullspace(nullspace(a)), whose rows are reduced at their free
+    # columns read right to left; shifted rows as in a generator matrix; and
+    # one changed entry that leaves the row space
+    field = make_field(*pe)
+    rng = random.Random(7 * pe[0] + pe[1])
+    for _ in range(25):
+        n = rng.randrange(1, 9)
+        g = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(rng.randrange(0, n))]
+        for a in (_sparse_matrix(rng, field, rng.randrange(0, n + 1), n), _shifts(g, n)):
+            h = linalg.nullspace(field, linalg.nullspace(field, a, width=n), width=n) if a else []
+            pairs = [(a, h), (h, a), (a, a)]
+            if h:
+                changed = [list(row) for row in h]
+                changed[0][rng.randrange(n)] = rng.randrange(field.q)
+                pairs += [(a, changed), (changed, a)]
+            for x, y in pairs:
+                assert linalg.same_row_space(field, x, y) == rref_same_row_space(field, x, y), (pe, x, y)
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 2), (7, 2), (11, 3), (5, 12)])
+def test_nullspace_rows_read_off_the_top_down_rref(pe):
+    # the row of free column f: 1 at f, minus the reduced rows' entries at f on the pivots
+    field = make_field(*pe)
+    rng = random.Random(31 * pe[0] + pe[1])
+    for _ in range(25):
+        n = rng.randrange(1, 9)
+        mat = _sparse_matrix(rng, field, rng.randrange(1, n + 2), n)
+        r, pivots = rref_top_down(field, mat)
+        expect = []
+        for fc in (c for c in range(n) if c not in pivots):
+            vec = [0] * n
+            vec[fc] = 1
+            for row, pc in zip(r, pivots):
+                vec[pc] = field.neg_code(row[fc])
+            expect.append(vec)
+        assert linalg.nullspace(field, mat, width=n) == expect, (pe, mat)

@@ -32,8 +32,10 @@ from oracles import (
     full_message_walk,
     hull_dim,
     literal_intersection_dim,
+    matmul,
     support_scan,
     support_scan_echelon,
+    transpose,
 )
 
 
@@ -369,9 +371,9 @@ def test_extend_lcd_gram_is_identity_and_distance_holds():
             for k in range(field.e):
                 ext = extend_lcd(C, k, mode)
                 assert ext.n == 2 * n - l and ext.dim == l
-                gram = linalg.matmul(
+                gram = matmul(
                     field, ext.codes_matrix(),
-                    linalg.transpose(linalg.frobenius_matrix(
+                    transpose(linalg.frobenius_matrix(
                         field, ext.codes_matrix(), field.e - k)))
                 assert gram == linalg.identity(l)
                 assert is_galois_lcd(ext, k).lcd

@@ -61,6 +61,9 @@ VECTORS = [
     ["mindist", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--strategy", "messages"],
     ["classify", "-p", "2", "-e", "1", "-k", "0", "-n", "7"],
     ["dual", "-p", "11", "-e", "3", "-k", "1", "-n", "5", "--lambda", "-1", "--defining-set", "3,5,7"],
+    # the Gram determinant witness over log tables (GF(11^3)) and packed products (GF(257^2))
+    ["lcd-check", "-p", "11", "-e", "3", "-k", "1", "-n", "5", "--lambda", "-1", "--defining-set", "3,5,7"],
+    ["lcd-check", "-p", "257", "-e", "2", "-k", "0", "-n", "4", "--lambda", "1", "--defining-set", "1,3"],
 ]
 
 
