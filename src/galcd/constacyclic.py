@@ -3,14 +3,15 @@
 A code is carried by its defining set P: the exponents i in the set
 1 + r*Z_rn for which theta^i is a root of every codeword, where theta
 is the canonical primitive rn-th root with theta^n = lambda chosen by
-the deterministic rule in galcd.fields.  The generator polynomial is
-always recomputed from P as the product of the coset minimal
-polynomials, and the check polynomial as the product over the cosets
-outside P; an explicit generator can be supplied only through
+the deterministic rule in galcd.fields.  A code keeps both of its
+polynomials, built together from one split of the family's cosets:
+the generator g is the product of the coset minimal polynomials inside
+P and the check polynomial h the product of those outside, so
+g*h = x^n - lambda.  An explicit generator can be supplied only through
 from_generator_polynomial, which validates it and recovers P by
 dividing by the coset minimal polynomials.  A Galois dual inside the
-family is built from its defining set, and the polynomial route
-checks it (galois_dual_code).
+family gets both polynomials by the reciprocal-Frobenius rule, and the
+product over its defining set checks its generator (galois_dual_code).
 
 Defining-set labels are theta-relative.  Parameters and LCD verdicts
 do not depend on the choice of theta, but the labels do, so catalogs
@@ -115,21 +116,19 @@ def factor_xn_minus_lambda(n: int, lam: Element) -> list[tuple[tuple[int, ...], 
     return [(c, fam.minpolys[c[0]]) for c in fam.cosets]
 
 
-def constacyclic_root(base: Field, n: int, lam: Element) -> Element:
-    """The canonical primitive rn-th root theta with theta^n = lambda."""
-    return _family(base, n, lam).theta
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class ConstacyclicCode:
     """A lambda-constacyclic code of length n with Galois parameter k.
 
     The field, n and lambda are the family's and k is P's: a catalog
-    holds one code per record, so a code stores nothing twice.
+    holds one code per record, so a code stores none of them twice.  g
+    and the check polynomial h = (x^n - lambda)/g are built together,
+    so no caller passes h along or rebuilds it.
     """
 
     P: DefiningSet
     g: Poly
+    check_poly: Poly
     fam: _Family
 
     @property
@@ -164,11 +163,6 @@ class ConstacyclicCode:
     def dim(self) -> int:
         return self.n - len(self.P)
 
-    @property
-    def check_poly(self) -> Poly:
-        """h = (x^n - lambda)/g, the product of the minimal polynomials of the cosets outside P."""
-        return _coset_product(self.fam, (key for key in self.fam.minpolys if key not in self.P.residues))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstacyclicCode):
             return NotImplemented
@@ -185,16 +179,18 @@ class ConstacyclicCode:
         )
 
 
-def _coset_product(fam: _Family, keys: Iterable[int]) -> Poly:
-    """The product of the minimal polynomials M_Q of the cosets Q whose smallest member is in keys."""
-    factors = [fam.minpolys[key] for key in keys]
-    return prod(factors[1:], start=factors[0]) if factors else Poly(fam.field, (1,))
+def _product(field: Field, factors: list[Poly]) -> Poly:
+    """The product of the factors, 1 when there are none."""
+    return prod(factors[1:], start=factors[0]) if factors else Poly(field, (1,))
 
 
 def _code(fam: _Family, P: DefiningSet) -> ConstacyclicCode:
-    """The code of a validated defining set: g is the product of its coset minimal polynomials."""
-    g = _coset_product(fam, (key for key in fam.minpolys if key in P.residues))
-    return ConstacyclicCode(P, g, fam)
+    """The code of a validated defining set: g is the product of the minimal polynomials of
+    the cosets inside P, and h of those outside."""
+    inside, outside = [], []
+    for key, m in fam.minpolys.items():
+        (inside if key in P.residues else outside).append(m)
+    return ConstacyclicCode(P, _product(fam.field, inside), _product(fam.field, outside), fam)
 
 
 def code_from_defining_set(
@@ -226,11 +222,11 @@ def from_generator_polynomial(
         if rem.is_zero:
             roots.extend(coset)
             rest = quo
-    # x^n - lambda is the product of the distinct M_Q: only a divisor ends at 1
+    # x^n - lambda is the product of the distinct M_Q: only a divisor ends at 1,
+    # and then the monic g is the product of the factors found
     if rest.degree != 0:
         raise ValueError("generator does not divide x^n - lambda")
-    P = DefiningSet(replace(fam.base_ctx, k=k), tuple(roots))
-    return ConstacyclicCode(P, g, fam)
+    return _code(fam, DefiningSet(replace(fam.base_ctx, k=k), tuple(roots)))
 
 
 def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
@@ -239,21 +235,25 @@ def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
     Its generator is the coefficientwise p^(e-k) power of the monic
     reciprocal of the check polynomial h.  When the dual stays in the
     same constacyclic family (lambda^(1 + p^(e-k)) = 1, which is
-    ``cosets.frame_preserved``), the defining
-    set -p^(e-k) times the complement of P (``cosets.dual_defining_set``)
-    builds the dual and that generator checks it.  Outside the family
-    the generator goes to ``from_generator_polynomial``, which recovers
-    the defining set by dividing by the coset minimal polynomials.  The
-    returned code carries the matched Galois parameter (e - k) mod e.
+    ``cosets.frame_preserved``), its defining set is -p^(e-k) times the
+    complement of P (``cosets.dual_defining_set``), and the product of
+    that set's coset minimal polynomials checks the generator.  Its check
+    polynomial is the p^(e-k) power of the monic reciprocal of g: the
+    reciprocals multiply to x^n - lambda^(-1), which the Frobenius power
+    takes to x^n - lambda in the frame.  Outside the family the generator
+    goes to ``from_generator_polynomial``, which recovers the defining
+    set by dividing by the coset minimal polynomials.  The returned code
+    carries the matched Galois parameter (e - k) mod e.
     """
     field = C.field
     e, k = field.e, C.k
-    h = C.check_poly
-    g_dual = frobenius_poly(reciprocal(h), e - k)
+    g_dual = frobenius_poly(reciprocal(C.check_poly), e - k)
     if frame_preserved(C.P.ctx):
-        dual = _code(C.fam, dual_defining_set(C.P))
-        if dual.g != g_dual:
+        P_dual = dual_defining_set(C.P)
+        inside = [m for key, m in C.fam.minpolys.items() if key in P_dual.residues]
+        if _product(field, inside) != g_dual:
             raise AssertionError("polynomial and defining-set duals disagree")
+        dual = ConstacyclicCode(P_dual, g_dual, frobenius_poly(reciprocal(C.g), e - k), C.fam)
     else:
         lam_dual = C.lam ** (-(field.p ** (e - k)))
         dual = from_generator_polynomial(field, C.n, lam_dual, g_dual, (e - k) % e)
@@ -289,9 +289,7 @@ def code_params(
     """
     if C.dim == 0:
         raise ValueError("the zero code has no parameters")
-    return _hinted_params(
-        C, bch_lower_bound(C.P), C.check_poly, strategy, budget_messages, budget_supports
-    )
+    return _hinted_params(C, bch_lower_bound(C.P), strategy, budget_messages, budget_supports)
 
 
 def _parity_check_rows(h: Poly, n: int) -> list[list[int]]:
@@ -323,9 +321,9 @@ def _parity_check_rows(h: Poly, n: int) -> list[list[int]]:
 
 
 def _hinted_params(
-    C: ConstacyclicCode, bch: int, h: Poly, strategy: str, budget_messages: int, budget_supports: int
+    C: ConstacyclicCode, bch: int, strategy: str, budget_messages: int, budget_supports: int
 ) -> CodeParams:
-    """min_distance of the rows x^i g(x), with the parity-check rows of C's check polynomial h;
+    """min_distance of the rows x^i g(x), with the parity-check rows of C's check polynomial;
     the shift x*c(x) mod x^n - lambda maps C onto C."""
     return min_distance(
         to_generator_matrix(C),
@@ -334,7 +332,7 @@ def _hinted_params(
         budget_supports=budget_supports,
         lower_bound=bch,
         shift=True,
-        parity_check=_parity_check_rows(h, C.n),
+        parity_check=_parity_check_rows(C.check_poly, C.n),
     )
 
 
@@ -402,7 +400,7 @@ MAX_STABLE_SETS = 1 << 20
 
 
 def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...], ...]):
-    """(code, check polynomial) of every stable set, in ``_stable_sets``' mask order.
+    """The code of every stable set, in ``_stable_sets``' mask order.
 
     The generator of mask m is that of m without its top bit times the
     top cycle's product of coset minimal polynomials: one product per
@@ -411,11 +409,11 @@ def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...]
     """
     gens = [Poly(fam.field, (1,))]
     for cyc in cycles:
-        m_cyc = _coset_product(fam, cyc)
+        m_cyc = _product(fam.field, [fam.minpolys[key] for key in cyc])
         gens += [g * m_cyc for g in gens]
     full = len(gens) - 1
     for mask, P in enumerate(_stable_sets(ctx, cycles, fam.cosets)):
-        yield ConstacyclicCode(P, gens[mask], fam), gens[full ^ mask]
+        yield ConstacyclicCode(P, gens[mask], gens[full ^ mask], fam)
 
 
 def classify_all_lcd(
@@ -462,21 +460,20 @@ def classify_all_lcd(
         )
     mults = multipliers(ctx)
     records = []
-    orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int, Poly]]] = {}
-    for code, h in _stable_codes(fam, ctx, census.cycles):
+    orbits: dict[tuple[int, ...], list[tuple[ConstacyclicCode, int]]] = {}
+    for code in _stable_codes(fam, ctx, census.cycles):
         if code.dim == 0:
             records.append(CatalogRecord(code, None, is_lcd(code), None))
         else:
             orbit = orbits.setdefault(multiplier_orbit_key(code.P, mults), [])
-            orbit.append((code, bch_lower_bound(code.P), h))
+            orbit.append((code, bch_lower_bound(code.P)))
     distinct: dict[CodeParams, CodeParams] = {}
     for orbit in orbits.values():
         if exact_distance:
-            best = max(bch for _, bch, _ in orbit)
-            lead, _, h = orbit[0]
-            shared = _hinted_params(lead, best, h, "auto", budget_messages, budget_supports)
+            best = max(bch for _, bch in orbit)
+            shared = _hinted_params(orbit[0][0], best, "auto", budget_messages, budget_supports)
             shared = distinct.setdefault(shared, shared)  # equal parameters, one object
-        for code, bch, _ in orbit:
+        for code, bch in orbit:
             top = code.n - code.dim + 1
             params = shared if exact_distance else CodeParams(code.n, code.dim, (bch, top), False)
             records.append(CatalogRecord(code, params, is_lcd(code), bch))

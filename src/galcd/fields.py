@@ -800,10 +800,6 @@ class Element:
         return list(self.coeffs)
 
 
-def element_from_json(field: Field, arr: Sequence[int]) -> Element:
-    return field.from_coeffs(arr)
-
-
 def make_field(p: int, e: int, modulus: Sequence[int] | None = None) -> Field:
     """Construct (or fetch the memoized) GF(p^e).
 

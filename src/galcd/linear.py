@@ -459,7 +459,7 @@ def min_distance(
     never returns a partially scanned interval.  Explicit "messages" that
     does not fit raises BudgetExceeded; explicit "supports" over its
     budget returns [w, n - dim + 1] once it has cleared every weight
-    below w.  A budget that is not a non-negative integer raises
+    below w, and the exact n - dim + 1 when w reaches it.  A budget that is not a non-negative integer raises
     ValueError (``check_budgets``).
 
     Three hints cut the work for callers that know more about C; the
@@ -518,7 +518,9 @@ def min_distance(
     if strategy == "supports":
         d, scanned = _distance_supports(C, budget_supports, lower_bound, shift, parity_check)
         if d is None:
-            return CodeParams(C.n, C.dim, (scanned + 1, top), False)
+            if scanned + 1 < top:
+                return CodeParams(C.n, C.dim, (scanned + 1, top), False)
+            d = top  # every weight below the Singleton bound is cleared
         return CodeParams(C.n, C.dim, d, True)
     if msg_cost > budget_messages:
         raise BudgetExceeded(f"message enumeration needs {msg_cost} > budget {budget_messages}")

@@ -11,7 +11,6 @@ also flagged instead of failed on mismatch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from galcd import constacyclic, cosets, linear
@@ -376,7 +375,3 @@ def run_example(example_id: str, **budgets) -> ExampleReport:
 
 def run_all(**budgets) -> list[ExampleReport]:
     return [run_example(eid, **budgets) for eid in EXAMPLE_IDS]
-
-
-def inputs_round_trip(report: ExampleReport) -> bool:
-    return json.loads(json.dumps(report.inputs)) == report.inputs

@@ -284,23 +284,59 @@ def test_criterion_7_defining_set_duals_match_root_recovery():
     _report(7, f"duals from defining sets equal the root-recovery duals on {checked} sampled codes")
 
 
+def _dual_contexts():
+    """(field, n, lam, k) over GF(8), GF(16) and GF(27) with rn <= 15 and lambda in the frame.
+
+    With e = 2, p^(e-k) and p^k give the same Frobenius map on GF(q) for
+    every k, so only e >= 3 tells the dual's exponent e - k apart from k."""
+    for p, e in ((2, 3), (2, 4), (3, 3)):
+        field = make_field(p, e)
+        for k in range(e):
+            for r in _divisors(math.gcd(1 + p ** (e - k), field.q - 1)):
+                lam = _smallest_of_order(field, r)
+                for n in range(1, 15 // r + 1):
+                    if math.gcd(n, p) == 1:
+                        yield field, n, lam, k
+
+
 def test_check_polynomials_equal_the_long_division():
-    """check_poly, the product over the cosets outside P, is (x^n - lambda) // g on the
-    stable codes of the criterion-6 contexts and on a dual outside the frame.
+    """check_poly is (x^n - lambda) // g on the stable codes of the criterion-6 contexts,
+    on in-frame duals and on a dual outside the frame.
 
     205 of the 212 contexts have at most 2^10 stable sets and are
     exhausted; the other 7 (up to 2^16 sets) are read with a stride that
-    leaves about 2^10 codes each."""
-    checked = exhausted = 0
+    leaves about 2^10 codes each.  Every 16th stable code's dual, and the
+    duals of up to 16 defining sets per context over GF(8), GF(16) and
+    GF(27), carry the two polynomials of the reciprocal-Frobenius rule:
+    both must be the ones ``_code`` builds from the dual's defining set."""
+    checked = exhausted = duals = 0
+
+    def check_dual(C):
+        D = galois_dual_code(C)
+        assert cosets.frame_preserved(C.P.ctx) and D.lam == C.lam
+        assert D.check_poly == check_poly_by_division(D), (C.field.q, C.n, C.lam.code, C.k)
+        built = constacyclic._code(D.fam, D.P)
+        assert (D.g, D.check_poly) == (built.g, built.check_poly)
+
     for field, n, lam, k in _equiv_contexts():
         ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))
         cycles = cosets.tau_cycles(ctx)
         stride = max(1, 2 ** len(cycles) >> 10)
         exhausted += stride == 1
-        for code, h in islice(_stable_codes(_family(field, n, lam), ctx, cycles), None, None, stride):
-            assert code.check_poly == check_poly_by_division(code) == h, (field.q, n, lam.code, k)
+        for code in islice(_stable_codes(_family(field, n, lam), ctx, cycles), None, None, stride):
+            assert code.check_poly == check_poly_by_division(code), (field.q, n, lam.code, k)
+            if checked % 16 == 0:
+                check_dual(code)
+                duals += 1
             checked += 1
     assert exhausted == 205 and checked > 15000
+    for field, n, lam, k in _dual_contexts():
+        blocks = _family(field, n, lam).cosets
+        for mask in range(0, 2 ** len(blocks), max(1, 2 ** len(blocks) >> 4)):
+            residues = [x for i, b in enumerate(blocks) if mask >> i & 1 for x in b]
+            check_dual(code_from_defining_set(field, n, lam, residues, k))
+            duals += 1
+    assert duals > 1900
     # lambda = x in GF(9) has order 4 and leaves the frame at k = 0: the
     # dual is built by from_generator_polynomial in another family
     f9 = make_field(3, 2)

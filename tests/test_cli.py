@@ -137,6 +137,14 @@ def test_mindist_paths(capsys):
     ) == (2, "", "refused: message enumeration needs 45949729863572161 > budget 10\n")
 
 
+def test_mindist_supports_out_of_budget_at_the_singleton_bound_is_exact(capsys):
+    # the BCH bound 2 is the Singleton bound 4 - 3 + 1: no support needs testing
+    code, out, _ = run(
+        capsys, "mindist", "-p", "3", "-e", "2", "-k", "1", "-n", "4", "--defining-set", "1",
+        "--strategy", "supports", "--budget-supports", "0")
+    assert code == 0 and out.splitlines()[0] == "params: [4,3,2]"
+
+
 def test_mindist_reads_the_generator_from_a_file(capsys, tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text("[[1,2,1,0,0,0,0,0],[1,1,2,1,0,0,0,0],[0,0,1,2,1,0,0,0]]")

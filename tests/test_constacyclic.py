@@ -802,27 +802,36 @@ def test_classify_matches_one_distance_per_record():
 
 
 def test_catalog_check_polynomials_come_from_the_complement(monkeypatch):
-    """Every generator built one product per stable set is _code's, and every h passed with a
-    searched code, the generator of the complementary set, is that code's check polynomial."""
+    """Every stable code's two polynomials, built one product per stable set, are _code's,
+    its check polynomial is the generator of the complementary set, and every searched
+    code is one of these codes."""
     passed = []
     real = constacyclic._hinted_params
 
-    def recording(C, bch, h, *args):
-        passed.append((C, h))
-        return real(C, bch, h, *args)
+    def recording(C, *args):
+        passed.append(C)
+        return real(C, *args)
 
     monkeypatch.setattr(constacyclic, "_hinted_params", recording)
     for field, n, lam, k in _sweep_contexts():
         fam = _family(field, n, lam)
         ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))
-        for code, h in _stable_codes(fam, ctx, cosets.tau_cycles(ctx)):
-            assert code.g == constacyclic._code(fam, code.P).g
-            assert h == code.check_poly
+        codes = list(_stable_codes(fam, ctx, cosets.tau_cycles(ctx)))
+        generators = {code.P.residues: code.g for code in codes}
+        exponents = set(ctx.exponent_set())
+
+        def complement_generator(C):
+            return generators[tuple(sorted(exponents.difference(C.P.residues)))]
+
+        for code in codes:
+            built = constacyclic._code(fam, code.P)
+            assert (code.g, code.check_poly) == (built.g, built.check_poly)
+            assert code.check_poly == complement_generator(code)
         passed.clear()
         cat, mults = classify_all_lcd(field, n, lam, k), multipliers(ctx)
         assert len(passed) == len({multiplier_orbit_key(rec.code.P, mults)
                                    for rec in cat.records if rec.params})
-        assert all(h == C.check_poly for C, h in passed), (field, n, lam, k)
+        assert all(C.check_poly == complement_generator(C) for C in passed), (field, n, lam, k)
 
 
 def test_budget_limited_catalog_shares_intervals_per_orbit():

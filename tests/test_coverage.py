@@ -18,6 +18,7 @@ TRACKED_OPS = [
     fields.mult_order,
     fields.sqrt_minus_one,
     fields.embed,
+    fields.embedding.__wrapped__,  # the builder under the memo
     fields.primitive_rn_root,
     polys.reciprocal,
     polys.frobenius_poly,
@@ -45,6 +46,7 @@ TRACKED_OPS = [
     constacyclic.galois_dual_code,
     constacyclic.is_lcd,
     constacyclic.to_generator_matrix,
+    constacyclic.code_params,
     constacyclic.classify_all_lcd,
     constacyclic.hermitian_mds_family,
     cli.cmd_cosets,
@@ -54,9 +56,10 @@ TRACKED_OPS = [
 
 
 def test_reproduce_all_plus_cli_covers_every_operation(capsys):
-    # an empty family cache, as in a fresh `galcd reproduce all` process, so
-    # families built by earlier tests do not hide the operations that build them
+    # empty family and embedding caches, as in a fresh `galcd reproduce all` process,
+    # so what earlier tests built does not hide the operations that build it
     constacyclic._family.cache_clear()
+    fields.embedding.cache_clear()
     hit: set = set()
 
     def profiler(frame, event, arg):

@@ -695,6 +695,16 @@ def test_min_distance_decision_table(case, small):
             assert strategy == "supports" and lb <= prm.d[0] <= d and prm.d[1] == top
 
 
+def test_explicit_supports_out_of_budget_at_the_singleton_bound_is_exact():
+    """A supports scan whose budget runs out after clearing every weight below
+    n - dim + 1 has proven d = n - dim + 1; one weight short it stays an interval."""
+    f9 = make_field(3, 2)
+    C = to_generator_matrix(code_from_defining_set(f9, 4, f9.one, (1,), k=1))
+    assert min_distance(C, "supports", budget_supports=0, lower_bound=2) == CodeParams(4, 3, 2, True)
+    assert min_distance(C, "supports", budget_supports=0) == CodeParams(4, 3, (1, 2), False)
+    assert brute_min_distance(C) == 2
+
+
 def test_code_params_validation():
     with pytest.raises(ValueError):
         CodeParams(4, 2, 4, True)  # violates Singleton

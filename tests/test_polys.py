@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galcd.constacyclic import _family, constacyclic_root, factor_xn_minus_lambda
+from galcd.constacyclic import _family, factor_xn_minus_lambda
 from galcd.fields import embed, embedding, make_field, mult_order
 from galcd.polys import (
     Poly,
@@ -132,18 +132,18 @@ def test_frobenius_poly_commutes_with_products(ia, ib, j):
 def test_minimal_poly_forced_linear_factors():
     # theta^(rn/2) = -1 forces the factor x + 1 for the half-way coset
     f125 = make_field(5, 3)
-    th = constacyclic_root(f125, 13, f125.from_int(-1))
+    th = _family(f125, 13, f125.from_int(-1)).theta
     m = minimal_poly((13,), th, f125)
     assert m == Poly.from_ints(f125, [1, 1])
 
     f2197 = make_field(13, 3)
-    th18 = constacyclic_root(f2197, 9, f2197.from_int(-1))
+    th18 = _family(f2197, 9, f2197.from_int(-1)).theta
     assert minimal_poly((9,), th18, f2197) == Poly.from_ints(f2197, [1, 1])
 
 
 def test_minimal_poly_degree_four_coset():
     f125 = make_field(5, 3)
-    th = constacyclic_root(f125, 13, f125.from_int(-1))
+    th = _family(f125, 13, f125.from_int(-1)).theta
     m = minimal_poly((1, 5, 21, 25), th, f125)
     assert m.degree == 4 and m.is_monic
     target = xn_minus_lambda(f125, 13, f125.from_int(-1))
@@ -196,7 +196,7 @@ def test_packed_minimal_polys_and_theta_match_the_element_oracles_on_every_famil
 
 def test_minimal_poly_reads_residues_through_as_int():
     f125 = make_field(5, 3)
-    th = constacyclic_root(f125, 13, f125.from_int(-1))
+    th = _family(f125, 13, f125.from_int(-1)).theta
     m = minimal_poly((1, 5, 21, 25), th, f125)
     assert minimal_poly([np.int64(i) for i in (25, 21, 5, 1)], th, f125) == m
     assert minimal_poly((1 - 26, 5, 21, 25 + 26), th, f125) == m  # theta^26 = 1
@@ -210,14 +210,14 @@ def test_minimal_poly_reads_residues_through_as_int():
 
 def test_minimal_poly_rejects_non_closed_sets():
     f125 = make_field(5, 3)
-    th = constacyclic_root(f125, 13, f125.from_int(-1))
+    th = _family(f125, 13, f125.from_int(-1)).theta
     with pytest.raises(ValueError):
         minimal_poly((1, 5), th, f125)  # proper subset of a coset
 
 
 def test_minimal_poly_roots():
     f125 = make_field(5, 3)
-    th = constacyclic_root(f125, 13, f125.from_int(-1))
+    th = _family(f125, 13, f125.from_int(-1)).theta
     ext = th.field
     emb = embedding(f125, ext)
     for coset in [(1, 5, 21, 25), (3, 11, 15, 23), (7, 9, 17, 19), (13,)]:

@@ -58,7 +58,7 @@ def test_example_4_8_count_flag(reports):
 
 def test_inputs_round_trip(reports):
     for rep in reports.values():
-        assert registry.inputs_round_trip(rep)
+        assert json.loads(json.dumps(rep.inputs)) == rep.inputs
 
 
 def test_report_json_is_serializable(reports):
