@@ -17,21 +17,27 @@ the generator a satisfies a^3 = 1 + a.
 Fields and elements are immutable.  Only this module reads the tables;
 other modules use the scalar calls and the row kernels ``axpy``,
 ``axmy``, ``scale`` and ``dots``.  The field size q alone picks the
-arithmetic, so GF(p) runs as GF(p^1).  Built at construction: ``_exp``/``_log``
-(q <= 2^16, from a blocked numpy walk over the powers of the
-generator, whose step matrix of columns g * x^j comes from the packed
-kernel), and for q <= 600 ``_mul``/``_add``, the q*q tables as row
-lists that share one int object per code.  Larger fields add digit by
-digit and multiply with ``_raw_mul``: both coefficient vectors are
-packed into w-bit slots of one Python int and multiplied once
-(Kronecker substitution), every slot is reduced mod p in one step by a
-multiply-and-shift (Granlund-Montgomery), and the high half is folded
-back by a Barrett quotient, three bigint products in all, whose result
+arithmetic, so GF(p) runs as GF(p^1).  Built at construction for
+q <= 600: ``_exp``/``_log`` (from a blocked numpy walk over the powers
+of the generator, whose step matrix of columns g * x^j comes from the
+packed kernel) and ``_mul``/``_add``, the q*q tables as row lists that
+share one int object per code.  For 600 < q <= 2^16 the same walk
+builds ``_exp``/``_log`` on the field's first product, the first call
+of ``mul_codes``, ``inv_code`` or ``tables()``; ``pow_code`` and
+``frob_code`` read them once they exist and run on ``_raw_pow``
+before, so a splitting field that family set-up only raises to powers
+builds no table.  Fields without row lists add digit by digit, and
+multiply with ``_raw_mul`` while they have no log tables: both
+coefficient vectors are packed into w-bit slots of one Python int and
+multiplied once (Kronecker substitution), every slot is reduced mod p
+in one step by a multiply-and-shift (Granlund-Montgomery), and the
+high half is folded back by a Barrett quotient, three bigint products in all, whose result
 again has reduced slots.  ``_ppowmod`` squares and multiplies on those
 packed ints and returns one, so ``pow_code`` (through ``_raw_pow``)
 packs and unpacks once per power, and ``poly_is_irreducible`` keeps
-its iterated p-th powers packed.  ``_to_packed`` and ``_from_packed``
-are the one code <-> packed conversion, a loop each way that moves k
+its iterated p-th powers and the gcds of Rabin's test (``_pgcd``)
+packed.  ``_to_packed`` and ``_from_packed`` are the one code <-> packed
+conversion, a loop each way that moves k
 base-p digits per step through the ``_chunks`` tables.  Family set-up
 runs on packed values from start to end as well, in every field:
 ``embedding``'s search for a root of the source modulus,
@@ -54,7 +60,9 @@ message enumeration reads) and ``_frob_tables`` (for q <= 600, the
 table of a -> a^(p^j) per j mod e that ``frob_row`` has read).
 Sharing a field between threads is safe: each value is deterministic,
 so threads that race on a first read compute equal values.  A race
-only repeats work.
+only repeats work.  The log tables are published ``_log`` first, then
+``_exp``, which readers test, so a reader that finds ``_exp`` finds
+``_log``.
 """
 
 from __future__ import annotations
@@ -190,8 +198,8 @@ def multiplicative_order(a: int, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p) as plain int lists, constant term first, for
-# modulus bookkeeping (``_pdivmod``, the one long division, and
-# ``_pgcd``); products and powers modulo a monic m run on packed ints.
+# modulus bookkeeping (``_pdivmod``, the one long division); products,
+# powers and gcds modulo a monic m run on packed ints.
 #
 # A packed polynomial holds coefficient i in bits [w*i, w*(i + 1)) of one
 # Python int (Kronecker substitution; D. Harvey, J. Symbolic Comput.,
@@ -299,21 +307,27 @@ def _ppowmod(x: int, n: int, packing: tuple[int, ...]) -> int:
     return result
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
+def _pgcd(a: int, b: int, packing: tuple[int, ...]) -> int:
+    """The monic gcd of packed polynomials with reduced slots, b != 0 and both of degree < 2e.
+
+    Euclid's algorithm on the slots of ``_packing(m, p)``, m of degree
+    e >= 2; a packed x has degree (x.bit_length() - 1) // w.  b is made
+    monic, then each step adds (p - lead) times b, shifted under a's
+    leading term, which clears that term; every slot stays below
+    p*(p - 1) <= 2*(p - 1)^2 < 2^v, so ``_preduce`` reduces it.
+    """
+    p, w = packing[0], packing[1]
     while b:
-        # make b monic before reducing
-        inv = pow(b[-1], -1, p)
-        bm = [c * inv % p for c in b]
-        a, b = b, _pdivmod(a, bm, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
+        top = (b.bit_length() - 1) // w
+        b = _preduce(b * pow(b >> top * w, -1, p), packing)
+        while a and (lead := (a.bit_length() - 1) // w) >= top:
+            a = _preduce(a + ((p - (a >> lead * w)) * b << (lead - top) * w), packing)
+        a, b = b, a
     return a
 
 
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility over GF(p) via the distinct-prime-degree criterion."""
+    """Irreducibility over GF(p) by Rabin's test (M. O. Rabin, SIAM J. Comput., 1980)."""
     c = _ptrim([x % p for x in coeffs])
     e = len(c) - 1
     if e < 1:
@@ -327,13 +341,13 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     proper = {e // ell for ell in factorize(e)}
     packing = _packing(c, p)
     w = packing[1]
+    f = _pack(c, w)
     x = h = 1 << w  # x packed; e >= 2, so it is reduced mod f
     for i in range(1, e + 1):
         h = _ppowmod(h, p, packing)
         if i in proper:
-            diff = _unpack(h, e, w)
-            diff[1] = (diff[1] - 1) % p
-            if len(_pgcd(_ptrim(diff), c, p)) != 1:
+            # h - x is h with p - 1 added to slot 1, reduced
+            if _pgcd(_preduce(h + (p - 1 << w), packing), f, packing) != 1:
                 return False
     return h == x
 
@@ -390,9 +404,8 @@ class Field:
         self.q = p**e
         self.modulus = modulus
         self._exp = self._log = self._mul = self._add = None  # filled below when q is small enough
-        if self.q <= _LOG_TABLE_LIMIT:
-            self._build_log_tables()
         if self.q <= _ROW_TABLE_LIMIT:
+            self._build_log_tables()
             codes = np.array(range(self.q), dtype=object)  # one int object per code
             self._mul, self._add = (codes[t].tolist() for t in self.tables())
             del self._tables  # only message enumeration reads the arrays; tables() rebuilds them
@@ -485,7 +498,14 @@ class Field:
             codes[start:start + width] = (weights @ block)[:q - 1 - start]
         log = np.zeros(q, dtype=np.int64)
         log[codes] = np.arange(q - 1)
-        self._exp, self._log = codes.tolist(), log.tolist()
+        self._log = log.tolist()  # before _exp, which readers test
+        self._exp = codes.tolist()
+
+    def _tabled(self) -> bool:
+        """True once the exp/log tables exist, building them on this call for q <= _LOG_TABLE_LIMIT."""
+        if self._exp is None and self.q <= _LOG_TABLE_LIMIT:
+            self._build_log_tables()
+        return self._exp is not None
 
     def _decode(self, code: int) -> list[int]:
         """All e base-p digits of a code, constant term first (untrimmed)."""
@@ -533,14 +553,14 @@ class Field:
     def mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
+        if self._exp is not None or self._tabled():
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._raw_mul(a, b)
 
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self._exp is not None:
+        if self._exp is not None or self._tabled():
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         return self.pow_code(a, self.q - 2)
 
@@ -549,7 +569,7 @@ class Field:
             return self.pow_code(self.inv_code(a), -n)
         if a == 0:
             return 0 if n else 1
-        if self._exp is not None:
+        if self._exp is not None:  # a power reads the log tables but never builds them
             return self._exp[self._log[a] * n % (self.q - 1)]
         if a < self.p:  # the constants are the prime subfield, closed under powers
             return pow(a, n, self.p)
@@ -594,6 +614,7 @@ class Field:
         q, p = self.q, self.p
         if q > TABLE_LIMIT:
             raise ValueError(f"GF({q}) exceeds the table limit {TABLE_LIMIT}")
+        self._tabled()
         exp = np.array(self._exp, dtype=np.int64)
         log = np.array(self._log, dtype=np.int64)
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]

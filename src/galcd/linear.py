@@ -453,8 +453,8 @@ def min_distance(
     of a parity-check matrix are dependent.  The message budget still
     bounds q^dim (q^(dim-1) with shift), while "auto" prices messages by
     the count the walk visits.  "auto" picks the cheaper engine that
-    fits its budget, or returns [lower_bound, n - dim + 1] flagged
-    inexact when neither fits; support
+    fits its budget; when neither fits it returns [lower_bound, n - dim + 1]
+    flagged inexact, or the exact n - dim + 1 when lower_bound reaches it; support
     search fits only if every support it could test does, so "auto"
     never returns a partially scanned interval.  Explicit "messages" that
     does not fit raises BudgetExceeded; explicit "supports" over its
@@ -513,6 +513,8 @@ def min_distance(
             strategy = "supports"
         elif msg_ok:
             strategy = "messages"
+        elif lower_bound == top:
+            return CodeParams(C.n, C.dim, top, True)  # the bound and the Singleton bound meet
         else:
             return CodeParams(C.n, C.dim, (lower_bound, top), False)
     if strategy == "supports":

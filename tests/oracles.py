@@ -77,6 +77,29 @@ def trial_division_irreducible(coeffs, p: int) -> bool:
     return True
 
 
+def poly_gcd(a, b, p: int) -> list[int]:
+    """The monic gcd over GF(p) of two coefficient lists, constant term first, by Euclid on lists.
+
+    Each step divides by the monic multiple of the divisor with ``poly_rem``;
+    the gcd of two zero polynomials is [].
+    """
+    def trim(c):
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, trim(poly_rem(a, b, p))
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
 def brute_log_tables(field: Field) -> tuple[int, list[int], list[int]]:
     """Smallest generator with its exp and log tables, by plain walks.
 

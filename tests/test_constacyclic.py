@@ -144,6 +144,25 @@ def test_a_family_split_above_the_log_table_limit_makes_no_code_products(monkeyp
     assert calls == {"_raw_mul": 0, "add_codes": 0}
 
 
+@pytest.mark.parametrize("p,n,e", [(3, 11, 10), (5, 7, 6), (7, 5, 4)])
+def test_family_codes_and_duals_leave_the_splitting_field_untabled(p, n, e):
+    """Set-up, coset products and Galois duals only raise theta to powers in the
+    splitting field, so GF(3^10), GF(5^6) and GF(7^4) build no log tables."""
+    from galcd import fields
+    for memo in (fields._make_field, fields._field, embedding, _family):
+        memo.cache_clear()  # as in a fresh process: no earlier product has tabled the field
+    f = make_field(p, 2)
+    fam = _family(f, n, f.one)
+    assert (fam.ext.p, fam.ext.e) == (p, e) and 600 < fam.ext.q <= 1 << 16
+    for mask in range(1 << len(fam.cosets)):
+        residues = [x for i, coset in enumerate(fam.cosets) if mask >> i & 1 for x in coset]
+        for k in (0, 1):
+            C = code_from_defining_set(f, n, f.one, residues, k)
+            D = galois_dual_code(C)
+            assert C.dim + D.dim == n and D.P == dual_defining_set(C.P) and is_lcd(C) in (True, False)
+    assert fam.ext._exp is None and fam.ext._log is None
+
+
 def test_code_from_defining_set_recorded_examples():
     f2197 = make_field(13, 3)
     C = code_from_defining_set(f2197, 9, f2197.from_int(-1), (9,), k=2)

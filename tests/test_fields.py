@@ -42,6 +42,7 @@ from oracles import (
     mod_p_kernels,
     naive_axpy,
     naive_pow,
+    poly_gcd,
     prime_walk_log_tables,
     schoolbook_mul,
     trial_division_irreducible,
@@ -101,6 +102,74 @@ def test_irreducibility_matches_trial_division_on_every_small_monic_polynomial()
         # Gauss: the count of monic irreducibles of degree e is (1/e) sum_{d | e} mu(d) p^(e/d)
         assert found == {1: p, 2: (p * p - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p * p) // 4,
                          5: (p**5 - p) // 5, 6: (p**6 - p**3 - p * p + p) // 6}[e], (p, e)
+
+
+def test_packed_gcd_matches_the_list_oracle():
+    """Every pair of monic polynomials of degree <= 4 over GF(2) and GF(3), and 500 random
+    pairs of degree <= 22 over GF(5), GF(7) and GF(13), on the slots of a degree-22 packing."""
+    def monic(p, degree, tail):
+        return [tail // p**i % p for i in range(degree)] + [1]
+
+    def check(a, b, p, packing):
+        w = packing[1]
+        g = fields._pgcd(fields._pack(a, w), fields._pack(b, w), packing)
+        expect = poly_gcd(a, b, p)
+        assert (g.bit_length() - 1) // w == len(expect) - 1, (p, a, b)  # the degree
+        assert fields._unpack(g, len(expect), w) == expect, (p, a, b)
+
+    for p in (2, 3):
+        packing = fields._packing([0] * 22 + [1], p)
+        polys = [monic(p, d, t) for d in range(5) for t in range(p**d)]
+        for a in polys:
+            for b in polys:
+                check(a, b, p, packing)
+    def times(a, b, p):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    rng = random.Random(22)
+    for p in (5, 7, 13):
+        packing = fields._packing([0] * 22 + [1], p)
+        for _ in range(500):
+            # half the pairs share a factor of degree <= 3, so gcds of positive degree are common
+            shared = rng.randrange(4) if rng.random() < 0.5 else 0
+            common = monic(p, shared, rng.randrange(p**shared))
+            a, b = (times(monic(p, d, rng.randrange(p**d)), common, p)
+                    for d in (rng.randrange(23 - shared), rng.randrange(23 - shared)))
+            check(a, b, p, packing)
+
+
+# (p, e) -> default modulus for the 22 splitting fields of the criterion-6 family
+# (p in {3, 5, 7}, GF(p^2), rn <= 26), constant term first
+SPLITTING_FIELD_MODULI = {
+    (3, 2): (1, 0, 1), (3, 4): (2, 1, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2) + (0,) * 7 + (1,), (3, 16): (1, 0, 1, 1) + (0,) * 12 + (1,),
+    (3, 18): (1, 2, 0, 1) + (0,) * 14 + (1,), (3, 20): (1, 2, 0, 1) + (0,) * 16 + (1,),
+    (3, 22): (1, 0, 1, 1) + (0,) * 18 + (1,),
+    (5, 2): (2, 0, 1), (5, 4): (2, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 10): (3, 1, 1) + (0,) * 7 + (1,), (5, 16): (2,) + (0,) * 15 + (1,),
+    (5, 18): (1, 1) + (0,) * 16 + (1,), (5, 22): (1, 1) + (0,) * 20 + (1,),
+    (7, 2): (1, 0, 1), (7, 4): (1, 1, 0, 0, 1), (7, 6): (2,) + (0,) * 5 + (1,),
+    (7, 10): (3, 2) + (0,) * 8 + (1,), (7, 12): (2, 1, 1) + (0,) * 9 + (1,),
+    (7, 16): (3, 2) + (0,) * 14 + (1,), (7, 22): (4, 0, 1) + (0,) * 19 + (1,),
+}
+
+
+def test_default_moduli_of_the_criterion_6_splitting_fields_are_pinned():
+    found = set()
+    for p in (3, 5, 7):
+        q = p * p
+        for k in (0, 1):
+            gate = math.gcd(1 + p ** (2 - k), q - 1)  # lambda^(1 + p^(e-k)) = 1 allows these orders r
+            for r in (r for r in range(1, gate + 1) if gate % r == 0):
+                found |= {(p, 2 * multiplicative_order(q, r * n))
+                          for n in range(1, 26 // r + 1) if math.gcd(n, p) == 1}
+    assert found == set(SPLITTING_FIELD_MODULI)
+    for (p, e), modulus in SPLITTING_FIELD_MODULI.items():
+        assert len(modulus) == e + 1 and default_modulus(p, e) == modulus, (p, e)
 
 
 def test_make_field_rejects_bad_input():
@@ -498,13 +567,19 @@ def test_serialization_round_trips():
     assert Field.from_json(json.loads(blob)) is f8
 
 
+def first_product(f: Field) -> Field:
+    """f after one product, which builds the log tables of a field with 600 < q <= 2^16."""
+    f.mul_codes(1, 1)
+    return f
+
+
 def test_log_tables_match_the_brute_force_walks_for_every_small_field():
     for q in range(2, 2049):
         factors = factorize(q)
         if len(factors) != 1:
             continue
         (p, e), = factors.items()
-        f = Field(p, e, default_modulus(p, e))
+        f = first_product(Field(p, e, default_modulus(p, e)))
         g, exp, log = brute_log_tables(f)
         assert (f.primitive_element.code, f._exp, f._log) == (g, exp, log), (p, e)
 
@@ -523,7 +598,7 @@ def test_log_tables_match_the_sequential_walk_past_2048(p, e, modulus):
         modulus = default_modulus(p, e)
     else:
         assert modulus != default_modulus(p, e) and trial_division_irreducible(modulus, p)
-    f = Field(p, e, modulus)  # not memoized: the tables go with it
+    f = first_product(Field(p, e, modulus))  # not memoized: the tables go with it
     assert 2048 < f.q <= 1 << 16 and (f.q - 1) % _WALK_WIDTH
     exp, log = walk_log_tables(f, f.primitive_element.code)
     assert f._exp == exp and f._log == log
@@ -533,7 +608,7 @@ def test_prime_field_log_tables_match_the_integer_walk():
     primes = [p for p in range(2, 3000) if is_prime(p)] + [7919, 65521]
     assert len(primes) == 432
     for p in primes:
-        f = Field(p, 1, default_modulus(p, 1))  # not memoized: the tables go with it
+        f = first_product(Field(p, 1, default_modulus(p, 1)))  # not memoized: the tables go with it
         exp, log = prime_walk_log_tables(p, f.primitive_element.code)
         assert f._exp == exp and f._log == log, p
 
@@ -554,12 +629,49 @@ def test_lazy_values_are_built_on_first_read_and_kept():
 
 
 def test_gf3_10_generator_and_sampled_exp_entries():
-    f = make_field(3, 10)
+    f = first_product(make_field(3, 10))
     assert f.primitive_element.code == 34
     rng = random.Random(310)
     for i in rng.sample(range(f.q - 1), 100):
         assert f._exp[i] == f._raw_pow(34, i), i
         assert f._log[f._exp[i]] == i
+
+
+# 600 < q <= 2^16: log tables come with the first product, not with the field
+LAZY_LOG_FIELDS = [(7, 4), (3, 7), (601, 1), (5, 6)]
+
+
+@pytest.mark.parametrize("p,e", LAZY_LOG_FIELDS)
+def test_the_first_product_builds_the_brute_force_log_tables(p, e):
+    g, exp, log = brute_log_tables(Field(p, e, default_modulus(p, e)))
+    triggers = [lambda f: f.mul_codes(2, 3), lambda f: f.inv_code(2)]
+    if p**e <= TABLE_LIMIT:
+        triggers.append(lambda f: f.tables())
+    for trigger in triggers:
+        f = Field(p, e, default_modulus(p, e))  # not memoized: a fresh field each time
+        assert 600 < f.q <= 1 << 16 and f._exp is None and f._log is None
+        # powers, Frobenius maps, orders and the generator leave the tables unbuilt
+        assert f.pow_code(2, 5) == naive_pow(f, 2, 5) and f.frob_code(2, 1) == naive_pow(f, 2, p)
+        assert f.primitive_element.code == g and f._code_order(g) == f.q - 1
+        assert f._exp is None and f._log is None
+        trigger(f)
+        assert (f._exp, f._log) == (exp, log)
+
+
+@pytest.mark.parametrize("p,e", LAZY_LOG_FIELDS)
+def test_powers_inverses_and_frobenius_agree_before_and_after_the_log_tables(p, e):
+    f = Field(p, e, default_modulus(p, e))
+    rng = random.Random(p * 10 + e)
+    cases = [(rng.randrange(1, f.q), rng.randrange(3 * f.q), rng.randrange(1, 3 * e)) for _ in range(60)]
+
+    def readings(inverse):
+        return [(f.pow_code(a, n), inverse(a), f.frob_code(a, j)) for a, n, j in cases]
+
+    # a^(q - 2) is the inverse without inv_code, which would build the tables
+    before = readings(lambda a: f.pow_code(a, f.q - 2))
+    assert f._exp is None
+    first_product(f)
+    assert f._exp is not None and readings(f.inv_code) == before
 
 
 @pytest.mark.parametrize("p,e", [(2, 20), (3, 10), (3, 22), (7, 22), (23, 3), (65537, 1), (65537, 2)])
@@ -734,6 +846,8 @@ def test_row_kernels_match_entrywise_arithmetic(p, e, branch):
 def test_prime_field_kernels_match_mod_p_arithmetic(primes):
     for p in primes:
         f = Field(p, 1, default_modulus(p, 1))  # not memoized: the tables go with it
+        assert (f._add is not None, f._exp is not None) == (p < 600, p < 600), p
+        first_product(f)
         assert (f._add is not None, f._exp is not None) == (p < 600, p < 1 << 16), p
         ref = mod_p_kernels(p)
         rng = random.Random(p)
@@ -855,7 +969,7 @@ def test_field_set_up_makes_far_fewer_than_q_products(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(fields, "_mulmod", counting)
-    f = Field(3, 10, mod)
+    f = first_product(Field(3, 10, mod))
     assert f.primitive_element.code == 34
     # The generator search powers each candidate once per prime factor of
     # q - 1, at most two products per exponent bit; the walk adds e, one

@@ -662,7 +662,8 @@ def test_min_distance_decision_table(case, small):
     """Every strategy under budgets 0, 1, small and default: exact and equal to
     brute force whenever the chosen engine fits, BudgetExceeded only from
     explicit "messages", and every interval from "auto" is the whole
-    [lower_bound, n - dim + 1]."""
+    [lower_bound, n - dim + 1].  "auto" is also exact when lower_bound is
+    n - dim + 1, since the two bounds then prove d."""
     C, hints = case
     d = brute_min_distance(C)
     lb, shift = hints.get("lower_bound", 1), hints.get("shift", False)
@@ -678,7 +679,7 @@ def test_min_distance_decision_table(case, small):
             kw["budget_supports"] = bs
         msg_fits = msg_cost <= kw.get("budget_messages", linear.DEFAULT_MESSAGE_BUDGET)
         sup_fits = sup_cost <= kw.get("budget_supports", linear.DEFAULT_SUPPORT_BUDGET)
-        fits = {"messages": msg_fits, "supports": sup_fits, "auto": msg_fits or sup_fits}[strategy]
+        fits = {"messages": msg_fits, "supports": sup_fits, "auto": msg_fits or sup_fits or lb == top}[strategy]
         try:
             prm = min_distance(C, strategy, **kw)
         except BudgetExceeded:
@@ -702,6 +703,17 @@ def test_explicit_supports_out_of_budget_at_the_singleton_bound_is_exact():
     C = to_generator_matrix(code_from_defining_set(f9, 4, f9.one, (1,), k=1))
     assert min_distance(C, "supports", budget_supports=0, lower_bound=2) == CodeParams(4, 3, 2, True)
     assert min_distance(C, "supports", budget_supports=0) == CodeParams(4, 3, (1, 2), False)
+    assert brute_min_distance(C) == 2
+
+
+def test_auto_out_of_budget_with_the_bound_at_the_singleton_bound_is_exact():
+    """With neither engine in budget, "auto" returns d exact when lower_bound is
+    n - dim + 1, and the whole interval one weight below it."""
+    f9 = make_field(3, 2)
+    C = to_generator_matrix(code_from_defining_set(f9, 4, f9.one, (1,), k=1))
+    none = dict(budget_messages=0, budget_supports=0)
+    assert min_distance(C, "auto", lower_bound=2, **none) == CodeParams(4, 3, 2, True)
+    assert min_distance(C, "auto", lower_bound=1, **none) == CodeParams(4, 3, (1, 2), False)
     assert brute_min_distance(C) == 2
 
 

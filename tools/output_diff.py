@@ -24,8 +24,9 @@ _GEN_7_3 = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
 
 # Worked examples, catalogs, the census inside and outside the frame
 # (GF(9) with lambda = x of order 4 leaves it at k = 0), duals on both
-# sides of it, single-code queries, help texts, two refusals, and two
-# generators from splitting fields above the log-table limit.
+# sides of it, single-code queries, help texts, two refusals, generators
+# from splitting fields above the log-table limit, and queries whose
+# splitting field lies below it but builds no log table.
 VECTORS = [
     ["reproduce", "all"],
     ["reproduce", "all", "--format", "json"],
@@ -64,6 +65,10 @@ VECTORS = [
     # the Gram determinant witness over log tables (GF(11^3)) and packed products (GF(257^2))
     ["lcd-check", "-p", "11", "-e", "3", "-k", "1", "-n", "5", "--lambda", "-1", "--defining-set", "3,5,7"],
     ["lcd-check", "-p", "257", "-e", "2", "-k", "0", "-n", "4", "--lambda", "1", "--defining-set", "1,3"],
+    # theta's splitting fields GF(3^10), GF(5^6) and GF(7^4) take powers only, no product
+    ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "11", "--defining-set", "1,3,4,5,9"],
+    ["lcd-check", "-p", "5", "-e", "2", "-k", "1", "-n", "7", "--defining-set", "1,2,4"],
+    ["dual", "-p", "7", "-e", "2", "-k", "1", "-n", "5", "--defining-set", "1,4"],
 ]
 
 
