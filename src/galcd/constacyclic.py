@@ -7,7 +7,10 @@ the deterministic rule in galcd.fields.  A code keeps both of its
 polynomials, built together from one split of the family's cosets:
 the generator g is the product of the coset minimal polynomials inside
 P and the check polynomial h the product of those outside, so
-g*h = x^n - lambda.  An explicit generator can be supplied only through
+g*h = x^n - lambda.  Every product of minimal polynomials, here and in
+the family's check, is ``polys.monic_product``, and each code's context
+is ``cosets.with_k`` of the family's k = 0 context, validated once per
+k.  An explicit generator can be supplied only through
 from_generator_polynomial, which validates it and recovers P by
 dividing by the coset minimal polynomials.  A Galois dual inside the
 family gets both polynomials by the reciprocal-Frobenius rule, and the
@@ -20,9 +23,8 @@ record theta next to every defining set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
-from math import prod
 from typing import Iterable
 
 from galcd.cosets import (
@@ -39,6 +41,7 @@ from galcd.cosets import (
     multipliers,
     stable_orbit_census,
     unique_order2_unit,
+    with_k,
 )
 from galcd.fields import (
     Element,
@@ -60,7 +63,15 @@ from galcd.linear import (
     is_galois_lcd,
     min_distance,
 )
-from galcd.polys import Poly, frobenius_poly, minimal_polys, reciprocal, splitting_field, xn_minus_lambda
+from galcd.polys import (
+    Poly,
+    frobenius_poly,
+    minimal_polys,
+    monic_product,
+    reciprocal,
+    splitting_field,
+    xn_minus_lambda,
+)
 
 
 @dataclass(eq=False)
@@ -86,7 +97,7 @@ def _family_memo(field: Field, n: int, lam: Element) -> _Family:
     theta = primitive_rn_root(ext, ctx.rn, n, embed(field, ext, lam))
     cosets = cyclotomic_cosets(ctx)
     minpolys = {c[0]: m for c, m in zip(cosets, minimal_polys(cosets, theta, field))}
-    if prod(minpolys.values(), start=Poly(field, (1,))) != xn_minus_lambda(field, n, lam):
+    if monic_product(field, minpolys.values()) != xn_minus_lambda(field, n, lam):
         raise AssertionError("coset factorization does not multiply back to x^n - lambda")
     return _Family(field, n, lam, ext, theta, ctx, cosets, minpolys)
 
@@ -179,18 +190,14 @@ class ConstacyclicCode:
         )
 
 
-def _product(field: Field, factors: list[Poly]) -> Poly:
-    """The product of the factors, 1 when there are none."""
-    return prod(factors[1:], start=factors[0]) if factors else Poly(field, (1,))
-
-
 def _code(fam: _Family, P: DefiningSet) -> ConstacyclicCode:
     """The code of a validated defining set: g is the product of the minimal polynomials of
     the cosets inside P, and h of those outside."""
+    pool = set(P.residues)
     inside, outside = [], []
     for key, m in fam.minpolys.items():
-        (inside if key in P.residues else outside).append(m)
-    return ConstacyclicCode(P, _product(fam.field, inside), _product(fam.field, outside), fam)
+        (inside if key in pool else outside).append(m)
+    return ConstacyclicCode(P, monic_product(fam.field, inside), monic_product(fam.field, outside), fam)
 
 
 def code_from_defining_set(
@@ -201,7 +208,7 @@ def code_from_defining_set(
     The set must be a union of q-cyclotomic cosets inside 1 + r*Z_rn.
     """
     fam = _family(field, n, lam)
-    return _code(fam, DefiningSet(replace(fam.base_ctx, k=k), tuple(residues)))
+    return _code(fam, DefiningSet(with_k(fam.base_ctx, k), tuple(residues)))
 
 
 def from_generator_polynomial(
@@ -226,7 +233,7 @@ def from_generator_polynomial(
     # and then the monic g is the product of the factors found
     if rest.degree != 0:
         raise ValueError("generator does not divide x^n - lambda")
-    return _code(fam, DefiningSet(replace(fam.base_ctx, k=k), tuple(roots)))
+    return _code(fam, DefiningSet(with_k(fam.base_ctx, k), tuple(roots)))
 
 
 def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
@@ -250,8 +257,9 @@ def galois_dual_code(C: ConstacyclicCode) -> ConstacyclicCode:
     g_dual = frobenius_poly(reciprocal(C.check_poly), e - k)
     if frame_preserved(C.P.ctx):
         P_dual = dual_defining_set(C.P)
-        inside = [m for key, m in C.fam.minpolys.items() if key in P_dual.residues]
-        if _product(field, inside) != g_dual:
+        pool = set(P_dual.residues)
+        inside = [m for key, m in C.fam.minpolys.items() if key in pool]
+        if monic_product(field, inside) != g_dual:
             raise AssertionError("polynomial and defining-set duals disagree")
         dual = ConstacyclicCode(P_dual, g_dual, frobenius_poly(reciprocal(C.g), e - k), C.fam)
     else:
@@ -409,8 +417,8 @@ def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...]
     """
     gens = [Poly(fam.field, (1,))]
     for cyc in cycles:
-        m_cyc = _product(fam.field, [fam.minpolys[key] for key in cyc])
-        gens += [g * m_cyc for g in gens]
+        m_cyc = monic_product(fam.field, [fam.minpolys[key] for key in cyc])
+        gens += [monic_product(fam.field, (g, m_cyc)) for g in gens]
     full = len(gens) - 1
     for mask, P in enumerate(_stable_sets(ctx, cycles, fam.cosets)):
         yield ConstacyclicCode(P, gens[mask], gens[full ^ mask], fam)
@@ -452,7 +460,7 @@ def classify_all_lcd(
     """
     check_budgets(budget_messages, budget_supports)
     fam = _family(field, n, lam)
-    ctx = replace(fam.base_ctx, k=k)
+    ctx = with_k(fam.base_ctx, k)
     census = stable_orbit_census(ctx)
     if 2 ** len(census.cycles) > MAX_STABLE_SETS:
         raise BudgetExceeded(

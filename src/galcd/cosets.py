@@ -5,7 +5,8 @@ exponent set 1 + r*Z_rn, the scaling actions mu_s (in particular by
 -p^k, and by the multipliers whose orbits group equivalent codes),
 defining-set duality, stability censuses and counting, and the
 consecutive-run lower bound on minimum distance.  No field arithmetic
-is needed; contexts are plain parameter bundles.
+is needed; contexts are plain parameter bundles, and ``with_k`` keeps
+one validated context per (p, e, n, r) and Galois parameter k.
 
 Residues are canonical integers in [0, rn); sets of residues are kept
 as sorted tuples so serialization and equality are stable.
@@ -14,7 +15,8 @@ as sorted tuples so serialization and equality are stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from galcd.fields import as_int, check_galois_parameter, is_prime, multiplicative_order
@@ -66,6 +68,23 @@ class CosetContext:
 
     def minus_pek(self) -> int:
         return -(self.p ** (self.e - self.k)) % self.rn
+
+
+def with_k(ctx: CosetContext, k: int) -> CosetContext:
+    """The context ``replace(ctx, k=k)``, validated once per (p, e, n, r) and k.
+
+    k is read through ``as_int`` before the memo, so every key is an
+    int: a numpy 1 finds the context of 1, and 1.0 and True raise as
+    ``CosetContext`` refuses them.  A k outside [0, e) raises on every
+    call, since a refusal is not memoized.  The memo holds contexts
+    only, plain values that keep no family alive.
+    """
+    return _context(ctx.p, ctx.e, as_int(k), ctx.n, ctx.r)
+
+
+@cache
+def _context(p: int, e: int, k: int, n: int, r: int) -> CosetContext:
+    return CosetContext(p=p, e=e, k=k, n=n, r=r)
 
 
 def coset_of(ctx: CosetContext, s: int) -> tuple[int, ...]:
@@ -178,7 +197,7 @@ def dual_defining_set(P: DefiningSet) -> DefiningSet:
     _require_frame(ctx)
     s, rn, pool = ctx.minus_pek(), ctx.rn, set(P.residues)
     scaled = tuple(s * x % rn for x in ctx.exponent_set() if x not in pool)
-    return DefiningSet(replace(ctx, k=(ctx.e - ctx.k) % ctx.e), scaled)
+    return DefiningSet(with_k(ctx, (ctx.e - ctx.k) % ctx.e), scaled)
 
 
 def is_lcd_defining_set(P: DefiningSet) -> bool:

@@ -110,6 +110,8 @@ def is_prime(m: int) -> bool:
 
 def as_int(x) -> int:
     """x as an int; a bool or a non-integer such as 1.5 or "2" raises ValueError."""
+    if type(x) is int:  # the common case, and never a bool
+        return x
     if not isinstance(x, bool):
         try:
             return operator.index(x)

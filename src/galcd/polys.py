@@ -188,6 +188,32 @@ def xn_minus_lambda(field: Field, n: int, lam: Element) -> Poly:
     return Poly.make(field, codes)
 
 
+def monic_product(field: Field, factors: Iterable[Poly]) -> Poly:
+    """The product of monic factors over field, 1 when there are none.
+
+    It runs on a list of codes and builds one Poly at the end: the
+    product by x^s is a shift, and then each nonzero coefficient below
+    the leading 1 of the shorter operand costs one ``field.axpy``.  A
+    factor that is not monic, or over another field, raises ValueError.
+    """
+    acc: Sequence[int] = (1,)
+    axpy = field.axpy
+    for f in factors:
+        if f.field is not field and f.field != field:
+            raise ValueError(f"mixed fields: {field} and {f.field}")
+        if not f.is_monic:
+            raise ValueError("every factor must be monic")
+        a, b = (acc, f.codes) if len(acc) >= len(f.codes) else (f.codes, acc)
+        s, na = len(b) - 1, len(a)
+        out = [0] * s
+        out += a
+        for i in range(s):
+            if b[i]:
+                out[i:i + na] = axpy(out[i:i + na], b[i], a)
+        acc = out
+    return Poly(field, tuple(acc))
+
+
 def reciprocal(f: Poly) -> Poly:
     """Monic reciprocal a0^(-1) x^deg(f) f(1/x); roots become their inverses."""
     if f.is_zero:

@@ -222,6 +222,11 @@ def minimal_poly_by_products(coset, theta: Element, base: Field) -> Poly:
         raise ValueError("coset is not closed under multiplication by the base field size") from None
 
 
+def product_by_poly_mul(field: Field, factors) -> Poly:
+    """The product of the factors by ``Poly.__mul__``, 1 when there are none."""
+    return math.prod(factors, start=Poly(field, (1,)))
+
+
 def rn_root_by_scan(ext: Field, rn: int, n: int, lam: Element) -> Element:
     """The first g^(u*(q-1)/rn), u = 1, 2, ... coprime to rn, whose n-th power is lam, by ``Element`` arithmetic.
 

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import random
+import re
 import weakref
 from itertools import product
 
@@ -609,6 +611,37 @@ def test_code_from_defining_set_refuses_a_k_that_is_not_an_integer():
     f9 = make_field(3, 2)
     with pytest.raises(ValueError, match="expected an integer, got 1.0"):
         code_from_defining_set(f9, 4, f9.one, (1,), k=1.0)
+    code_from_defining_set(f9, 4, f9.one, (1,), k=1)  # the context of k = 1 is memoized now
+    for bad, message in ((1.0, "expected an integer, got 1.0"), (True, "expected an integer, got True"),
+                         (-1, "need 0 <= k < e, got k=-1, e=2"), (2, "need 0 <= k < e, got k=2, e=2")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            code_from_defining_set(f9, 4, f9.one, (1,), k=bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify_all_lcd(f9, 4, f9.one, bad)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 2, 8), (3, 3, 13)])
+def test_one_family_validates_at_most_e_contexts(monkeypatch, p, e, n):
+    """Codes, their Galois duals and defining-set duals share one context per k."""
+    f = make_field(p, e)
+    fam = _family(f, n, f.one)
+    cosets._context.cache_clear()
+    runs = []
+    real = CosetContext.__post_init__
+
+    def counting(self):
+        runs.append(self.k)
+        real(self)
+
+    monkeypatch.setattr(CosetContext, "__post_init__", counting)
+    rng = random.Random(p * e * n)
+    for _ in range(200):
+        residues = [x for c in fam.cosets if rng.random() < 0.5 for x in c]
+        C = code_from_defining_set(f, n, f.one, residues, rng.randrange(e))
+        D = galois_dual_code(C)
+        P_dual = dual_defining_set(C.P)
+        assert P_dual == D.P and dual_defining_set(P_dual) == C.P
+    assert 1 <= len(runs) <= e and len(set(runs)) == len(runs)
 
 
 def test_the_family_memo_keeps_integer_lengths_apart_from_floats_and_bools():

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from galcd.cosets import (
     tau,
     tau_cycles,
     unique_order2_unit,
+    with_k,
 )
 from galcd.fields import is_prime
 from oracles import census_readings, fixpoint_closure
@@ -618,3 +621,19 @@ def test_multipliers_permute_unions_of_cosets_and_keep_stability(P):
         assert all(c <= members or not c & members for c in cosets_here)
         assert is_lcd_defining_set(image) == is_lcd_defining_set(P)
         assert multiplier_orbit_key(image, mults) == key
+
+
+def test_with_k_is_the_replaced_context_and_refuses_what_the_context_refuses():
+    ctx = CosetContext(p=3, e=2, k=0, n=8, r=4)
+    for k in (0, 1):
+        assert with_k(ctx, k) == replace(ctx, k=k)
+        # one validated context per (p, e, n, r) and k, whichever k it is reached from
+        assert with_k(ctx, k) is with_k(replace(ctx, k=1), k)
+    # a numpy int finds the entry of the int it stands for, and the context stores that int
+    assert with_k(ctx, np.int64(1)) is with_k(ctx, 1) and type(with_k(ctx, np.int64(1)).k) is int
+    for bad in (1.0, True, -1, ctx.e):
+        with pytest.raises(ValueError) as direct:
+            replace(ctx, k=bad)
+        for _ in range(2):  # a refusal is not memoized
+            with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+                with_k(ctx, bad)

@@ -20,10 +20,12 @@ TRACKED_OPS = [
     fields.embed,
     fields.embedding.__wrapped__,  # the builder under the memo
     fields.primitive_rn_root,
+    polys.monic_product,
     polys.reciprocal,
     polys.frobenius_poly,
     polys.minimal_polys,
     constacyclic.factor_xn_minus_lambda,
+    cosets.with_k,
     cosets.cyclotomic_cosets,
     cosets.act_scale,
     cosets.dual_defining_set,

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ def test_element_arithmetic_basics():
 
 
 NOT_INTEGERS = [1.5, 2.0, "2", True, None]
+
+
+def test_as_int_returns_exact_ints_as_they_are_and_reads_other_integers_through_index():
+    big = 10**30
+    assert fields.as_int(big) is big and fields.as_int(-3) == -3 and fields.as_int(0) == 0
+    for x in (np.int64(7), np.uint8(7), np.int32(-7)):  # off the fast path
+        assert fields.as_int(x) == int(x) and type(fields.as_int(x)) is int
+    for bad in (True, False, np.bool_(True), 1.0, 7.5, "7", Fraction(7, 1), Fraction(1, 2), None):
+        with pytest.raises(ValueError, match="expected an integer"):
+            fields.as_int(bad)
 
 
 def test_from_int_takes_only_integers():

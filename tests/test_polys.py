@@ -12,12 +12,13 @@ from galcd.polys import (
     Poly,
     frobenius_poly,
     minimal_poly,
+    monic_product,
     poly_from_json,
     reciprocal,
     splitting_field,
     xn_minus_lambda,
 )
-from oracles import minimal_poly_by_products, rn_root_by_scan
+from oracles import minimal_poly_by_products, product_by_poly_mul, rn_root_by_scan
 
 
 def _poly(field, ints):
@@ -71,6 +72,35 @@ def test_product_loops_over_either_factor_like_the_schoolbook_product(pe):
                 for _ in range(2))
         expected = _schoolbook_product(field, a.codes, b.codes) if a.codes and b.codes else Poly(field, ())
         assert a * b == expected and b * a == expected, (a, b)
+
+
+# (p, e, n): row lists for GF(4), GF(9) and GF(49), log tables for GF(11^3)
+# and packed products for GF(257^2); x^n - 1 splits into several cosets
+@pytest.mark.parametrize("p,e,n", [(2, 2, 21), (3, 2, 8), (7, 2, 8), (11, 3, 5), (257, 2, 4)])
+def test_monic_product_matches_poly_products(p, e, n):
+    f = make_field(p, e)
+    regime = "rows" if f.q <= 600 else "logs" if f.q <= 1 << 16 else "packed"
+    assert regime == {4: "rows", 9: "rows", 49: "rows", 1331: "logs", 66049: "packed"}[f.q]
+    rng = random.Random(f.q)
+    minpolys = list(_family(f, n, f.one).minpolys.values())
+    assert monic_product(f, minpolys) == xn_minus_lambda(f, n, f.one)
+    lists = [minpolys, minpolys[::-1]]
+    lists += [rng.sample(minpolys, rng.randrange(len(minpolys) + 1)) for _ in range(20)]
+    lists += [[Poly(f, tuple(rng.choice((0, rng.randrange(f.q))) for _ in range(rng.randrange(7))) + (1,))
+               for _ in range(rng.randrange(5))] for _ in range(40)]
+    for factors in lists:
+        assert monic_product(f, factors) == product_by_poly_mul(f, factors), factors
+    assert monic_product(f, []) == Poly(f, (1,))
+
+
+def test_monic_product_refuses_factors_that_are_not_monic_or_from_another_field():
+    f4, f9 = make_field(2, 2), make_field(3, 2)
+    x = Poly(f4, (0, 1))
+    for bad in (Poly(f4, (1, 2)), Poly(f4, (3,)), Poly(f4, ())):
+        with pytest.raises(ValueError, match="monic"):
+            monic_product(f4, [x, bad])
+    with pytest.raises(ValueError, match="mixed fields"):
+        monic_product(f4, [x, Poly(f9, (0, 1))])
 
 
 def test_reciprocal_examples():

@@ -69,6 +69,9 @@ VECTORS = [
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "11", "--defining-set", "1,3,4,5,9"],
     ["lcd-check", "-p", "5", "-e", "2", "-k", "1", "-n", "7", "--defining-set", "1,2,4"],
     ["dual", "-p", "7", "-e", "2", "-k", "1", "-n", "5", "--defining-set", "1,4"],
+    # products of size-3 cosets' minimal polynomials over the row lists of GF(4)
+    ["genpoly", "-p", "2", "-e", "2", "-k", "1", "-n", "21", "--defining-set", "1,4,16"],
+    ["dual", "-p", "2", "-e", "2", "-k", "1", "-n", "21", "--defining-set", "1,4,16"],
 ]
 
 
