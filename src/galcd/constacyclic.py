@@ -277,11 +277,12 @@ def is_lcd(C: ConstacyclicCode) -> bool:
 
 def to_generator_matrix(C: ConstacyclicCode) -> LinearCode:
     """Rows x^i * g(x) for i = 0 .. dim-1 as length-n coefficient vectors."""
-    if C.dim == 0:
+    n, dim = C.n, C.dim
+    if dim == 0:
         raise ValueError("the zero code has no generator matrix")
     g = C.g.codes
-    rows = [(0,) * i + g + (0,) * (C.n - i - len(g)) for i in range(C.dim)]
-    return LinearCode._trusted(C.field, rows, C.n)
+    rows = [(0,) * i + g + (0,) * (n - i - len(g)) for i in range(dim)]
+    return LinearCode._trusted(C.field, rows, n)
 
 
 def code_params(

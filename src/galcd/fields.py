@@ -34,9 +34,14 @@ in one step by a multiply-and-shift (Granlund-Montgomery), and the
 high half is folded back by a Barrett quotient, three bigint products in all, whose result
 again has reduced slots.  ``_ppowmod`` squares and multiplies on those
 packed ints and returns one, so ``pow_code`` (through ``_raw_pow``)
-packs and unpacks once per power, and ``poly_is_irreducible`` keeps
-its iterated p-th powers and the gcds of Rabin's test (``_pgcd``)
-packed.  ``_to_packed`` and ``_from_packed`` are the one code <-> packed
+packs and unpacks once per power.  ``poly_is_irreducible`` runs
+Ben-Or's distinct-degree test, gcd(x^(p^i) - x, f) = 1 for
+i <= e // 2, which stops at f's smallest factor degree: its step
+i = 1 is a linear-factor screen that evaluates f at every point of
+GF(p) on plain ints below ``_SCREEN_LIMIT`` (p = 100, the measured
+crossover) and runs as a packed gcd from there on; the later steps
+keep their iterated p-th powers and gcds (``_pgcd``) packed.
+``_to_packed`` and ``_from_packed`` are the one code <-> packed
 conversion, a loop each way that moves k
 base-p digits per step through the ``_chunks`` tables.  Family set-up
 runs on packed values from start to end as well, in every field:
@@ -80,6 +85,10 @@ TABLE_LIMIT = 2200          # tables() serves full q*q tables up to this field s
 _ROW_TABLE_LIMIT = 600      # every field keeps them as row lists up to this size
 _WALK_WIDTH = 4096          # columns per block of the log-table walk
 _CHUNK_LIMIT = 512          # most k-digit codes one step of a code <-> packed conversion tables
+# Irreducibility screens for roots by evaluation below this p, by a packed gcd from it on:
+# on random monic candidates of degree 2-6 the two cross near p = 100 (for degree 2-3, 5-7
+# against 22-28 us per call at p = 31 and 32-41 against 19-24 us at p = 257; 2-vCPU VM, min of 7).
+_SCREEN_LIMIT = 100
 
 
 def is_prime(m: int) -> bool:
@@ -328,8 +337,32 @@ def _pgcd(a: int, b: int, packing: tuple[int, ...]) -> int:
     return a
 
 
+def _has_root(c: Sequence[int], p: int) -> bool:
+    """Whether c has a root in GF(p): x | c, then c at every nonzero point by Horner's rule."""
+    if not c[0]:
+        return True
+    top = c[::-1]
+    for point in range(1, p):
+        acc = 0
+        for a in top:
+            acc = (acc * point + a) % p
+        if not acc:
+            return True
+    return False
+
+
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility over GF(p) by Rabin's test (M. O. Rabin, SIAM J. Comput., 1980)."""
+    """Irreducibility over GF(p) by Ben-Or's distinct-degree test (M. Ben-Or, FOCS 1981).
+
+    f of degree e is irreducible iff gcd(x^(p^i) - x, f) = 1 for
+    i = 1 .. e // 2, so a reducible f is refused at its smallest factor
+    degree.  Step i = 1 is the linear-factor screen: for p below
+    ``_SCREEN_LIMIT`` it evaluates f at every point of GF(p) on plain
+    ints (``_has_root``), with no ``_packing`` built, and for e <= 3
+    it alone decides; from that p on it is the packed gcd like the
+    later steps, whose iterated p-th powers and gcds run on packed
+    slots (``_ppowmod``, ``_pgcd``).
+    """
     c = _ptrim([x % p for x in coeffs])
     e = len(c) - 1
     if e < 1:
@@ -339,19 +372,23 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         c = [x * inv % p for x in c]
     if e == 1:
         return True
-    # x^(p^e) == x mod f, and gcd(x^(p^(e/l)) - x, f) == 1 for prime l | e
-    proper = {e // ell for ell in factorize(e)}
+    first = 1  # the first step i that runs as a packed gcd
+    if p < _SCREEN_LIMIT:
+        if _has_root(c, p):
+            return False
+        first = 2
+    if e // 2 < first:
+        return True  # e <= 3, decided by the screen
     packing = _packing(c, p)
     w = packing[1]
     f = _pack(c, w)
-    x = h = 1 << w  # x packed; e >= 2, so it is reduced mod f
-    for i in range(1, e + 1):
+    h = 1 << w  # x packed; e >= 2, so it is reduced mod f
+    for i in range(1, e // 2 + 1):
         h = _ppowmod(h, p, packing)
-        if i in proper:
-            # h - x is h with p - 1 added to slot 1, reduced
-            if _pgcd(_preduce(h + (p - 1 << w), packing), f, packing) != 1:
-                return False
-    return h == x
+        # h - x is h with p - 1 added to slot 1, reduced
+        if i >= first and _pgcd(_preduce(h + (p - 1 << w), packing), f, packing) != 1:
+            return False
+    return True
 
 
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -368,19 +405,6 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
             coeffs.append(t % p)
             t //= p
         cand = coeffs + [1]
-        if e > 1:
-            if cand[0] == 0:
-                continue  # divisible by x
-            has_root = False
-            for point in range(p):
-                acc = 0
-                for c in reversed(cand):
-                    acc = (acc * point + c) % p
-                if acc == 0:
-                    has_root = True
-                    break
-            if has_root:
-                continue
         if poly_is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -4,9 +4,10 @@ These deliberately avoid the production decision paths: field products
 are schoolbook digit products reduced one leading term at a time,
 minimal polynomials, theta and embeddings come from ``Element`` and
 ``Poly`` arithmetic where the library runs on packed values,
-irreducibility is checked by literal trial division, intersections by
-rank counting or literal codeword enumeration, and distances by walking
-the whole codebook in pure Python.
+irreducibility is checked by literal trial division and by Rabin's
+test (the library runs Ben-Or's), intersections by rank counting or
+literal codeword enumeration, and distances by walking the whole
+codebook in pure Python.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from galcd import linalg
+from galcd import fields, linalg
 from galcd.constacyclic import (
     CatalogRecord,
     code_from_defining_set,
@@ -25,7 +26,7 @@ from galcd.constacyclic import (
     is_lcd,
 )
 from galcd.cosets import CosetContext, DefiningSet, act_scale, bch_lower_bound, enumerate_stable_sets
-from galcd.fields import Element, Field, embedding, mult_order
+from galcd.fields import Element, Field, embedding, factorize, mult_order
 from galcd.linear import LinearCode, euclidean_parity_check, galois_dual
 from galcd.polys import Poly, frobenius_poly, reciprocal, xn_minus_lambda
 
@@ -75,6 +76,37 @@ def trial_division_irreducible(coeffs, p: int) -> bool:
             if not any(poly_rem(c, _digits(tail, p, d) + [1], p)):
                 return False
     return True
+
+
+def rabin_irreducible(coeffs, p: int) -> bool:
+    """Irreducibility over GF(p) by Rabin's test (M. O. Rabin, SIAM J. Comput., 1980).
+
+    x^(p^e) == x mod f, and gcd(x^(p^(e/l)) - x, f) == 1 for each prime
+    l | e; every one of the e Frobenius powers is taken, on the packed
+    kernels of ``fields``.
+    """
+    c = [x % p for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    e = len(c) - 1
+    if e < 1:
+        return False
+    inv = pow(c[-1], -1, p)
+    c = [x * inv % p for x in c]
+    if e == 1:
+        return True
+    proper = {e // ell for ell in factorize(e)}
+    packing = fields._packing(c, p)
+    w = packing[1]
+    f = fields._pack(c, w)
+    x = h = 1 << w  # x packed; e >= 2, so it is reduced mod f
+    for i in range(1, e + 1):
+        h = fields._ppowmod(h, p, packing)
+        if i in proper:
+            # h - x is h with p - 1 added to slot 1, reduced
+            if fields._pgcd(fields._preduce(h + (p - 1 << w), packing), f, packing) != 1:
+                return False
+    return h == x
 
 
 def poly_gcd(a, b, p: int) -> list[int]:

@@ -381,6 +381,15 @@ def test_modulus_and_lambda_coefficients_outside_the_prime_field_are_rejected(ca
     assert run(capsys, *ctx, "--lambda", "-1", "--modulus", "2,2,1")[1:] == (by_coeffs, "")
 
 
+def test_a_reducible_modulus_is_refused_and_an_irreducible_one_is_used(capsys):
+    ctx = ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3"]
+    assert run(capsys, *ctx, "--modulus", "2,0,1") == (
+        1, "", "error: modulus [2, 0, 1] is reducible over GF(3)\n")  # (x + 1)(x + 2)
+    code, out, err = run(capsys, *ctx, "--modulus", "2,1,1")
+    assert code == 0 and err == ""
+    assert out.startswith("generator: x^2 + x + 2\n")
+
+
 def test_k_outside_the_galois_range_is_rejected(capsys):
     for k in ("7", "1", "-1"):
         code, out, err = run(capsys, "extend", "-p", "5", "-e", "1", "-k", k,

@@ -45,6 +45,7 @@ from oracles import (
     naive_pow,
     poly_gcd,
     prime_walk_log_tables,
+    rabin_irreducible,
     schoolbook_mul,
     trial_division_irreducible,
     walk_log_tables,
@@ -89,20 +90,99 @@ def test_default_modulus_is_irreducible_by_trial_division():
             assert not trial_division_irreducible(cand, p)
 
 
-def test_irreducibility_matches_trial_division_on_every_small_monic_polynomial():
-    """Every monic polynomial of degree 1-4 over GF(2), GF(3) and GF(5), and of degree 5-6
-    over GF(2): the reducible ones reach both the gcd step and the final x^(p^e) == x."""
-    cases = [(p, e) for p in (2, 3, 5) for e in range(1, 5)] + [(2, 5), (2, 6)]
+def _irreducible_count(p, e):
+    """Gauss: the count of monic irreducibles of degree e is (1/e) sum_{d | e} mu(d) p^(e/d)."""
+    def mobius(d):
+        sign, ell = 1, 2
+        while d > 1:
+            if d % ell == 0:
+                d //= ell
+                if d % ell == 0:
+                    return 0
+                sign = -sign
+            ell += 1
+        return sign
+
+    return sum(mobius(d) * p ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
+
+
+def test_irreducibility_matches_trial_division_on_every_small_monic_polynomial(monkeypatch):
+    """Every monic polynomial of degree 1-4 over GF(2), GF(3) and GF(5), of degree 5-8 over
+    GF(2), and of degree 2-3 over GF(7), GF(11) and GF(13): the reducible ones stop at every
+    step of the distinct-degree test.  Degree 2-3 below the screen's limit is decided by
+    evaluation alone, so no packing is built there."""
+    cases = [(p, e) for p in (2, 3, 5) for e in range(1, 5)] + [(2, e) for e in range(5, 9)]
+    cases += [(p, e) for p in (7, 11, 13) for e in (2, 3)]
+    packing = fields._packing
     for p, e in cases:
+        if e <= 3:
+            monkeypatch.setattr(fields, "_packing", None)  # a call would raise TypeError
         found = 0
         for tail in range(p**e):
             cand = [tail // p**i % p for i in range(e)] + [1]
             verdict = poly_is_irreducible(cand, p)
             assert verdict == trial_division_irreducible(cand, p), (p, cand)
             found += verdict
-        # Gauss: the count of monic irreducibles of degree e is (1/e) sum_{d | e} mu(d) p^(e/d)
-        assert found == {1: p, 2: (p * p - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p * p) // 4,
-                         5: (p**5 - p) // 5, 6: (p**6 - p**3 - p * p + p) // 6}[e], (p, e)
+        monkeypatch.setattr(fields, "_packing", packing)
+        assert found == _irreducible_count(p, e), (p, e)
+
+
+def test_both_linear_factor_screens_give_the_same_verdicts(monkeypatch):
+    """Every monic polynomial of degree 2-4 over GF(3), GF(5) and GF(7), by evaluation and by
+    the packed gcd(x^p - x, f), the screen above the crossover on p."""
+    for p, e in [(p, e) for p in (3, 5, 7) for e in (2, 3, 4)]:
+        verdicts = []
+        for limit in (0, fields._SCREEN_LIMIT):
+            monkeypatch.setattr(fields, "_SCREEN_LIMIT", limit)
+            verdicts.append([poly_is_irreducible([tail // p**i % p for i in range(e)] + [1], p)
+                             for tail in range(p**e)])
+        assert verdicts[0] == verdicts[1], (p, e)
+        assert sum(verdicts[0]) == _irreducible_count(p, e), (p, e)
+
+
+def test_irreducibility_matches_rabins_test_on_random_polynomials():
+    """Seeded: random monic polynomials of degree 4-22 over GF(3), GF(5), GF(7) and GF(257),
+    half of them products of random irreducible factors, so that the smallest factor degree
+    (the step that refuses them) ranges over 2-11, and the irreducible factors themselves."""
+    rng = random.Random(3201)
+
+    def monic(p, d):
+        return [rng.randrange(p) for _ in range(d)] + [1]
+
+    def times(a, b, p):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def irreducible(p, d):
+        while not rabin_irreducible(f := monic(p, d), p):
+            pass
+        return f
+
+    verdicts = {True: 0, False: 0}
+    for p in (3, 5, 7, 257):
+        for _ in range(80):
+            e = rng.randrange(4, 23)
+            if rng.random() < 0.5:
+                f = monic(p, e)
+            elif rng.random() < 0.3:
+                f = irreducible(p, e)
+            else:
+                low = rng.randrange(2, e // 2 + 1)
+                f = times(irreducible(p, low), irreducible(p, e - low), p)
+            verdict = poly_is_irreducible(f, p)
+            assert verdict == rabin_irreducible(f, p), (p, f)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 40, verdicts
+
+
+def test_default_moduli_of_large_prime_fields_are_pinned():
+    """Above the screen's limit the linear factors are screened by a packed gcd, not by
+    evaluation at up to p points."""
+    assert default_modulus(65537, 2) == (3, 0, 1)
+    assert default_modulus(1000003, 2) == (1, 0, 1)
 
 
 def test_packed_gcd_matches_the_list_oracle():

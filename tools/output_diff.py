@@ -24,7 +24,7 @@ _GEN_7_3 = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
 
 # Worked examples, catalogs, the census inside and outside the frame
 # (GF(9) with lambda = x of order 4 leaves it at k = 0), duals on both
-# sides of it, single-code queries, help texts, two refusals, generators
+# sides of it, single-code queries, help texts, three refusals, generators
 # from splitting fields above the log-table limit, and queries whose
 # splitting field lies below it but builds no log table.
 VECTORS = [
@@ -72,6 +72,9 @@ VECTORS = [
     # products of size-3 cosets' minimal polynomials over the row lists of GF(4)
     ["genpoly", "-p", "2", "-e", "2", "-k", "1", "-n", "21", "--defining-set", "1,4,16"],
     ["dual", "-p", "2", "-e", "2", "-k", "1", "-n", "21", "--defining-set", "1,4,16"],
+    # a non-default irreducible modulus, and a reducible one (exit 1)
+    ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--modulus", "2,1,1"],
+    ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--modulus", "2,0,1"],
 ]
 
 
