@@ -31,10 +31,10 @@ from galcd.cosets import (
     CosetContext,
     DefiningSet,
     OrbitCensus,
-    _stable_sets,
     bch_lower_bound,
     cyclotomic_cosets,
     dual_defining_set,
+    enumerate_stable_sets,
     frame_preserved,
     is_lcd_defining_set,
     multiplier_orbit_key,
@@ -301,38 +301,10 @@ def code_params(
     return _hinted_params(C, bch_lower_bound(C.P), strategy, budget_messages, budget_supports)
 
 
-def _parity_check_rows(h: Poly, n: int) -> list[list[int]]:
-    """A Euclidean parity-check matrix of the nonzero code whose check polynomial is h,
-    with no elimination.
-
-    The dual is spanned by the multiples of reverse(h) of degree below n:
-    row j of the generator, x^j g(x), meets x^i reverse(h) in the
-    coefficient of x^(dim + i - j) in g*h = x^n - lambda, and
-    1 <= dim + i - j <= n - 1.  Row t is x^(dim + t) minus its remainder
-    modulo reverse(h): 1 at coordinate dim + t and 0 at every other
-    coordinate from dim on.  So these are the rows that
-    ``linear.euclidean_parity_check`` eliminates its way to from the
-    generator rows x^i g(x), whose pivots are the first dim columns; the
-    identity on the last n - dim columns keeps the support walk's
-    residuals sparse, which the banded shifts of reverse(h) do not.
-    """
-    field, dim = h.field, h.degree
-    rev = h.codes[::-1]
-    low = field.scale(field.inv_code(rev[-1]), rev[:-1])  # reverse(h) made monic, less its x^dim
-    rows = []
-    s = low  # -(x^j mod reverse(h)), starting at j = dim
-    for j in range(dim, n):
-        rows.append(s + [0] * (j - dim) + [1] + [0] * (n - 1 - j))
-        top, s = s[-1], [0] + s[:-1]
-        if top:
-            s = field.axmy(s, top, low)
-    return rows
-
-
 def _hinted_params(
     C: ConstacyclicCode, bch: int, strategy: str, budget_messages: int, budget_supports: int
 ) -> CodeParams:
-    """min_distance of the rows x^i g(x), with the parity-check rows of C's check polynomial;
+    """min_distance of the rows x^i g(x), from which support search reads its parity check;
     the shift x*c(x) mod x^n - lambda maps C onto C."""
     return min_distance(
         to_generator_matrix(C),
@@ -341,7 +313,6 @@ def _hinted_params(
         budget_supports=budget_supports,
         lower_bound=bch,
         shift=True,
-        parity_check=_parity_check_rows(C.check_poly, C.n),
     )
 
 
@@ -409,7 +380,7 @@ MAX_STABLE_SETS = 1 << 20
 
 
 def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...], ...]):
-    """The code of every stable set, in ``_stable_sets``' mask order.
+    """The code of every stable set, in ``enumerate_stable_sets``' mask order.
 
     The generator of mask m is that of m without its top bit times the
     top cycle's product of coset minimal polynomials: one product per
@@ -421,7 +392,7 @@ def _stable_codes(fam: _Family, ctx: CosetContext, cycles: tuple[tuple[int, ...]
         m_cyc = monic_product(fam.field, [fam.minpolys[key] for key in cyc])
         gens += [monic_product(fam.field, (g, m_cyc)) for g in gens]
     full = len(gens) - 1
-    for mask, P in enumerate(_stable_sets(ctx, cycles, fam.cosets)):
+    for mask, P in enumerate(enumerate_stable_sets(ctx)):
         yield ConstacyclicCode(P, gens[mask], gens[full ^ mask], fam)
 
 
@@ -455,9 +426,8 @@ def classify_all_lcd(
     checked either way (``linear.check_budgets``).
 
     Nothing is eliminated: each generator is one product
-    (``_stable_codes``), and the searched member's parity-check rows come
-    from its check polynomial, the generator of the complementary stable
-    set (``_parity_check_rows``).
+    (``_stable_codes``), and support search reads the searched member's
+    parity check off its rows x^i g(x) (``linear._parity_columns``).
     """
     check_budgets(budget_messages, budget_supports)
     fam = _family(field, n, lam)

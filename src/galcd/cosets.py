@@ -326,14 +326,8 @@ def enumerate_stable_sets(ctx: CosetContext):
     smallest member; there are 2^(number of cycles) of them including
     the empty set and the full exponent set.
     """
-    yield from _stable_sets(ctx, tau_cycles(ctx), cyclotomic_cosets(ctx))
-
-
-def _stable_sets(ctx: CosetContext, cycles: tuple[tuple[int, ...], ...],
-                 cosets: tuple[tuple[int, ...], ...]):
-    """enumerate_stable_sets from ctx's tau-cycles and cyclotomic cosets, already derived."""
-    cmap = {c[0]: c for c in cosets}
-    blocks = [tuple(sorted(x for key in cyc for x in cmap[key])) for cyc in cycles]
+    cmap = {c[0]: c for c in cyclotomic_cosets(ctx)}
+    blocks = [tuple(sorted(x for key in cyc for x in cmap[key])) for cyc in tau_cycles(ctx)]
     for mask in range(1 << len(blocks)):
         residues: list[int] = []
         for i, block in enumerate(blocks):
@@ -392,8 +386,11 @@ def hermitian_necessary_check(p: int, a: int, r: int, n: int) -> bool:
 
 
 def lcd_closure(ctx: CosetContext, residues: Iterable[int]) -> DefiningSet:
-    """Smallest q-closed superset of the input that is fixed by -p^k:
-    the union of the tau-cycles whose cosets meet it."""
+    """The -p^k closure of a defining set: the union of the tau-cycles whose cosets meet it.
+
+    The residues must already form a defining set: ``DefiningSet``
+    refuses a set that is not q-closed with ValueError.
+    """
     _require_frame(ctx)
     pool = set(DefiningSet(ctx, tuple(residues)).residues)
     keys = [key for cyc in tau_cycles(ctx) if not pool.isdisjoint(cyc) for key in cyc]

@@ -321,15 +321,50 @@ def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
     return best
 
 
+def _parity_columns(C: LinearCode) -> list[list[int]]:
+    """The n columns of a parity-check matrix of C, which has 0 < dim < n.
+
+    When row i of the generator is x^i g(x) with deg g = m = n - dim and
+    g(0) != 0, C holds the words c of length n with g | c(x), so its
+    reversal holds the multiples of reverse(g): c is in C exactly when
+    sum_j c_j x^(n-1-j) = 0 mod reverse(g).  Column j is then
+    x^(n-1-j) mod reverse(g) (MacWilliams-Sloane, ch. 7), which needs
+    neither h nor lambda; read high to low, the columns j >= dim are the
+    identity, so all n equal those of ``euclidean_parity_check(C)``.
+    The rows are x^i g exactly when row 0 is g followed by zeros, row 1
+    is 0 at column 0, and every entry of the flat block after those
+    equals the one n + 1 places before it.  Any other generator is
+    eliminated.
+    """
+    field, flat, n = C.field, C._flat, C.n
+    m = n - C.dim
+    # row 0 is g of degree m, zeros follow up to row 1's column 0, and
+    # row i + 1 is row i moved one place right
+    if (flat[0] and flat[m] and not any(flat[m + 1:n + 1])
+            and flat[n + 1:] == flat[:-n - 1]):
+        # reverse(g) made monic, less its x^m, high to low: g_1 .. g_m over g_0
+        low = field.scale(field.inv_code(flat[0]), flat[1:m + 1])
+        r = [0] * (m - 1) + [1]  # x^t mod reverse(g), high to low, from t = 0
+        cols = [r]
+        for _ in range(n - 1):
+            top, r = r[0], r[1:] + [0]
+            if top:
+                r = field.axmy(r, top, low)
+            cols.append(r)
+        return cols[::-1]
+    h = euclidean_parity_check(C)
+    return [[row[j] for row in h] for j in range(n)]
+
+
 def _distance_supports(
-    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False, parity_check=None
+    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False
 ) -> tuple[int | None, int]:
     """Least w with w dependent parity-check columns; returns (d, tests_run).
 
-    The columns are those of parity_check, a basis of the dual that the
-    caller supplies, or else of ``euclidean_parity_check(C)``; every
-    basis of the dual has the same column dependencies, so the result
-    does not depend on which one is read.
+    The columns are ``_parity_columns(C)``: read off the first row of a
+    generator whose rows are x^i g(x), else eliminated.  Every basis of
+    the dual has the same column dependencies, so the result does not
+    depend on which one is read.
 
     The scan starts at w = lower_bound, which must not exceed d.  With
     shift it tests only the supports that contain coordinate 0, which
@@ -357,12 +392,10 @@ def _distance_supports(
     or a false shift claim can produce, counts as dependent, so such a
     call returns the lex-first dependent support at w = lower_bound.
     """
-    field = C.field
-    h = euclidean_parity_check(C) if parity_check is None else parity_check
-    n, m = C.n, C.n - C.dim
+    m = C.n - C.dim
     if m == 0:
         return 1, 0
-    cols = [[row[j] for row in h] for j in range(n)]
+    field, cols = C.field, _parity_columns(C)
     tests = 0
     for w in range(lower_bound, m + 2):
         found, count = _support_scan(field, cols, w, budget - tests, shift)
@@ -443,7 +476,6 @@ def min_distance(
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
     lower_bound: int = 1,
     shift: bool = False,
-    parity_check=None,
 ) -> CodeParams:
     """Exact minimum distance by message enumeration or support search.
 
@@ -462,7 +494,7 @@ def min_distance(
     below w, and the exact n - dim + 1 when w reaches it.  A budget that is not a non-negative integer raises
     ValueError (``check_budgets``).
 
-    Three hints cut the work for callers that know more about C; the
+    Two hints cut the work for callers that know more about C; the
     defaults assume nothing, and budgets count what the hints leave.
 
     - lower_bound: a proven bound d >= lower_bound in [1, n - dim + 1]
@@ -478,11 +510,10 @@ def min_distance(
       needs row 0 to be the only row nonzero in column 0, as in the rows
       x^i g(x) of a constacyclic code, and raises ValueError on any
       other generator.
-    - parity_check: n - dim rows of field codes, each of width n, that
-      span the Euclidean dual of C (ValueError on any other shape).
-      Support search reads its columns instead of eliminating the
-      generator; message enumeration ignores it.  The caller vouches for
-      the rows: a matrix that is not a basis of the dual gives a wrong d.
+
+    Support search reads the parity check of a generator whose rows are
+    x^i g(x) off its first row and eliminates any other
+    (``_parity_columns``).
     """
     check_budgets(budget_messages, budget_supports)
     if C.dim == 0:
@@ -493,10 +524,6 @@ def min_distance(
         raise ValueError(f"lower_bound {lower_bound} outside [1, n - dim + 1 = {top}]")
     if strategy not in ("auto", "messages", "supports"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if parity_check is not None and (
-        len(parity_check) != C.n - C.dim or any(len(row) != C.n for row in parity_check)
-    ):
-        raise ValueError(f"parity_check needs n - dim = {C.n - C.dim} rows of width n = {C.n}")
     # digit 0 = 1 reaches a multiple of every word nonzero at
     # coordinate 0 only if row 0 alone is nonzero in column 0
     column0 = C._flat[::C.n]
@@ -518,7 +545,7 @@ def min_distance(
         else:
             return CodeParams(C.n, C.dim, (lower_bound, top), False)
     if strategy == "supports":
-        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift, parity_check)
+        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
         if d is None:
             if scanned + 1 < top:
                 return CodeParams(C.n, C.dim, (scanned + 1, top), False)

@@ -447,6 +447,12 @@ def transpose(mat) -> list[list[int]]:
     return [list(col) for col in zip(*mat)] if mat else []
 
 
+def systematic(C: LinearCode) -> LinearCode:
+    """C generated by the reduced row echelon form of its generator."""
+    rows = linalg.rref(C.field, C.codes_matrix())[0]
+    return LinearCode(C.field, linalg.to_elements(C.field, rows))
+
+
 def matmul(field: Field, a, b) -> list[list[int]]:
     """The matrix product a*b, one ``axpy`` per nonzero entry of a."""
     if not a:

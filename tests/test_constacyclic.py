@@ -16,7 +16,6 @@ from galcd.constacyclic import (
     Catalog,
     ConstacyclicCode,
     _family,
-    _parity_check_rows,
     _stable_codes,
     classify_all_lcd,
     code_from_defining_set,
@@ -45,6 +44,7 @@ from galcd.linear import (
     BudgetExceeded,
     CodeParams,
     _distance_supports,
+    _parity_columns,
     euclidean_parity_check,
     galois_dual,
     min_distance,
@@ -55,10 +55,10 @@ from oracles import (
     catalog_per_record,
     galois_dual_by_roots,
     hull_dim,
-    matmul,
     root_test_defining_set,
     support_scan,
     support_scan_echelon,
+    systematic,
     transpose,
 )
 
@@ -425,16 +425,35 @@ def _example_code(p, e, n, r, cosets_taken):
 @given(small_constacyclic_codes().filter(lambda C: C.dim > 0))
 @example(_example_code(3, 2, 5, 4, (0, 1)))
 @example(_example_code(5, 2, 6, 3, (0,)))
-@example(_example_code(2, 2, 5, 1, ()))       # g = 1: no parity-check rows
-def test_check_polynomial_rows_span_the_dual(C):
-    """The rows from the check polynomial against elimination: G*H^T = 0, rank n - dim,
-    and the very rows of euclidean_parity_check, so also its row space."""
-    G, H = to_generator_matrix(C), _parity_check_rows(C.check_poly, C.n)
-    field = C.field
-    assert len(H) == C.n - C.dim and all(len(row) == C.n for row in H)
-    assert all(not any(row) for row in matmul(field, G.codes_matrix(), transpose(H)))
-    assert linalg.rank(field, H) == C.n - C.dim
-    assert H == euclidean_parity_check(G)
+@example(_example_code(2, 2, 5, 1, ()))       # g = 1: no parity-check columns
+def test_generator_columns_are_the_eliminated_parity_check(C):
+    """The columns read off the rows x^i g(x) are those of elimination, entry for entry.
+    With g = 1 there are none: the search returns d = 1 before it reads any."""
+    G = to_generator_matrix(C)
+    if C.dim == C.n:
+        assert _distance_supports(G, 0) == (1, 0)
+    else:
+        assert _parity_columns(G) == transpose(euclidean_parity_check(G))
+
+
+def test_catalog_columns_are_the_eliminated_parity_check(monkeypatch):
+    """Every stable code with 0 < dim < n of the benchmark's four catalog contexts (p, e, k, n, lambda):
+    the columns read off its generator are the transposed eliminated parity check, so the
+    catalog's support search does the same arithmetic as with elimination."""
+    elim = []
+    monkeypatch.setattr(linear, "euclidean_parity_check",
+                        lambda C: elim.append(C) or euclidean_parity_check(C))
+    searched = 0
+    for p, e, k, n, lam in ((3, 2, 1, 16, 1), (3, 2, 1, 14, 1), (11, 2, 1, 10, 1), (5, 3, 1, 13, -1)):
+        field = make_field(p, e)
+        fam = _family(field, n, field.from_int(lam))
+        ctx = cosets.with_k(fam.base_ctx, k)
+        for C in _stable_codes(fam, ctx, cosets.tau_cycles(ctx)):
+            if 0 < C.dim < n:
+                G = to_generator_matrix(C)
+                assert _parity_columns(G) == transpose(euclidean_parity_check(G)), (p, e, k, n, C.P)
+                searched += 1
+    assert searched == 392 and not elim
 
 
 @settings(max_examples=100, deadline=None)
@@ -459,21 +478,22 @@ def test_hinted_engines_agree_with_bare_engines_and_brute_force(C):
 @given(small_constacyclic_codes().filter(lambda C: 0 < C.dim < C.n <= 10), st.integers(0, 300))
 def test_shift_walk_matches_both_oracles(C, budget):
     """With the shift: (d, tests) from every valid bound, the refusal one test short, any budget,
-    with the check polynomial's rows as H or with elimination."""
-    G, H = to_generator_matrix(C), _parity_check_rows(C.check_poly, C.n)
+    on the rows x^i g(x) and on the same code in systematic form."""
+    G = to_generator_matrix(C)
+    S = systematic(G)
     d = support_scan_echelon(G, 10**9)[0]
     for bound in range(1, d + 1):
         found = support_scan_echelon(G, 10**9, bound, True)
         assert found[0] == d and _distance_supports(G, 10**9, bound, True) == found
-        assert _distance_supports(G, 10**9, bound, True, H) == found
+        assert _distance_supports(S, 10**9, bound, True) == found
         assert _distance_supports(G, found[1] - 1, bound, True) == (None, d - 1)
-        assert _distance_supports(G, found[1] - 1, bound, True, H) == (None, d - 1)
+        assert _distance_supports(S, found[1] - 1, bound, True) == (None, d - 1)
     if C.field.q**C.dim <= 1024:
         for bound in (1, *range(d + 1, C.n - C.dim + 2)):
             assert _distance_supports(G, 10**9, bound, True) == support_scan(G, bound, shift=True)
     assert _distance_supports(G, budget, 1, True) == support_scan_echelon(G, budget, 1, True)
-    assert _distance_supports(G, budget, 1, True, H) == support_scan_echelon(G, budget, 1, True)
-    assert _distance_supports(G, budget, 1, False, H) == _distance_supports(G, budget)
+    assert _distance_supports(S, budget, 1, True) == support_scan_echelon(G, budget, 1, True)
+    assert _distance_supports(S, budget) == _distance_supports(G, budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -506,14 +526,16 @@ def test_hinted_engines_match_codeword_oracle(p, e, n, lam, monkeypatch):
         if not 0 < C.dim < n or field.q**C.dim > 1024:
             continue
         G, bch = to_generator_matrix(C), bch_lower_bound(C.P)
-        H = _parity_check_rows(C.check_poly, n)
+        S = systematic(G)
         d, tests = support_scan(G)
-        assert _distance_supports(G, 10**9) == _distance_supports(G, 10**9, 1, False, H) == (d, tests)
+        assert _distance_supports(G, 10**9) == _distance_supports(S, 10**9) == (d, tests)
         assert _distance_supports(G, 10**9, bch, True) == support_scan(G, bch, shift=True)
         for bound in range(1, d + 1):
             found = support_scan(G, bound, shift=True)
-            assert _distance_supports(G, 10**9, bound, True, H) == found
-            assert _distance_supports(G, found[1] - 1, bound, True, H) == (None, d - 1)
+            assert _distance_supports(G, 10**9, bound, True) == found
+            assert _distance_supports(S, 10**9, bound, True) == found
+            assert _distance_supports(G, found[1] - 1, bound, True) == (None, d - 1)
+            assert _distance_supports(S, found[1] - 1, bound, True) == (None, d - 1)
         assert support_scan(G, 1, shift=True)[0] == d
         assert min_distance(G, "messages", lower_bound=bch, shift=True).d == d
 
@@ -805,7 +827,9 @@ def test_classify_handles_unpairable_census():
     assert all(rec.lcd == is_lcd(rec.code) for rec in cat.records)
 
 
-def test_classify_derives_the_cosets_and_tau_cycles_once(monkeypatch):
+def test_classify_derives_the_cosets_and_tau_cycles_per_call_not_per_record(monkeypatch):
+    """The census and the public enumeration each derive the cycles once, and the records
+    come in the enumeration's order."""
     f9 = make_field(3, 2)
     calls = {"tau_cycles": [], "cyclotomic_cosets": []}
     for name, seen in calls.items():
@@ -815,7 +839,8 @@ def test_classify_derives_the_cosets_and_tau_cycles_once(monkeypatch):
 
         monkeypatch.setattr(cosets, name, counting)
     cat = classify_all_lcd(f9, 10, f9.one, 1, exact_distance=False)
-    assert {name: len(seen) for name, seen in calls.items()} == {"tau_cycles": 1, "cyclotomic_cosets": 1}
+    assert len(cat.records) == 16
+    assert {name: len(seen) for name, seen in calls.items()} == {"tau_cycles": 2, "cyclotomic_cosets": 3}
     ctx = calls["tau_cycles"][0]
     monkeypatch.undo()
     assert [rec.code.P.residues for rec in cat.records] == sorted(

@@ -367,6 +367,14 @@ def test_lcd_closure_examples():
     assert lcd_closure(CTX_315, (3,)).residues == (3, 15)
 
 
+def test_lcd_closure_refuses_a_set_that_is_not_q_closed():
+    """The closure is under -p^k only: the input must already be a union of q-cyclotomic cosets."""
+    ctx = CosetContext(p=2, e=2, k=1, n=21, r=1)
+    with pytest.raises(ValueError, match="not closed under multiplication by q = 4"):
+        lcd_closure(ctx, (1,))
+    assert lcd_closure(ctx, (1, 4, 16)).residues == (1, 4, 10, 13, 16, 19)
+
+
 def test_lcd_closure_is_minimal_and_stable():
     for ctx in (CTX_38, CTX_314, CTX_315, CTX_45, CTX_RN1):
         for coset in cyclotomic_cosets(ctx):

@@ -19,7 +19,9 @@ from galcd.linear import (
     LinearCode,
     _distance_messages,
     _distance_supports,
+    _parity_columns,
     _support_cost,
+    euclidean_parity_check,
     extend_lcd,
     galois_dual,
     galois_inner_product,
@@ -35,6 +37,7 @@ from oracles import (
     matmul,
     support_scan,
     support_scan_echelon,
+    systematic,
     transpose,
 )
 
@@ -511,6 +514,82 @@ def test_support_walk_edge_cases():
     assert _distance_supports(late, 3, 1, True) == (None, 1) == support_scan_echelon(late, 3, 1, True)
 
 
+def _shifts(g, dim, n):
+    """The rows x^i g(x), i < dim, of length n, on codes."""
+    return [[0] * i + g + [0] * (n - i - len(g)) for i in range(dim)]
+
+
+def _random_g(rng, field, m):
+    """Codes of a random g of degree m with g(0) != 0, not necessarily monic."""
+    inner = [rng.randrange(field.q) for _ in range(m - 1)]
+    return [rng.randrange(1, field.q), *inner, rng.randrange(1, field.q)]
+
+
+def _eliminations(monkeypatch):
+    """The codes whose parity check support search eliminates, in order."""
+    seen = []
+    monkeypatch.setattr(linear, "euclidean_parity_check",
+                        lambda C: seen.append(C) or euclidean_parity_check(C))
+    return seen
+
+
+def _assert_search_agrees(C):
+    """(d, tests) from every valid bound: C, C in systematic form and the codeword oracle."""
+    S = systematic(C)
+    d = support_scan(C)[0]
+    for bound in range(1, d + 1):
+        found = support_scan(C, bound)
+        assert _distance_supports(C, 10**9, bound) == _distance_supports(S, 10**9, bound) == found
+        assert _distance_supports(C, found[1] - 1, bound) == (None, d - 1)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (7, 1)])
+def test_banded_generators_read_their_parity_check_off_row_0(p, e, monkeypatch):
+    """Rows x^i g(x) for random g with g(0) != 0 and deg g = n - dim, which need not divide
+    any x^n - lambda: nothing is eliminated, the columns are the eliminated ones, and the
+    search agrees with the oracle and with the systematic form."""
+    field = make_field(p, e)
+    rng = random.Random(f"banded-{p}-{e}")
+    eliminated = _eliminations(monkeypatch)
+    for _ in range(12):
+        m, dim = rng.randint(1, 5), rng.randint(1, 3)
+        C = LinearCode(field, linalg.to_elements(field, _shifts(_random_g(rng, field, m), dim, m + dim)))
+        eliminated.clear()
+        cols = _parity_columns(C)
+        assert not eliminated and cols == transpose(euclidean_parity_check(C))
+        _assert_search_agrees(C)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (7, 1)])
+def test_near_banded_generators_are_eliminated(p, e, monkeypatch):
+    """Rows x^i g(x) with one entry changed, with g(0) = 0, or with deg g < n - dim are
+    eliminated, and the search still agrees with the oracle and with the systematic form."""
+    field = make_field(p, e)
+    rng = random.Random(f"near-banded-{p}-{e}")
+    eliminated = _eliminations(monkeypatch)
+    cases = 0
+    while cases < 18:
+        m, dim = rng.randint(1, 5), rng.randint(2, 3)
+        g = _random_g(rng, field, m)
+        if cases % 3 == 0:
+            rows = _shifts(g, dim, m + dim)
+            i, j = rng.randrange(dim), rng.randrange(m + dim)
+            rows[i][j] = rng.choice([c for c in range(field.q) if c != rows[i][j]])
+        elif cases % 3 == 1:
+            rows = _shifts([0] + g[1:], dim, m + dim)
+        else:
+            rows = _shifts(g, dim, m + dim + rng.randint(1, 2))
+        try:
+            C = LinearCode(field, linalg.to_elements(field, rows))
+        except ValueError:  # the changed entry made the rows dependent
+            continue
+        eliminated.clear()
+        cols = _parity_columns(C)
+        assert eliminated == [C] and cols == transpose(euclidean_parity_check(C))
+        _assert_search_agrees(C)
+        cases += 1
+
+
 def test_support_walk_stops_at_its_budget(monkeypatch):
     """A refused walk leaves the later nodes of its weight unvisited."""
     f2 = make_field(2, 1)
@@ -629,13 +708,6 @@ def test_min_distance_hints_are_validated():
             with pytest.raises(ValueError, match="column 0"):
                 min_distance(LinearCode(f3, rows), strategy, shift=True)
     assert str(min_distance(LinearCode(f3, eight), "supports")) == "[8,3,2]"
-    # parity_check: n - dim rows of width n, here x^i * reverse(h) for h = x^2 - 1
-    H = [[2, 0, 1, 0], [0, 2, 0, 1]]
-    for strategy in ("auto", "messages", "supports"):
-        assert min_distance(C, strategy, parity_check=H).d == 2
-        for bad in (H[:1], H + [[1, 1, 1, 1]], [row[:3] for row in H], [H[0], H[1] + [0]], []):
-            with pytest.raises(ValueError, match="parity_check"):
-                min_distance(C, strategy, parity_check=bad)
 
 
 @st.composite

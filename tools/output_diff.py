@@ -21,6 +21,9 @@ import tempfile
 from bench_pairs import ROOT, unpack
 
 _GEN_7_3 = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
+# the rows x^i g(x) of g = 1 + x + x^3 over GF(2), and of g = 2 + x + x^3 over GF(3)
+_GEN_7_4 = "[[1,1,0,1,0,0,0],[0,1,1,0,1,0,0],[0,0,1,1,0,1,0],[0,0,0,1,1,0,1]]"
+_GEN_8_5 = "[[2,1,0,1,0,0,0,0],[0,2,1,0,1,0,0,0],[0,0,2,1,0,1,0,0],[0,0,0,2,1,0,1,0],[0,0,0,0,2,1,0,1]]"
 
 # Worked examples, catalogs, the census inside and outside the frame
 # (GF(9) with lambda = x of order 4 leaves it at k = 0), duals on both
@@ -54,7 +57,7 @@ VECTORS = [
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
     ["genpoly", "-p", "5", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
     ["genpoly", "-p", "7", "-e", "2", "-k", "1", "-n", "23", "--defining-set", "1,2,3,4,6,8,9,12,13,16,18"],
-    # a check polynomial through code_params, the message walk over all three
+    # a constacyclic code through code_params, the message walk over all three
     # projective blocks and over the shifted block 0, a degree-1 default
     # modulus with the prime-field embedding, and a log-table base field
     ["mindist", "-p", "11", "-e", "2", "-k", "1", "-n", "10", "--lambda", "1", "--defining-set", "2,3,4,5,6,7,8"],
@@ -75,6 +78,12 @@ VECTORS = [
     # a non-default irreducible modulus, and a reducible one (exit 1)
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--modulus", "2,1,1"],
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--modulus", "2,0,1"],
+    # support search on banded generators, whose parity check is read off row 0; the
+    # budget of 28 tests clears weights 1 and 2 only (exit 2)
+    ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "supports", "--gen", _GEN_7_4],
+    ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "supports", "--budget-supports", "28",
+     "--gen", _GEN_7_4],
+    ["mindist", "-p", "3", "-e", "1", "-n", "8", "--strategy", "supports", "--gen", _GEN_8_5],
 ]
 
 
