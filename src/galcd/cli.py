@@ -260,7 +260,7 @@ def cmd_mindist(args) -> int:
             raise _UsageError(f"-n {args.n} differs from the --gen row width {code.n}")
         distance = partial(linear.min_distance, code)
     elif args.defining_set or args.defining_set == "":
-        # code_params passes the BCH bound and the shift symmetry as hints
+        # code_params passes the BCH bound; min_distance reads the shift off the rows x^i g(x)
         distance = partial(constacyclic.code_params, _code_from_args(args))
     else:
         raise _UsageError("provide --defining-set or --gen")

@@ -292,28 +292,16 @@ def code_params(
     budget_messages: int = DEFAULT_MESSAGE_BUDGET,
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
 ) -> CodeParams:
-    """[n, k, d] by min_distance, hinted with the BCH bound and the constacyclic shift.
+    """[n, k, d] by min_distance on the rows x^i g(x), from the BCH bound.
 
-    d is an interval, flagged inexact, when both engines exceed their budgets.
+    min_distance reads the constacyclic shift and the parity check off
+    those rows.  d is an interval, flagged inexact, when both engines
+    exceed their budgets.
     """
     if C.dim == 0:
         raise ValueError("the zero code has no parameters")
-    return _hinted_params(C, bch_lower_bound(C.P), strategy, budget_messages, budget_supports)
-
-
-def _hinted_params(
-    C: ConstacyclicCode, bch: int, strategy: str, budget_messages: int, budget_supports: int
-) -> CodeParams:
-    """min_distance of the rows x^i g(x), from which support search reads its parity check;
-    the shift x*c(x) mod x^n - lambda maps C onto C."""
-    return min_distance(
-        to_generator_matrix(C),
-        strategy,
-        budget_messages=budget_messages,
-        budget_supports=budget_supports,
-        lower_bound=bch,
-        shift=True,
-    )
+    return min_distance(to_generator_matrix(C), strategy, budget_messages=budget_messages,
+                        budget_supports=budget_supports, lower_bound=bch_lower_bound(C.P))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +414,9 @@ def classify_all_lcd(
     checked either way (``linear.check_budgets``).
 
     Nothing is eliminated: each generator is one product
-    (``_stable_codes``), and support search reads the searched member's
-    parity check off its rows x^i g(x) (``linear._parity_columns``).
+    (``_stable_codes``), and min_distance reads the searched member's
+    parity check and constacyclic shift off its rows x^i g(x)
+    (``linear._reverse_powers``).
     """
     check_budgets(budget_messages, budget_supports)
     fam = _family(field, n, lam)
@@ -450,7 +439,8 @@ def classify_all_lcd(
     for orbit in orbits.values():
         if exact_distance:
             best = max(bch for _, bch in orbit)
-            shared = _hinted_params(orbit[0][0], best, "auto", budget_messages, budget_supports)
+            shared = min_distance(to_generator_matrix(orbit[0][0]), budget_messages=budget_messages,
+                                  budget_supports=budget_supports, lower_bound=best)
             shared = distinct.setdefault(shared, shared)  # equal parameters, one object
         for code, bch in orbit:
             top = code.n - code.dim + 1

@@ -372,9 +372,14 @@ def hermitian_necessary_check(p: int, a: int, r: int, n: int) -> bool:
 
     Here r = 2^b1 * r' and n = 2^b2 * n' with b1, b2 > 0; even r and n
     are a hypothesis, not an input to validate silently.  Every
-    parameter is read through ``as_int``.
+    parameter is read through ``as_int``; p must be prime and a >= 1,
+    as in ``CosetContext``.
     """
     p, a, r, n = map(as_int, (p, a, r, n))
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if a < 1:
+        raise ValueError(f"a = {a} must be at least 1")
     if r % 2 or n % 2:
         raise ValueError("hypotheses not met: r and n must both be even")
     if math.gcd(n, p) != 1:

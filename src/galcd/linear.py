@@ -158,11 +158,15 @@ class CodeParams:
     exact: bool
 
     def __post_init__(self):
+        top = self.n - self.dim + 1
         if self.exact:
-            if not isinstance(self.d, int):
+            if type(self.d) is not int:  # bool is no distance
                 raise ValueError("exact parameters need an integer distance")
-            if not 1 <= self.d <= self.n - self.dim + 1:
+            if not 1 <= self.d <= top:
                 raise ValueError(f"distance {self.d} violates the Singleton bound")
+        elif not (isinstance(self.d, tuple) and len(self.d) == 2
+                  and all(type(x) is int for x in self.d) and 1 <= self.d[0] <= self.d[1]):
+            raise ValueError(f"an inexact distance needs integers 1 <= lo <= hi, got {self.d!r}")
 
     @property
     def mds(self) -> bool:
@@ -279,8 +283,8 @@ def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
     # Block i fixes row i at digit 1 and frees the rows after it: these
     # are the messages whose lowest nonzero digit is 1, one per line of
     # the code, since scaling a word keeps its weight.  With shift only
-    # block 0 runs (min_distance checked the shape).  Block 0 frees the
-    # most rows, and every later block's free rows are a suffix of its.
+    # block 0 runs (row 0 of a banded generator is alone nonzero in column
+    # 0).  Block 0 frees the most rows; later blocks free a suffix of them.
     mul, add = field.tables()
     add_flat = add.reshape(-1)
     # row j's products digit * g_j, one (q, n) table per row after row 0
@@ -321,50 +325,56 @@ def _distance_messages(C: LinearCode, lower_bound: int, shift: bool) -> int:
     return best
 
 
-def _parity_columns(C: LinearCode) -> list[list[int]]:
-    """The n columns of a parity-check matrix of C, which has 0 < dim < n.
-
-    When row i of the generator is x^i g(x) with deg g = m = n - dim and
-    g(0) != 0, C holds the words c of length n with g | c(x), so its
-    reversal holds the multiples of reverse(g): c is in C exactly when
-    sum_j c_j x^(n-1-j) = 0 mod reverse(g).  Column j is then
-    x^(n-1-j) mod reverse(g) (MacWilliams-Sloane, ch. 7), which needs
-    neither h nor lambda; read high to low, the columns j >= dim are the
-    identity, so all n equal those of ``euclidean_parity_check(C)``.
+def _reverse_powers(C: LinearCode) -> tuple[list[list[int]] | None, bool]:
+    """(powers, shift) of a generator whose rows are x^i g(x), deg g =
+    m = n - dim, g(0) != 0: powers are x^t mod reverse(g), high to low,
+    for t = max(m - 1, 0) .. n, so the walk takes the dim + 1 steps that
+    dividing x^n by g would.  x^n mod reverse(g) is a constant mu exactly
+    when g | x^n - 1/mu; then x*c(x) mod x^n - 1/mu maps C onto C, moves
+    every support by +1 mod n, and shift is true (so for m = 0, g = 1).
     The rows are x^i g exactly when row 0 is g followed by zeros, row 1
-    is 0 at column 0, and every entry of the flat block after those
-    equals the one n + 1 places before it.  Any other generator is
-    eliminated.
+    is 0 at column 0, and every later entry of the flat block equals the
+    one n + 1 places before it; any other generator gives (None, False).
     """
     field, flat, n = C.field, C._flat, C.n
     m = n - C.dim
-    # row 0 is g of degree m, zeros follow up to row 1's column 0, and
-    # row i + 1 is row i moved one place right
-    if (flat[0] and flat[m] and not any(flat[m + 1:n + 1])
+    if not (flat[0] and flat[m] and not any(flat[m + 1:n + 1])
             and flat[n + 1:] == flat[:-n - 1]):
-        # reverse(g) made monic, less its x^m, high to low: g_1 .. g_m over g_0
-        low = field.scale(field.inv_code(flat[0]), flat[1:m + 1])
-        r = [0] * (m - 1) + [1]  # x^t mod reverse(g), high to low, from t = 0
-        cols = [r]
-        for _ in range(n - 1):
-            top, r = r[0], r[1:] + [0]
-            if top:
-                r = field.axmy(r, top, low)
-            cols.append(r)
-        return cols[::-1]
-    h = euclidean_parity_check(C)
-    return [[row[j] for row in h] for j in range(n)]
+        return None, False
+    if m == 0:
+        return [[]] * (n + 1), True
+    # reverse(g) made monic, less its x^m, high to low: g_1 .. g_m over g_0
+    low = field.scale(field.inv_code(flat[0]), flat[1:m + 1])
+    r = [1] + [0] * (m - 1)  # x^(m-1)
+    powers = [r]
+    for _ in range(C.dim + 1):
+        top, r = r[0], r[1:] + [0]
+        if top:
+            r = field.axmy(r, top, low)
+        powers.append(r)
+    return powers, not any(r[:-1])
+
+
+def _parity_columns(m: int, powers: list[list[int]]) -> list[list[int]]:
+    """The parity-check columns of rows x^i g(x), deg g = m, from their
+    ``_reverse_powers``: C holds the c with g | c(x), i.e. with
+    sum_j c_j x^(n-1-j) = 0 mod reverse(g), so column j is
+    x^(n-1-j) mod reverse(g) (MacWilliams-Sloane, ch. 7), and the n
+    columns equal those of ``euclidean_parity_check(C)``."""
+    units = [[0] * (m - 1 - t) + [1] + [0] * t for t in range(m - 1)]
+    return (units + powers[:-1])[::-1]
 
 
 def _distance_supports(
-    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False
+    C: LinearCode, budget: int, lower_bound: int = 1, shift: bool = False,
+    cols: list[list[int]] | None = None,
 ) -> tuple[int | None, int]:
     """Least w with w dependent parity-check columns; returns (d, tests_run).
 
-    The columns are ``_parity_columns(C)``: read off the first row of a
-    generator whose rows are x^i g(x), else eliminated.  Every basis of
-    the dual has the same column dependencies, so the result does not
-    depend on which one is read.
+    cols are the parity-check columns that ``_parity_columns`` reads off
+    a generator whose rows are x^i g(x); without them C is eliminated.
+    Every basis of the dual has the same column dependencies, so the
+    result does not depend on which one is read.
 
     The scan starts at w = lower_bound, which must not exceed d.  With
     shift it tests only the supports that contain coordinate 0, which
@@ -395,8 +405,10 @@ def _distance_supports(
     m = C.n - C.dim
     if m == 0:
         return 1, 0
-    field, cols = C.field, _parity_columns(C)
-    tests = 0
+    if cols is None:
+        h = euclidean_parity_check(C)
+        cols = [[row[j] for row in h] for j in range(C.n)]
+    field, tests = C.field, 0
     for w in range(lower_bound, m + 2):
         found, count = _support_scan(field, cols, w, budget - tests, shift)
         tests += count
@@ -475,7 +487,6 @@ def min_distance(
     budget_messages: int = DEFAULT_MESSAGE_BUDGET,
     budget_supports: int = DEFAULT_SUPPORT_BUDGET,
     lower_bound: int = 1,
-    shift: bool = False,
 ) -> CodeParams:
     """Exact minimum distance by message enumeration or support search.
 
@@ -483,7 +494,7 @@ def min_distance(
     messages whose lowest nonzero digit is 1, since scaling a word
     keeps its weight; "supports" finds the least w such that w columns
     of a parity-check matrix are dependent.  The message budget still
-    bounds q^dim (q^(dim-1) with shift), while "auto" prices messages by
+    bounds q^dim (q^(dim-1) with the shift), while "auto" prices messages by
     the count the walk visits.  "auto" picks the cheaper engine that
     fits its budget; when neither fits it returns [lower_bound, n - dim + 1]
     flagged inexact, or the exact n - dim + 1 when lower_bound reaches it; support
@@ -494,26 +505,21 @@ def min_distance(
     below w, and the exact n - dim + 1 when w reaches it.  A budget that is not a non-negative integer raises
     ValueError (``check_budgets``).
 
-    Two hints cut the work for callers that know more about C; the
-    defaults assume nothing, and budgets count what the hints leave.
+    lower_bound, the one hint, is a proven d >= lower_bound in
+    [1, n - dim + 1] (ValueError outside it or if it is not an integer);
+    the default assumes nothing, and budgets count what it leaves.  Support
+    search starts at that weight; message enumeration stops at the first
+    word of that weight.  A bound above the true d gives a wrong d.
 
-    - lower_bound: a proven bound d >= lower_bound in [1, n - dim + 1]
-      (ValueError outside it or if it is not an integer).  Support
-      search starts at that weight; message enumeration stops at the
-      first word of that weight.  A bound above the true d gives a
-      wrong d.
-    - shift: the caller asserts that a monomial automorphism of C moves
-      every support by +1 mod n, as the constacyclic shift does, so some
-      minimum-weight word is nonzero at coordinate 0.  Support search
-      then tests only the supports that contain 0.  Message enumeration
-      fixes message digit 0 to 1 (q^(dim-1) messages).  Every strategy
-      needs row 0 to be the only row nonzero in column 0, as in the rows
-      x^i g(x) of a constacyclic code, and raises ValueError on any
-      other generator.
-
-    Support search reads the parity check of a generator whose rows are
-    x^i g(x) off its first row and eliminates any other
-    (``_parity_columns``).
+    The shift is read off the generator, not claimed (``_reverse_powers``):
+    rows x^i g(x) with g | x^n - lambda, as in every constacyclic code, make
+    x*c(x) mod x^n - lambda an automorphism that moves every support by +1
+    mod n, so some minimum-weight word is nonzero at coordinate 0.  Support
+    search then tests only the supports that contain 0, and message
+    enumeration fixes digit 0 to 1 (q^(dim-1) messages).  The same walk
+    gives support search its parity check (``_parity_columns``), built
+    only once that route is chosen; any other generator is eliminated and
+    searched without the shift.
     """
     check_budgets(budget_messages, budget_supports)
     if C.dim == 0:
@@ -524,11 +530,7 @@ def min_distance(
         raise ValueError(f"lower_bound {lower_bound} outside [1, n - dim + 1 = {top}]")
     if strategy not in ("auto", "messages", "supports"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    # digit 0 = 1 reaches a multiple of every word nonzero at
-    # coordinate 0 only if row 0 alone is nonzero in column 0
-    column0 = C._flat[::C.n]
-    if shift and (not column0[0] or any(column0[1:])):
-        raise ValueError("shift needs a generator whose column 0 is nonzero in row 0 only")
+    powers, shift = _reverse_powers(C)
     q = C.field.q
     msg_cost = q ** (C.dim - 1 if shift else C.dim)
     if strategy == "auto":
@@ -545,7 +547,8 @@ def min_distance(
         else:
             return CodeParams(C.n, C.dim, (lower_bound, top), False)
     if strategy == "supports":
-        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift)
+        cols = None if powers is None else _parity_columns(C.n - C.dim, powers)
+        d, scanned = _distance_supports(C, budget_supports, lower_bound, shift, cols)
         if d is None:
             if scanned + 1 < top:
                 return CodeParams(C.n, C.dim, (scanned + 1, top), False)

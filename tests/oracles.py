@@ -377,6 +377,24 @@ def support_scan(C: LinearCode, lower_bound: int = 1, shift: bool = False) -> tu
     raise AssertionError("the code has no nonzero codeword")
 
 
+def constacyclic_shift(C: LinearCode) -> bool:
+    """Whether the rows are x^i g(x) and some lambda-shift maps C onto C.
+
+    Row i must be row 0 moved i places right with nothing falling off
+    the end; the lambda-shift (c_0, ..., c_(n-1)) -> (lambda*c_(n-1),
+    c_0, ..., c_(n-2)) maps each row to the next, so it maps C onto C
+    exactly when the last row's image lies in the row space, which is
+    checked by rank for every lambda != 0 with schoolbook products.
+    """
+    field, n, rows = C.field, C.n, C.codes_matrix()
+    g = rows[0]
+    if any(row != [0] * i + g[:n - i] or any(g[n - i:]) for i, row in enumerate(rows)):
+        return False
+    last = rows[-1]
+    return any(linalg.rank(field, rows + [[schoolbook_mul(field, lam, last[-1])] + last[:-1]]) == len(rows)
+               for lam in range(1, field.q))
+
+
 def support_scan_echelon(C: LinearCode, budget: int, lower_bound: int = 1,
                          shift: bool = False) -> tuple[int | None, int]:
     """(d, tests) of the support search, support by support.

@@ -45,6 +45,7 @@ from galcd.linear import (
     CodeParams,
     _distance_supports,
     _parity_columns,
+    _reverse_powers,
     euclidean_parity_check,
     galois_dual,
     min_distance,
@@ -427,13 +428,17 @@ def _example_code(p, e, n, r, cosets_taken):
 @example(_example_code(5, 2, 6, 3, (0,)))
 @example(_example_code(2, 2, 5, 1, ()))       # g = 1: no parity-check columns
 def test_generator_columns_are_the_eliminated_parity_check(C):
-    """The columns read off the rows x^i g(x) are those of elimination, entry for entry.
-    With g = 1 there are none: the search returns d = 1 before it reads any."""
+    """The columns read off the rows x^i g(x) are those of elimination, entry for entry,
+    and the shift is read as true.  With g = 1 the n columns are empty: the search
+    returns d = 1 before it reads any."""
     G = to_generator_matrix(C)
+    powers, shift = _reverse_powers(G)
+    cols = _parity_columns(G.n - G.dim, powers)
+    assert shift
     if C.dim == C.n:
-        assert _distance_supports(G, 0) == (1, 0)
+        assert cols == [[]] * C.n and _distance_supports(G, 0) == (1, 0)
     else:
-        assert _parity_columns(G) == transpose(euclidean_parity_check(G))
+        assert cols == transpose(euclidean_parity_check(G))
 
 
 def test_catalog_columns_are_the_eliminated_parity_check(monkeypatch):
@@ -451,7 +456,9 @@ def test_catalog_columns_are_the_eliminated_parity_check(monkeypatch):
         for C in _stable_codes(fam, ctx, cosets.tau_cycles(ctx)):
             if 0 < C.dim < n:
                 G = to_generator_matrix(C)
-                assert _parity_columns(G) == transpose(euclidean_parity_check(G)), (p, e, k, n, C.P)
+                powers, shift = _reverse_powers(G)
+                cols = _parity_columns(G.n - G.dim, powers)
+                assert cols == transpose(euclidean_parity_check(G)) and shift, (p, e, k, n, C.P)
                 searched += 1
     assert searched == 392 and not elim
 
@@ -460,7 +467,7 @@ def test_catalog_columns_are_the_eliminated_parity_check(monkeypatch):
 @given(small_constacyclic_codes().filter(lambda C: C.dim > 0))
 def test_hinted_engines_agree_with_bare_engines_and_brute_force(C):
     G = to_generator_matrix(C)
-    hints = {"lower_bound": bch_lower_bound(C.P), "shift": True}
+    hints = {"lower_bound": bch_lower_bound(C.P)}
     d = min_distance(G, "supports").d
     for strategy in ("supports", "auto"):
         assert min_distance(G, strategy, **hints).d == d
@@ -537,7 +544,7 @@ def test_hinted_engines_match_codeword_oracle(p, e, n, lam, monkeypatch):
             assert _distance_supports(G, found[1] - 1, bound, True) == (None, d - 1)
             assert _distance_supports(S, found[1] - 1, bound, True) == (None, d - 1)
         assert support_scan(G, 1, shift=True)[0] == d
-        assert min_distance(G, "messages", lower_bound=bch, shift=True).d == d
+        assert min_distance(G, "messages", lower_bound=bch).d == d
 
 
 def test_hinted_budget_interval_starts_at_the_bch_bound():
@@ -883,13 +890,13 @@ def test_catalog_check_polynomials_come_from_the_complement(monkeypatch):
     its check polynomial is the generator of the complementary set, and every searched
     code is one of these codes."""
     passed = []
-    real = constacyclic._hinted_params
+    real = constacyclic.to_generator_matrix
 
-    def recording(C, *args):
+    def recording(C):
         passed.append(C)
-        return real(C, *args)
+        return real(C)
 
-    monkeypatch.setattr(constacyclic, "_hinted_params", recording)
+    monkeypatch.setattr(constacyclic, "to_generator_matrix", recording)
     for field, n, lam, k in _sweep_contexts():
         fam = _family(field, n, lam)
         ctx = CosetContext(p=field.p, e=field.e, k=k, n=n, r=mult_order(lam))

@@ -327,6 +327,11 @@ def test_hermitian_necessary_check_examples():
         hermitian_necessary_check(3, 2, 3, 4)
     with pytest.raises(ValueError):
         hermitian_necessary_check(3, 2, 2, 6)  # gcd(n, p) != 1
+    # p must be prime and a >= 1, as in CosetContext
+    for args, match in [((3, -1, 2, 2), "a = -1"), ((3, 0, 2, 2), "a = 0"),
+                        ((9, 1, 2, 4), "not prime"), ((1, 1, 2, 2), "not prime")]:
+        with pytest.raises(ValueError, match=match):
+            hermitian_necessary_check(*args)
 
 
 @pytest.mark.parametrize("args", [(3, 1.0, 2, 2), (3, 1, 2.0, 2), (3.0, 1, 2, 2), (3, 1, 2, True),

@@ -20,6 +20,7 @@ from galcd.linear import (
     _distance_messages,
     _distance_supports,
     _parity_columns,
+    _reverse_powers,
     _support_cost,
     euclidean_parity_check,
     extend_lcd,
@@ -31,6 +32,7 @@ from galcd.linear import (
 )
 from oracles import (
     brute_min_distance,
+    constacyclic_shift,
     full_message_walk,
     hull_dim,
     literal_intersection_dim,
@@ -533,21 +535,22 @@ def _eliminations(monkeypatch):
     return seen
 
 
-def _assert_search_agrees(C):
-    """(d, tests) from every valid bound: C, C in systematic form and the codeword oracle."""
+def _assert_search_agrees(C, cols=None):
+    """(d, tests) from every valid bound: C on cols (eliminated when None), C in
+    systematic form and the codeword oracle."""
     S = systematic(C)
     d = support_scan(C)[0]
     for bound in range(1, d + 1):
         found = support_scan(C, bound)
-        assert _distance_supports(C, 10**9, bound) == _distance_supports(S, 10**9, bound) == found
-        assert _distance_supports(C, found[1] - 1, bound) == (None, d - 1)
+        assert _distance_supports(C, 10**9, bound, False, cols) == _distance_supports(S, 10**9, bound) == found
+        assert _distance_supports(C, found[1] - 1, bound, False, cols) == (None, d - 1)
 
 
 @pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (7, 1)])
 def test_banded_generators_read_their_parity_check_off_row_0(p, e, monkeypatch):
     """Rows x^i g(x) for random g with g(0) != 0 and deg g = n - dim, which need not divide
-    any x^n - lambda: nothing is eliminated, the columns are the eliminated ones, and the
-    search agrees with the oracle and with the systematic form."""
+    any x^n - lambda: nothing is eliminated, the columns are the eliminated ones, the shift
+    is the oracle's, and the search on them agrees with the oracle and with the systematic form."""
     field = make_field(p, e)
     rng = random.Random(f"banded-{p}-{e}")
     eliminated = _eliminations(monkeypatch)
@@ -555,18 +558,20 @@ def test_banded_generators_read_their_parity_check_off_row_0(p, e, monkeypatch):
         m, dim = rng.randint(1, 5), rng.randint(1, 3)
         C = LinearCode(field, linalg.to_elements(field, _shifts(_random_g(rng, field, m), dim, m + dim)))
         eliminated.clear()
-        cols = _parity_columns(C)
+        powers, shift = _reverse_powers(C)
+        cols = _parity_columns(C.n - C.dim, powers)
         assert not eliminated and cols == transpose(euclidean_parity_check(C))
-        _assert_search_agrees(C)
+        assert shift == constacyclic_shift(C)
+        _assert_search_agrees(C, cols)
 
 
 @pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (7, 1)])
-def test_near_banded_generators_are_eliminated(p, e, monkeypatch):
-    """Rows x^i g(x) with one entry changed, with g(0) = 0, or with deg g < n - dim are
-    eliminated, and the search still agrees with the oracle and with the systematic form."""
+def test_near_banded_generators_are_eliminated(p, e):
+    """Rows x^i g(x) with one entry changed, with g(0) = 0, or with deg g < n - dim give
+    neither columns nor the shift: support search eliminates them, and still agrees with
+    the oracle and with the systematic form."""
     field = make_field(p, e)
     rng = random.Random(f"near-banded-{p}-{e}")
-    eliminated = _eliminations(monkeypatch)
     cases = 0
     while cases < 18:
         m, dim = rng.randint(1, 5), rng.randint(2, 3)
@@ -583,11 +588,56 @@ def test_near_banded_generators_are_eliminated(p, e, monkeypatch):
             C = LinearCode(field, linalg.to_elements(field, rows))
         except ValueError:  # the changed entry made the rows dependent
             continue
-        eliminated.clear()
-        cols = _parity_columns(C)
-        assert eliminated == [C] and cols == transpose(euclidean_parity_check(C))
+        assert _reverse_powers(C) == (None, False) and not constacyclic_shift(C)
         _assert_search_agrees(C)
         cases += 1
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (7, 1)])
+def test_shift_read_off_banded_generators_matches_the_oracle(p, e):
+    """Banded generators, constacyclic (the rows x^i g(x) of a stable code, scaled) and
+    not (a random g): the shift read off the walk is the oracle's, (d, tests) on the walk's
+    columns is the codeword oracle's with that shift, and min_distance is brute force."""
+    field = make_field(p, e)
+    rng = random.Random(f"shift-{p}-{e}")
+    codes = []
+    for n in (n for n in range(2, 9) if n % p):
+        for _ in range(3):
+            lam = field.from_code(rng.randrange(1, field.q))
+            P = [x for c in _family(field, n, lam).cosets if rng.random() < 0.5 for x in c]
+            C = code_from_defining_set(field, n, lam, P)
+            if 0 < C.dim < n:
+                c = rng.randrange(1, field.q)
+                rows = [field.scale(c, row) for row in to_generator_matrix(C).rows]
+                codes.append(LinearCode(field, linalg.to_elements(field, rows)))
+        m, dim = rng.randint(1, 4), rng.randint(1, 3)
+        codes.append(LinearCode(field, linalg.to_elements(field, _shifts(_random_g(rng, field, m), dim, m + dim))))
+    shifts = []
+    for G in codes:
+        powers, shift = _reverse_powers(G)
+        cols = _parity_columns(G.n - G.dim, powers)
+        assert shift == constacyclic_shift(G)
+        shifts.append(shift)
+        assert _distance_supports(G, 10**9, 1, shift, cols) == support_scan(G, shift=shift)
+        d = brute_min_distance(G)
+        for strategy in ("auto", "messages", "supports"):
+            assert min_distance(G, strategy).d == d
+    assert any(shifts) and not all(shifts)
+
+
+def test_columns_are_built_only_for_support_search(monkeypatch):
+    """Every call reads the shift off the generator, but the parity-check columns are
+    built only once support search is chosen: message enumeration and an unsearched
+    interval never build them."""
+    field = make_field(2, 1)
+    G = to_generator_matrix(code_from_defining_set(field, 7, field.from_code(1), [1, 2, 4]))
+    assert _reverse_powers(G)[1]
+    built = []
+    monkeypatch.setattr(linear, "_parity_columns", lambda m, powers: built.append(m) or _parity_columns(m, powers))
+    assert min_distance(G, "messages") == CodeParams(7, 4, 3, True)
+    assert min_distance(G, budget_messages=0, budget_supports=0) == CodeParams(7, 4, (1, 4), False)
+    assert not built
+    assert min_distance(G, "supports") == CodeParams(7, 4, 3, True) and built == [3]
 
 
 def test_support_walk_stops_at_its_budget(monkeypatch):
@@ -636,7 +686,7 @@ def test_message_buffers_across_chunk_boundaries(chunk, monkeypatch):
             G = to_generator_matrix(C)
             d = brute_min_distance(G)
             for bound in (1, bch_lower_bound(C.P), d):
-                assert min_distance(G, "messages", lower_bound=bound, shift=True).d == d
+                assert min_distance(G, "messages", lower_bound=bound).d == d
 
 
 def _in_standard_form(C):
@@ -696,24 +746,19 @@ def test_auto_prices_messages_by_the_projective_walk(monkeypatch):
 def test_min_distance_hints_are_validated():
     f3 = make_field(3, 1)
     C = LinearCode(f3, [[1, 0, 1, 0], [0, 1, 0, 1]])  # g, x*g for g = x^2 + 1 | x^4 - 1
-    assert min_distance(C, "messages", lower_bound=2, shift=True).d == 2
+    assert min_distance(C, "messages", lower_bound=2).d == 2
     for bound in (0, -1, C.n - C.dim + 2):
         for strategy in ("auto", "messages", "supports"):
             with pytest.raises(ValueError, match="lower_bound"):
                 min_distance(C, strategy, lower_bound=bound)
-    # the shift needs row 0 to be the only row nonzero in column 0, whatever the engine
     eight = [[1, 2, 1, 0, 0, 0, 0, 0], [1, 1, 2, 1, 0, 0, 0, 0], [0, 0, 1, 2, 1, 0, 0, 0]]
-    for rows in ([[1, 2, 1, 0], [1, 1, 2, 1]], [[0, 1, 2, 1], [0, 0, 1, 2]], eight):
-        for strategy in ("messages", "supports", "auto"):
-            with pytest.raises(ValueError, match="column 0"):
-                min_distance(LinearCode(f3, rows), strategy, shift=True)
     assert str(min_distance(LinearCode(f3, eight), "supports")) == "[8,3,2]"
 
 
 @st.composite
 def _distance_cases(draw):
     """A small code over GF(2), GF(3), GF(4) or GF(5) and its hints: a bare
-    random code, or a constacyclic code with its BCH bound and the shift."""
+    random code, or a constacyclic code's rows x^i g(x) with its BCH bound."""
     field = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
     if draw(st.booleans()):
         n = draw(st.integers(1, 7))
@@ -725,7 +770,7 @@ def _distance_cases(draw):
     take = draw(st.lists(st.booleans(), min_size=len(cosets_), max_size=len(cosets_)))
     C = code_from_defining_set(field, n, lam, [x for t, c in zip(take, cosets_) if t for x in c])
     assume(C.dim > 0 and field.q**C.dim <= 4096)
-    return to_generator_matrix(C), {"lower_bound": bch_lower_bound(C.P), "shift": True}
+    return to_generator_matrix(C), {"lower_bound": bch_lower_bound(C.P)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -738,7 +783,7 @@ def test_min_distance_decision_table(case, small):
     n - dim + 1, since the two bounds then prove d."""
     C, hints = case
     d = brute_min_distance(C)
-    lb, shift = hints.get("lower_bound", 1), hints.get("shift", False)
+    lb, shift = hints.get("lower_bound", 1), constacyclic_shift(C)
     top = C.n - C.dim + 1
     msg_cost = C.field.q ** (C.dim - shift)
     sup_cost = sum(comb(C.n - 1, w - 1) if shift else comb(C.n, w) for w in range(lb, top + 1))
@@ -794,8 +839,15 @@ def test_code_params_validation():
         CodeParams(4, 2, 4, True)  # violates Singleton
     with pytest.raises(ValueError):
         CodeParams(4, 2, (1, 3), True)  # interval cannot be exact
+    with pytest.raises(ValueError, match="integer distance"):
+        CodeParams(4, 2, True, True)
     prm = CodeParams(4, 2, (1, 3), False)
     assert prm.to_json()["d"] == [1, 3]
+    # an interval needs integer ends with 1 <= lo <= hi; lo == hi stays legal
+    assert str(CodeParams(7, 4, (4, 4), False)) == "[7,4,4..4]"
+    for d in [(5, 3), (0, 2), (1.0, 3), (1, 3.0), (True, 3), (1, 2, 3), [1, 3], 2]:
+        with pytest.raises(ValueError, match="inexact distance"):
+            CodeParams(7, 4, d, False)
 
 
 @settings(max_examples=40, deadline=None)

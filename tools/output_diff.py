@@ -24,6 +24,8 @@ _GEN_7_3 = "[[1,0,0,1,1,0,1],[0,1,0,1,0,1,1],[0,0,1,0,1,1,1]]"
 # the rows x^i g(x) of g = 1 + x + x^3 over GF(2), and of g = 2 + x + x^3 over GF(3)
 _GEN_7_4 = "[[1,1,0,1,0,0,0],[0,1,1,0,1,0,0],[0,0,1,1,0,1,0],[0,0,0,1,1,0,1]]"
 _GEN_8_5 = "[[2,1,0,1,0,0,0,0],[0,2,1,0,1,0,0,0],[0,0,2,1,0,1,0,0],[0,0,0,2,1,0,1,0],[0,0,0,0,2,1,0,1]]"
+# the rows x^i g(x) of g = 1 + 2x + x^3 over GF(3), which divides no x^8 - lambda
+_GEN_8_5_NO_SHIFT = "[[1,2,0,1,0,0,0,0],[0,1,2,0,1,0,0,0],[0,0,1,2,0,1,0,0],[0,0,0,1,2,0,1,0],[0,0,0,0,1,2,0,1]]"
 
 # Worked examples, catalogs, the census inside and outside the frame
 # (GF(9) with lambda = x of order 4 leaves it at k = 0), duals on both
@@ -78,12 +80,16 @@ VECTORS = [
     # a non-default irreducible modulus, and a reducible one (exit 1)
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--modulus", "2,1,1"],
     ["genpoly", "-p", "3", "-e", "2", "-k", "1", "-n", "8", "--defining-set", "1,3", "--modulus", "2,0,1"],
-    # support search on banded generators, whose parity check is read off row 0; the
-    # budget of 28 tests clears weights 1 and 2 only (exit 2)
+    # support search on banded generators, whose parity check and shift are read off
+    # row 0; the shifted scan of _GEN_7_4 runs 1 + 6 + 2 tests, so a budget of 8 clears
+    # weights 1 and 2 only (exit 2), and the unshifted scan of _GEN_8_5_NO_SHIFT runs 38,
+    # so a budget of 37 does the same
     ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "supports", "--gen", _GEN_7_4],
-    ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "supports", "--budget-supports", "28",
+    ["mindist", "-p", "2", "-e", "1", "-n", "7", "--strategy", "supports", "--budget-supports", "8",
      "--gen", _GEN_7_4],
     ["mindist", "-p", "3", "-e", "1", "-n", "8", "--strategy", "supports", "--gen", _GEN_8_5],
+    ["mindist", "-p", "3", "-e", "1", "-n", "8", "--strategy", "supports", "--budget-supports", "37",
+     "--gen", _GEN_8_5_NO_SHIFT],
 ]
 
 
